@@ -63,6 +63,24 @@ void Machine::Start() {
 }
 
 CpuId Machine::LeastLoadedCore(const SimThread* placing) const {
+  if (UseColumns()) {
+    // O(cores) from the slabs' integer census. Loads are whole ppt, and the double
+    // sums below differ from them by far less than their 1e-12 tolerance, so exact
+    // integer comparisons make the same choice.
+    CpuId best = 0;
+    int64_t best_ppt = ReservedPptOn(0, placing);
+    int best_count = ThreadCountOn(0, placing);
+    for (CpuId c = 1; c < num_cpus(); ++c) {
+      const int64_t ppt = ReservedPptOn(c, placing);
+      const int count = ThreadCountOn(c, placing);
+      if (ppt < best_ppt || (ppt == best_ppt && count < best_count)) {
+        best = c;
+        best_ppt = ppt;
+        best_count = count;
+      }
+    }
+    return best;
+  }
   CpuId best = 0;
   double best_load = ReservedFractionOn(0, placing);
   int best_count = ThreadCountOn(0, placing);
@@ -103,18 +121,27 @@ double Machine::ReservedFractionOn(CpuId core, const SimThread* excluding) const
   return sum;
 }
 
+int32_t Machine::CensusSlotOn(CpuId core, const SimThread* excluding) const {
+  const int32_t s = excluding != nullptr ? excluding->slab_slot() : ThreadSlabs::kNoSlot;
+  return s >= 0 && s < slabs_->slot_count() && slabs_->cpu(s) == core &&
+                 slabs_->state(s) != ThreadState::kExited
+             ? s
+             : ThreadSlabs::kNoSlot;
+}
+
+int64_t Machine::ReservedPptOn(CpuId core, const SimThread* excluding) const {
+  const int32_t ex = CensusSlotOn(core, excluding);
+  const bool reserved =
+      ex != ThreadSlabs::kNoSlot && slabs_->policy(ex) == SchedPolicy::kReservation;
+  return slabs_->reserved_ppt_on(core) - (reserved ? slabs_->granted_ppt(ex) : 0);
+}
+
 int Machine::ThreadCountOn(CpuId core, const SimThread* excluding) const {
-  int count = 0;
   if (UseColumns()) {
-    const int32_t ex = excluding != nullptr ? excluding->slab_slot() : ThreadSlabs::kNoSlot;
-    const int32_t n = slabs_->slot_count();
-    for (int32_t s = 0; s < n; ++s) {
-      if (s != ex && slabs_->cpu(s) == core && slabs_->state(s) != ThreadState::kExited) {
-        ++count;
-      }
-    }
-    return count;
+    const int64_t live = slabs_->live_on(core);
+    return static_cast<int>(live - (CensusSlotOn(core, excluding) != ThreadSlabs::kNoSlot));
   }
+  int count = 0;
   for (const SimThread* t : registry_.All()) {
     if (t != excluding && t->cpu() == core && !t->HasExited()) {
       ++count;

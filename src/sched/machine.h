@@ -210,6 +210,7 @@ class Machine {
   // `core`, optionally excluding one thread.
   double ReservedFractionOn(CpuId core, const SimThread* excluding = nullptr) const;
   // Live (non-exited) threads assigned to `core`, optionally excluding one thread.
+  // O(1) with slabs (the slabs' per-core census), a registry sweep without.
   int ThreadCountOn(CpuId core, const SimThread* excluding = nullptr) const;
 
   // Convenience: run the simulation for `d` of virtual time, then settle any pending
@@ -264,6 +265,10 @@ class Machine {
   bool UseColumns() const {
     return slabs_ != nullptr && slabs_->live_count() == static_cast<int64_t>(registry_.size());
   }
+  // Column-path census helpers (require UseColumns()): the slot `excluding` holds if
+  // it is counted on `core`, else kNoSlot; and `core`'s reserved ppt without it.
+  int32_t CensusSlotOn(CpuId core, const SimThread* excluding) const;
+  int64_t ReservedPptOn(CpuId core, const SimThread* excluding) const;
 
   // Sleep-generation bookkeeping: which incarnation of "this thread is asleep" the
   // heap entries refer to (0 = not asleep). Slab-backed registries use a dense

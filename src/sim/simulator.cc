@@ -32,11 +32,13 @@ EventId Simulator::ScheduleAfter(Duration d, EventQueue::Callback fn) {
   return events_.Push(now_ + d, std::move(fn));
 }
 
-bool Simulator::Step() {
-  if (events_.Empty()) {
+bool Simulator::Step() { return RunNext(TimePoint::Max()); }
+
+bool Simulator::RunNext(TimePoint limit) {
+  EventQueue::Popped event;
+  if (!events_.PopDue(limit, &event)) {
     return false;
   }
-  auto event = events_.Pop();
   RR_CHECK(event.when >= now_);
   now_ = event.when;
   ++events_processed_;
@@ -45,12 +47,9 @@ bool Simulator::Step() {
 }
 
 bool Simulator::PopExpected(EventId id, TimePoint t) {
-  if (id == kInvalidEventId || events_.Empty() || events_.PeekTime() != t ||
-      events_.PeekId() != id) {
+  if (!events_.DropHeadIf(id, t)) {  // Never matches kInvalidEventId.
     return false;
   }
-  auto event = events_.Pop();
-  RR_CHECK(event.when == t && event.id == id);
   RR_CHECK(t >= now_);
   now_ = t;
   ++events_processed_;
@@ -59,8 +58,7 @@ bool Simulator::PopExpected(EventId id, TimePoint t) {
 
 void Simulator::RunUntil(TimePoint t) {
   RR_EXPECTS(t >= now_);
-  while (!events_.Empty() && events_.PeekTime() <= t) {
-    Step();
+  while (RunNext(t)) {
   }
   now_ = t;
 }

@@ -81,6 +81,9 @@ class Simulator {
   size_t pending_events() { return events_.PendingCount(); }
 
  private:
+  // Runs the earliest pending event if its time is <= `limit`; false otherwise.
+  bool RunNext(TimePoint limit);
+
   TimePoint now_ = TimePoint::Origin();
   EventQueue events_;
   std::vector<Cpu> cpus_;

@@ -50,6 +50,7 @@ int32_t ThreadSlabs::Bind(SimThread* thread) {
   const size_t i = static_cast<size_t>(slot);
   thread_[i] = thread;
   SeedColumns(slot, *thread);
+  CountSlot(i, +1);
   if (state_[i] == ThreadState::kRunnable) {
     BumpRunnable(1);
   }
@@ -77,6 +78,7 @@ void ThreadSlabs::Release(SimThread* thread) {
     BumpRunnable(-1);
   }
   --live_count_;
+  CountSlot(i, -1);
   // Inert values: sweeps (reserved filter, census, runnable checks) skip the hole
   // with the same comparisons they apply to live slots.
   thread_[i] = nullptr;

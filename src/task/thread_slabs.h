@@ -80,6 +80,15 @@ class ThreadSlabs {
   // at the epoch barrier, after the round's writes are already ordered.
   int64_t runnable_count() const { return runnable_count_.load(std::memory_order_relaxed); }
 
+  // Per-core placement census, kept by write-through like runnable_count(): the
+  // bound non-exited slots whose cpu column is `core`, and the sum of their granted
+  // ppt among kReservation slots. Integers, so they equal a full column rescan
+  // exactly, in any update order. O(1) reads; a core no slot has named reads 0.
+  // Inside a parallel round only exits move them, and a thread exits on its own
+  // core, so each core's entry has one writer: that core's host thread.
+  int64_t live_on(CpuId core) const { return CensusAt(core).live; }
+  int64_t reserved_ppt_on(CpuId core) const { return CensusAt(core).reserved_ppt; }
+
   // Concurrent-round mode: while true, runnable-count updates use an atomic RMW
   // (multiple host threads bump the counter from inside a fanned dispatch round);
   // while false — the sequential engine, and everything fenced to epoch
@@ -134,23 +143,68 @@ class ThreadSlabs {
     if (delta != 0) {
       BumpRunnable(delta);
     }
+    if ((s == ThreadState::kExited) != (state_[i] == ThreadState::kExited)) {
+      CountSlot(i, -1);
+      state_[i] = s;
+      CountSlot(i, +1);
+      return;
+    }
     state_[i] = s;
   }
   void MirrorClass(int32_t slot, ThreadClass c) { class_[static_cast<size_t>(slot)] = c; }
-  void MirrorPolicy(int32_t slot, SchedPolicy p) { policy_[static_cast<size_t>(slot)] = p; }
-  void MirrorCpu(int32_t slot, CpuId core) { cpu_[static_cast<size_t>(slot)] = core; }
+  void MirrorPolicy(int32_t slot, SchedPolicy p) {
+    const size_t i = static_cast<size_t>(slot);
+    CountSlot(i, -1);
+    policy_[i] = p;
+    CountSlot(i, +1);
+  }
+  void MirrorCpu(int32_t slot, CpuId core) {
+    const size_t i = static_cast<size_t>(slot);
+    CountSlot(i, -1);
+    cpu_[i] = core;
+    CountSlot(i, +1);
+  }
   void MirrorImportance(int32_t slot, double w) { importance_[static_cast<size_t>(slot)] = w; }
   void MirrorBudget(int32_t slot, Cycles c) { budget_[static_cast<size_t>(slot)] = c; }
   // Re-derives the reservation columns (granted ppt, rank, deadline) from the
   // object's current proportion/period/period_start.
   void MirrorReservation(int32_t slot, const SimThread& t) {
     const size_t i = static_cast<size_t>(slot);
-    granted_ppt_[i] = t.proportion().ppt();
+    if (granted_ppt_[i] != t.proportion().ppt()) {
+      CountSlot(i, -1);
+      granted_ppt_[i] = t.proportion().ppt();
+      CountSlot(i, +1);
+    }
     rm_rank_[i] = PeriodRank(t.period());
     deadline_nanos_[i] = (t.period_start() + t.period()).nanos();
   }
 
   void SeedColumns(int32_t slot, const SimThread& t);
+
+  struct CoreCensus {
+    int64_t live = 0;
+    int64_t reserved_ppt = 0;
+  };
+  const CoreCensus& CensusAt(CpuId core) const {
+    static constexpr CoreCensus kEmpty;
+    return static_cast<size_t>(core) < census_.size() ? census_[static_cast<size_t>(core)]
+                                                      : kEmpty;
+  }
+  // Adds `sign` (+1/-1) times slot `i`'s current columns to its core's census.
+  // Callers bracket a column change with -1 / +1.
+  void CountSlot(size_t i, int64_t sign) {
+    if (state_[i] == ThreadState::kExited) {
+      return;
+    }
+    const size_t core = static_cast<size_t>(cpu_[i]);
+    if (core >= census_.size()) {
+      census_.resize(core + 1);
+    }
+    census_[core].live += sign;
+    if (policy_[i] == SchedPolicy::kReservation) {
+      census_[core].reserved_ppt += sign * granted_ppt_[i];
+    }
+  }
 
   // See set_shared_mode: RMW only while a parallel round is in flight; the
   // single-writer phases take the cheap non-RMW path.
@@ -181,6 +235,7 @@ class ThreadSlabs {
   std::vector<int32_t> free_slots_;  // LIFO recycling.
   int64_t live_count_ = 0;
   std::atomic<int64_t> runnable_count_{0};
+  std::vector<CoreCensus> census_;  // Indexed by core; grows to the largest cpu seen.
   mutable bool shared_mode_ = false;
 };
 

@@ -1,9 +1,14 @@
+#include <algorithm>
+#include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace realrate {
 namespace {
@@ -127,6 +132,107 @@ TEST(EventQueueTest, ReschedOfFiredIdStillSchedules) {
   EXPECT_TRUE(second);
 }
 
+TEST(EventQueueTest, StaleIdIsRejectedAfterItsSlotIsReused) {
+  // A fired or cancelled event's slot is recycled by the next push; the old id must
+  // not reach the new occupant.
+  EventQueue q;
+  std::vector<int> order;
+  const EventId fired = q.Push(At(1), [&] { order.push_back(1); });
+  q.Pop().fn();
+  const EventId cancelled = q.Push(At(2), [&] { order.push_back(2); });
+  EXPECT_EQ(q.SlotCapacity(), 1u);  // Reused the fired event's slot.
+  EXPECT_TRUE(q.Cancel(cancelled));
+  const EventId live = q.Push(At(3), [&] { order.push_back(3); });
+  EXPECT_EQ(q.SlotCapacity(), 1u);  // And the cancelled one's.
+  EXPECT_NE(live, fired);
+  EXPECT_NE(live, cancelled);
+  EXPECT_FALSE(q.Cancel(fired));
+  EXPECT_FALSE(q.Cancel(cancelled));
+  EXPECT_EQ(q.PendingCount(), 1u);
+  EXPECT_EQ(q.PeekId(), live);
+  q.Pop().fn();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_TRUE(q.Empty());
+}
+
+TEST(EventQueueTest, EqualTimesStayFifoAcrossSlotReuse) {
+  // Freed slots are reused LIFO, so slot order stops matching insertion order; the
+  // pop order must still be insertion order.
+  EventQueue q;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 8; ++i) {
+    ids.push_back(q.Push(At(10), [&order, i] { order.push_back(i); }));
+  }
+  for (const int i : {1, 4, 6}) {
+    EXPECT_TRUE(q.Cancel(ids[static_cast<size_t>(i)]));
+  }
+  for (int i = 8; i < 11; ++i) {
+    q.Push(At(10), [&order, i] { order.push_back(i); });
+  }
+  EXPECT_EQ(q.SlotCapacity(), 8u);
+  while (!q.Empty()) {
+    q.Pop().fn();
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 3, 5, 7, 8, 9, 10}));
+}
+
+TEST(EventQueueTest, MillionOpChurnMatchesReferenceAndBoundsSlotPool) {
+  // Random push/cancel/pop churn against an ordered-set reference keyed on
+  // (time, insertion index): every pop returns the reference's head, PendingCount
+  // is exact after every operation, and the slot pool never exceeds the peak
+  // pending count.
+  EventQueue q;
+  Rng rng(2024);
+  std::set<std::pair<int64_t, uint64_t>> reference;  // {when_ns, insertion index}.
+  std::vector<EventId> id_of;                          // Insertion index -> id.
+  std::vector<int64_t> when_of;                        // Insertion index -> when_ns.
+  std::vector<uint64_t> live;                          // Insertion indices, unordered.
+  std::vector<size_t> live_pos;                        // Insertion index -> index in live.
+  int64_t now = 0;
+  size_t peak = 0;
+  uint64_t fired = 0;
+  auto forget = [&](uint64_t index) {
+    const size_t pos = live_pos[index];
+    live[pos] = live.back();
+    live_pos[live[pos]] = pos;
+    live.pop_back();
+  };
+  for (int op = 0; op < 1'000'000; ++op) {
+    const uint64_t dice = rng.NextBounded(10);
+    if (dice < 5 || live.empty()) {
+      const int64_t when = now + static_cast<int64_t>(rng.NextBounded(50));
+      const uint64_t index = id_of.size();
+      id_of.push_back(q.Push(TimePoint::FromNanos(when), [&fired] { ++fired; }));
+      when_of.push_back(when);
+      reference.emplace(when, index);
+      live_pos.push_back(live.size());
+      live.push_back(index);
+    } else if (dice < 7) {
+      const uint64_t index = live[rng.NextBounded(live.size())];
+      ASSERT_TRUE(q.Cancel(id_of[index]));
+      ASSERT_FALSE(q.Cancel(id_of[index]));
+      reference.erase({when_of[index], index});
+      forget(index);
+    } else {
+      const auto head = *reference.begin();
+      auto popped = q.Pop();
+      ASSERT_EQ(popped.when.nanos(), head.first);
+      ASSERT_EQ(popped.id, id_of[head.second]);
+      popped.fn();
+      now = head.first;
+      reference.erase(reference.begin());
+      forget(head.second);
+      ASSERT_FALSE(q.Cancel(id_of[head.second]));
+    }
+    peak = std::max(peak, q.PendingCount());
+    ASSERT_EQ(q.PendingCount(), reference.size());
+    ASSERT_LE(q.SlotCapacity(), peak);
+  }
+  EXPECT_GT(fired, 100'000u);
+  EXPECT_GT(peak, 10u);
+}
+
 TEST(SimulatorTest, ClockAdvancesToEventTimes) {
   Simulator sim;
   std::vector<int64_t> seen;
@@ -170,6 +276,24 @@ TEST(SimulatorTest, StepReturnsFalseWhenIdle) {
   sim.ScheduleAfter(Duration::Millis(1), [] {});
   EXPECT_TRUE(sim.Step());
   EXPECT_FALSE(sim.Step());
+}
+
+TEST(SimulatorTest, PopExpectedRejectsStaleId) {
+  Simulator sim;
+  bool ran = false;
+  const EventId stale = sim.ScheduleAt(At(5), [&] { ran = true; });
+  EXPECT_TRUE(sim.Cancel(stale));
+  const EventId fresh = sim.ScheduleAt(At(5), [&] { ran = true; });  // Same slot.
+  EXPECT_FALSE(sim.PopExpected(stale, At(5)));
+  EXPECT_EQ(sim.events_processed(), 0u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_FALSE(sim.PopExpected(fresh, At(6)));
+  EXPECT_TRUE(sim.PopExpected(fresh, At(5)));
+  EXPECT_FALSE(sim.PopExpected(fresh, At(5)));
+  EXPECT_EQ(sim.events_processed(), 1u);
+  EXPECT_EQ(sim.Now(), At(5));
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_FALSE(ran);
 }
 
 TEST(CpuTest, CycleDurationRoundTrip) {

@@ -1,7 +1,7 @@
 // Hot-field slabs and thread arena (task/thread_slabs.h): Bind/Release slot
-// lifecycle, write-through mirroring, migration slot stability, scheduler removal
-// mid-run, kAuto index activation, and the trace recorder's hash-only mode the
-// farm scenarios lean on.
+// lifecycle, write-through mirroring, the per-core placement census, migration slot
+// stability, scheduler removal mid-run, kAuto index activation, and the trace
+// recorder's hash-only mode the farm scenarios lean on.
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +15,7 @@
 #include "task/registry.h"
 #include "task/thread.h"
 #include "task/thread_slabs.h"
+#include "util/rng.h"
 #include "workloads/misc_work.h"
 
 namespace realrate {
@@ -160,6 +161,80 @@ TEST(ThreadSlabsTest, FourThousandThreadChurnKeepsBindingsCoherent) {
     ASSERT_TRUE(rig.slabs.MatchesObject(*t));
   }
   EXPECT_EQ(live_by_scan, kTotal);
+}
+
+TEST(ThreadSlabsTest, PerCoreCensusMatchesRescanThroughChurn) {
+  // The per-core aggregates behind Machine::LeastLoadedCore are kept by
+  // write-through; they must equal a full column rescan after a migration storm,
+  // reservation churn, exits, releases and rebinding into recycled slots.
+  constexpr CpuId kCores = 5;
+  SlabRig rig;
+  Rng rng(77);
+  auto check = [&] {
+    for (CpuId c = 0; c <= kCores; ++c) {  // Core kCores is never used: reads 0.
+      int64_t live = 0;
+      int64_t ppt = 0;
+      for (int32_t s = 0; s < rig.slabs.slot_count(); ++s) {
+        if (rig.slabs.cpu(s) != c || rig.slabs.state(s) == ThreadState::kExited) {
+          continue;
+        }
+        ++live;
+        if (rig.slabs.policy(s) == SchedPolicy::kReservation) {
+          ppt += rig.slabs.granted_ppt(s);
+        }
+      }
+      ASSERT_EQ(rig.slabs.live_on(c), live) << "core " << c;
+      ASSERT_EQ(rig.slabs.reserved_ppt_on(c), ppt) << "core " << c;
+    }
+  };
+  for (int i = 0; i < 256; ++i) {
+    rig.Spawn()->set_state(ThreadState::kRunnable);
+  }
+  check();
+  constexpr ThreadState kStates[] = {ThreadState::kRunnable, ThreadState::kRunning,
+                                     ThreadState::kBlocked, ThreadState::kSleeping,
+                                     ThreadState::kExited};
+  int exits = 0;
+  int releases = 0;
+  for (int op = 0; op < 20'000; ++op) {
+    SimThread* t = rig.threads[rng.NextBounded(rig.threads.size())];
+    if (t->bound_slabs() == nullptr) {
+      continue;  // Released below; its slot belongs to someone else now.
+    }
+    switch (rng.NextBounded(7)) {
+      case 0:
+      case 1:
+        t->set_cpu(static_cast<CpuId>(rng.NextBounded(kCores)));
+        break;
+      case 2:
+        t->set_policy(rng.NextBool(0.5) ? SchedPolicy::kReservation : SchedPolicy::kOther);
+        break;
+      case 3:
+        t->SetReservation(Proportion::Ppt(static_cast<int32_t>(rng.NextBounded(300))),
+                          Duration::Millis(10));
+        break;
+      case 4: {
+        const ThreadState st = kStates[rng.NextBounded(5)];
+        exits += st == ThreadState::kExited && !t->HasExited();
+        t->set_state(st);
+        break;
+      }
+      case 5:
+        t->set_period_start(TimePoint::FromNanos(static_cast<int64_t>(op)));
+        break;
+      default:
+        rig.slabs.Release(t);
+        ++releases;
+        rig.Spawn()->set_cpu(static_cast<CpuId>(rng.NextBounded(kCores)));
+        break;
+    }
+    if (op % 97 == 0) {
+      check();
+    }
+  }
+  check();
+  EXPECT_GT(exits, 100);
+  EXPECT_GT(releases, 100);
 }
 
 TEST(ThreadSlabsTest, MigrationRewritesCpuColumnWithoutMovingSlot) {
