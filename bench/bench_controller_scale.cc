@@ -1,34 +1,21 @@
-// Control-plane scaling: the controller's staged Sample→Estimate→Resolve→Actuate
-// pipeline (core/controller.h) against the reference build (RunOnceReference — the
-// original monolithic sweep with O(cores·n) budget scans, full linkage sweeps, and
-// full-window evidence rescans every tick). Not a paper figure — the paper's machine
-// controls tens of threads — but the ROADMAP's production-scale demand: PR 4 made
-// *dispatch* scale to thousands of threads, which left the 100 Hz controller as the
-// hot path at farm scale. Both builds compute the *identical* control decisions (the
-// grants-equality column below, the golden farm mode-equivalence test, and the fuzz
-// battery's per-tick shadow + whole-run trace-equality oracles hold them bit-equal),
-// so every ratio is pure control-plane cost, not behavior drift.
+// Control-plane scaling: RunOnce throughput of the controller's staged
+// Sample→Estimate→Resolve→Actuate pipeline (core/controller.h) as the controlled set
+// grows. Not a paper figure — the paper's machine controls tens of threads — but the
+// ROADMAP's production-scale demand: once dispatch scaled to thousands of threads,
+// the 100 Hz controller became the hot path at farm scale.
 //
-// Two measurements:
-//   1. Control primitive: RunOnce throughput on an 8-core rig with 256/1024/4096
-//      controlled threads spanning all five paper classes, queues in steady state
-//      (the farm's common case: most ticks find most queues unmoved, which is
-//      exactly what the dirty-set sampler exploits). This is the >= 5x headline
-//      number, and the regression gate CI checks against
-//      BENCH_controller_baseline.json.
-//   2. Grants equality: twin rigs run the same tick count under each mode, then
-//      every thread's actuated proportion/period and the controller counters are
-//      compared — the bench re-verifies the bit-equality claim it benchmarks.
+// The measurement: RunOnce throughput on an 8-core rig with 256/1024/4096
+// controlled threads spanning all five paper classes, queues in steady state (the
+// farm's common case: most ticks find most queues unmoved, which is exactly what the
+// dirty-set sampler exploits).
 //
 // The `CONTROLLER_SCALE ...` line is machine-readable: scripts/check_controller_scale.py
 // compares it against the committed BENCH_controller_baseline.json in CI and fails
-// on a > 2x throughput regression, a speedup below the pinned 5x bar, or any
-// grants-inequality — the sanitizer matrix runs the equality check alone.
+// on a > 2x throughput regression at 4096 threads.
 #include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -49,11 +36,10 @@ struct ControllerRig {
   std::unique_ptr<System> system;
   int64_t ticks_run = 0;
 
-  explicit ControllerRig(bool use_pipeline, int total) {
+  explicit ControllerRig(int total) {
     SystemConfig config;
     config.num_cpus = 8;
     config.start_controller = false;
-    config.controller.use_pipeline = use_pipeline;
     // Isolate the controller's own arithmetic: no overhead charge-back into the
     // (idle) machine.
     config.controller.charge_overhead = false;
@@ -96,10 +82,9 @@ struct ControllerRig {
 };
 
 // RunOnce calls per wall-second, measured over a fixed wall budget after a warmup
-// that fills the quality windows and settles the estimators (so the reference pays
-// its steady-state full-window rescan, not a cheap growing one).
-double MeasureRunOnceThroughput(bool use_pipeline, int total, double budget_s) {
-  ControllerRig rig(use_pipeline, total);
+// that fills the quality windows and settles the estimators.
+double MeasureRunOnceThroughput(int total, double budget_s) {
+  ControllerRig rig(total);
   for (int i = 0; i < 300; ++i) {
     rig.Tick();
   }
@@ -116,74 +101,27 @@ double MeasureRunOnceThroughput(bool use_pipeline, int total, double budget_s) {
   return static_cast<double>(iterations) / wall;
 }
 
-// Twin rigs, identical tick counts, both modes: every actuated grant, period, and
-// controller counter must agree bit-for-bit.
-bool GrantsEqualAfter(int total, int ticks) {
-  ControllerRig pipeline(/*use_pipeline=*/true, total);
-  ControllerRig reference(/*use_pipeline=*/false, total);
-  for (int i = 0; i < ticks; ++i) {
-    pipeline.Tick();
-    reference.Tick();
-  }
-  FeedbackAllocator& p = pipeline.system->controller();
-  FeedbackAllocator& r = reference.system->controller();
-  if (p.squish_events() != r.squish_events() ||
-      p.quality_exceptions() != r.quality_exceptions()) {
-    return false;
-  }
-  const auto& threads = pipeline.system->threads().All();
-  const auto& ref_threads = reference.system->threads().All();
-  for (size_t i = 0; i < threads.size(); ++i) {
-    const ThreadId id = threads[i]->id();
-    if (threads[i]->proportion() != ref_threads[i]->proportion() ||
-        threads[i]->period() != ref_threads[i]->period() ||
-        p.GrantedFraction(id) != r.GrantedFraction(id) ||
-        p.DesiredFraction(id) != r.DesiredFraction(id)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// `equality_only` (the sanitizer-matrix CI gate) skips the wall-clock throughput
-// measurement — meaningless under ASan and expensive in the reference mode — and
-// runs just the twin-rig grants comparison.
-void PrintControllerScale(bool equality_only) {
+void PrintControllerScale() {
   bench::PrintHeader(
       "Control plane: RunOnce throughput, 8-core rig, all five thread classes\n"
-      "staged pipeline (ledger + dirty-set + O(1) evidence) vs reference sweep");
-  std::printf("  %8s %18s %18s %9s %13s\n", "threads", "pipeline run/ws",
-              "reference run/ws", "speedup", "grants equal");
-  double speedup_4096 = 0.0;
-  double pipeline_4096 = 0.0;
-  double reference_4096 = 0.0;
-  bool all_equal = true;
+      "staged pipeline (ledger + dirty-set + O(1) evidence)");
+  std::printf("  %8s %18s\n", "threads", "RunOnce/ws");
+  double runonce_4096 = 0.0;
   for (const int total : {256, 1024, 4096}) {
-    const double pipeline =
-        equality_only ? 0.0 : MeasureRunOnceThroughput(true, total, /*budget_s=*/0.3);
-    const double reference =
-        equality_only ? 0.0 : MeasureRunOnceThroughput(false, total, /*budget_s=*/0.3);
-    const bool equal = GrantsEqualAfter(total, /*ticks=*/350);
-    all_equal = all_equal && equal;
-    std::printf("  %8d %18.0f %18.0f %8.2fx %13s\n", total, pipeline, reference,
-                reference > 0 ? pipeline / reference : 0.0, equal ? "yes" : "NO!");
+    const double runs = MeasureRunOnceThroughput(total, /*budget_s=*/0.3);
+    std::printf("  %8d %18.0f\n", total, runs);
     if (total == 4096) {
-      speedup_4096 = reference > 0 ? pipeline / reference : 0.0;
-      pipeline_4096 = pipeline;
-      reference_4096 = reference;
+      runonce_4096 = runs;
     }
   }
-  std::printf("\n  4096-thread RunOnce speedup: %.1fx\n", speedup_4096);
   // Machine-readable line for scripts/check_controller_scale.py (CI gate).
-  std::printf("CONTROLLER_SCALE threads=4096 pipeline_runonce_per_wsec=%.0f "
-              "reference_runonce_per_wsec=%.0f speedup=%.2f grants_equal=%d\n\n",
-              pipeline_4096, reference_4096, speedup_4096, all_equal ? 1 : 0);
+  std::printf("\nCONTROLLER_SCALE threads=4096 pipeline_runonce_per_wsec=%.0f\n\n",
+              runonce_4096);
 }
 
-template <bool kPipeline>
-void BM_ControllerRunOnce(benchmark::State& state) {
+void BM_RunOnce(benchmark::State& state) {
   const int total = static_cast<int>(state.range(0));
-  ControllerRig rig(kPipeline, total);
+  ControllerRig rig(total);
   for (int i = 0; i < 300; ++i) {
     rig.Tick();
   }
@@ -193,31 +131,13 @@ void BM_ControllerRunOnce(benchmark::State& state) {
   }
   state.counters["threads"] = total;
 }
-void BM_RunOncePipeline(benchmark::State& state) { BM_ControllerRunOnce<true>(state); }
-void BM_RunOnceReference(benchmark::State& state) { BM_ControllerRunOnce<false>(state); }
-BENCHMARK(BM_RunOncePipeline)->Arg(256)->Arg(4096)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_RunOnceReference)->Arg(256)->Arg(4096)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RunOnce)->Arg(256)->Arg(4096)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace realrate
 
 int main(int argc, char** argv) {
-  bool equality_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--equality-only") {
-      equality_only = true;
-      // Strip the flag so google-benchmark's Initialize doesn't reject it.
-      for (int j = i; j + 1 < argc; ++j) {
-        argv[j] = argv[j + 1];
-      }
-      --argc;
-      break;
-    }
-  }
-  realrate::PrintControllerScale(equality_only);
-  if (equality_only) {
-    return 0;
-  }
+  realrate::PrintControllerScale();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

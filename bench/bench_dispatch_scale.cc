@@ -1,26 +1,20 @@
-// Dispatch hot-path scaling: the production build — indexed run queues (sched/rbs.h)
-// plus the registry's hot-field slab columns (task/thread_slabs.h) — against the
-// reference build (O(n) goodness scan over SimThread pointers, O(n) per-tick
-// replenish sweep, no index maintenance, no slabs). Not a paper figure — the paper's
-// machine runs tens of threads — but the ROADMAP's production-scale demand:
-// thousands of pipeline threads dispatched as fast as the host allows. Both builds
-// simulate the *identical* schedule (the farm trace pins and the fuzz battery's
-// shadow + slab/pick-mode equivalence runs hold them bit-equal), so every ratio
-// below is pure hot-path cost, not behavior drift.
+// Dispatch hot-path scaling: PickNext and end-to-end dispatch throughput of the
+// production scheduler (sched/rbs.h — goodness scan below the occupancy switch,
+// indexed run queues above it — over the registry's hot-field slab columns,
+// task/thread_slabs.h). Not a paper figure — the paper's machine runs tens of
+// threads — but the ROADMAP's production-scale demand: thousands of pipeline
+// threads dispatched as fast as the host allows.
 //
 // Two measurements:
-//   1. Dispatcher primitive: PickNext throughput on one run queue holding 1024
-//      threads (a handful runnable, the rest blocked — the farm steady state). The
-//      reference scan touches every thread per pick; the indexed pick reads the head
-//      of the ordered index. This is the >= 5x headline number, and the regression
-//      gate CI checks against BENCH_dispatch_baseline.json.
-//   2. End-to-end: wall-clock dispatch throughput of RunServerFarmScenario with the
-//      production defaults (pick_mode = kAuto, slabs on) vs the reference build,
-//      where pick cost is diluted by real work (grants, queues, controller) across
-//      per-core run queues — the honest system-level win. Because the production
-//      side runs kAuto, this table is also the tuning surface for
-//      RbsConfig::auto_index_threshold: the low-density rows sit below the
-//      threshold (slab win only), the high-density rows above it (slabs + index).
+//   1. Dispatcher primitive: PickNext throughput on one run queue holding 128..2048
+//      threads (32 runnable, the rest blocked — the farm steady state). Every row
+//      sits above the occupancy switch, so this is the indexed pick: it reads the
+//      head of the pick index instead of touching every thread. The 1024-thread
+//      figure is the regression gate CI checks against BENCH_dispatch_baseline.json.
+//   2. End-to-end: wall-clock dispatch throughput of RunServerFarmScenario across
+//      densities, where pick cost is diluted by real work (grants, queues,
+//      controller) across per-core run queues. The low-density rows sit below the
+//      occupancy switch (scan), the high-density rows above it (index).
 //
 // The `DISPATCH_SCALE ...` line is machine-readable: scripts/check_dispatch_scale.py
 // compares it against the committed BENCH_dispatch_baseline.json in CI and fails on
@@ -30,7 +24,6 @@
 #include <cstdio>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -45,18 +38,6 @@
 namespace realrate {
 namespace {
 
-// The primitive A/B's two sides: production pins the indexed pick (no kAuto ramp in
-// a microbench) on a slab-backed registry; reference is the pre-slab pointer-chase
-// scan.
-RbsConfig PickConfig(bool production) {
-  RbsConfig config;
-  config.use_indexed_pick = production;
-  if (production) {
-    config.pick_mode = PickMode::kIndexed;
-  }
-  return config;
-}
-
 // One run queue with `total` reserved threads, `runnable` of them dispatchable (the
 // rest blocked), periods cycled so the rate-monotonic index carries many ranks.
 struct PickRig {
@@ -64,8 +45,7 @@ struct PickRig {
   ThreadRegistry threads;
   RbsScheduler rbs;
 
-  PickRig(bool production, int total, int runnable)
-      : threads(/*use_slabs=*/production), rbs(sim.cpu(), PickConfig(production)) {
+  PickRig(int total, int runnable) : rbs(sim.cpu()) {
     for (int i = 0; i < total; ++i) {
       SimThread* t = threads.Create("t" + std::to_string(i), std::make_unique<CpuHogWork>());
       rbs.AddThread(t);
@@ -79,9 +59,10 @@ struct PickRig {
 };
 
 // PickNext calls per wall-second at `total` threads.
-double MeasurePickThroughput(bool production, int total, int64_t iterations) {
-  PickRig rig(production, total, /*runnable=*/32);
+double MeasurePickThroughput(int total, int64_t iterations) {
+  PickRig rig(total, /*runnable=*/32);
   const TimePoint now = rig.sim.Now();
+  RR_CHECK(rig.rbs.indexing_active());
   SimThread* witness = rig.rbs.PickNext(now);
   RR_CHECK(witness != nullptr);
   const auto start = std::chrono::steady_clock::now();
@@ -95,18 +76,14 @@ double MeasurePickThroughput(bool production, int total, int64_t iterations) {
 
 // threads = 2 * pipelines + hogs; hogs keep every core busy so dispatch picks, not
 // idle fast-forward, dominate the end-to-end measurement.
-ServerFarmParams ParamsForThreads(int threads, int cpus, bool production) {
+ServerFarmParams ParamsForThreads(int threads, int cpus) {
   ServerFarmParams params;
   params.num_cpus = cpus;
   params.num_hogs = cpus;
   params.num_pipelines = (threads - params.num_hogs) / 2;
-  // Long enough that farm construction/teardown (equal on both sides, but counted
-  // in wall time) stops diluting the measured ratio.
+  // Long enough that farm construction/teardown (counted in wall time) stops
+  // diluting the measured throughput.
   params.run_for = Duration::Millis(1000);
-  // Production = the defaults (pick_mode kAuto, slabs on); reference = the pre-slab
-  // pointer-chase build with the O(n) scan.
-  params.rbs.use_indexed_pick = production;
-  params.thread_slabs = production;
   // High per-core densities need smaller reservations or admission control rejects
   // the farm (the cores' fixed budgets are finite).
   const int density = threads / cpus;
@@ -137,87 +114,57 @@ Measured Measure(const ServerFarmParams& params) {
 void PrintDispatchScale() {
   bench::PrintHeader(
       "Dispatch primitive: PickNext throughput on one run queue (32 runnable)\n"
-      "production (indexed pick, slab registry) vs reference O(n) pointer-chase scan");
-  std::printf("  %8s %18s %18s %9s\n", "threads", "indexed pick/ws", "reference pick/ws",
-              "speedup");
-  double pick_speedup_1024 = 0.0;
-  double pick_indexed_1024 = 0.0;
-  double pick_reference_1024 = 0.0;
+      "production scheduler (indexed pick above the occupancy switch, slab registry)");
+  std::printf("  %8s %18s\n", "threads", "pick/ws");
+  double pick_1024 = 0.0;
   for (int total : {128, 256, 512, 1024, 2048}) {
-    const double indexed = MeasurePickThroughput(true, total, 2'000'000);
-    const double reference = MeasurePickThroughput(false, total, 200'000);
-    std::printf("  %8d %18.0f %18.0f %8.2fx\n", total, indexed, reference,
-                indexed / reference);
+    const double picks = MeasurePickThroughput(total, 2'000'000);
+    std::printf("  %8d %18.0f\n", total, picks);
     if (total == 1024) {
-      pick_speedup_1024 = indexed / reference;
-      pick_indexed_1024 = indexed;
-      pick_reference_1024 = reference;
+      pick_1024 = picks;
     }
   }
 
   bench::PrintHeader(
-      "End-to-end: server farm, 1 s virtual time, best of 3 interleaved trials\n"
-      "production defaults (kAuto pick, slabs) vs reference (O(n) scan, no slabs)");
-  std::printf("  %8s %18s %18s %9s %14s\n", "thrxcpu", "indexed disp/ws",
-              "reference disp/ws", "speedup", "trace equal");
-  double farm_speedup_1024 = 0.0;
-  double farm_indexed_1024 = 0.0;
+      "End-to-end: server farm, 1 s virtual time, best of 3 trials\n"
+      "production defaults (scan or index by occupancy, slabs)");
+  std::printf("  %8s %18s\n", "thrxcpu", "dispatch/ws");
+  double farm_1024 = 0.0;
   for (const auto& [threads, cpus] :
        {std::pair{128, 8}, {512, 8}, {1024, 8}, {1024, 2}, {2048, 2}}) {
-    ServerFarmParams indexed_params = ParamsForThreads(threads, cpus, /*production=*/true);
-    ServerFarmParams reference_params = ParamsForThreads(threads, cpus, /*production=*/false);
-    // Interleaved trials, per-side best: host interference (VM steal, other tenants)
-    // only ever subtracts throughput, so each side's maximum over the trials is its
-    // least-contaminated estimate, and their ratio is far more stable run to run
-    // than any single paired trial.
-    bool equal = true;
-    double best_indexed = 0.0;
-    double best_reference = 0.0;
+    const ServerFarmParams params = ParamsForThreads(threads, cpus);
+    // Best of the trials: host interference (VM steal, other tenants) only ever
+    // subtracts throughput, so the maximum is the least-contaminated estimate.
+    double best = 0.0;
     for (int trial = 0; trial < 3; ++trial) {
-      const Measured reference = Measure(reference_params);
-      const Measured indexed = Measure(indexed_params);
-      equal = equal && indexed.result.trace_hash == reference.result.trace_hash;
-      best_indexed = std::max(best_indexed, indexed.dispatch_per_wsec());
-      best_reference = std::max(best_reference, reference.dispatch_per_wsec());
+      best = std::max(best, Measure(params).dispatch_per_wsec());
     }
-    const double ratio = best_indexed / best_reference;
-    std::printf("  %5dx%d %18.0f %18.0f %8.2fx %14s\n", threads, cpus, best_indexed,
-                best_reference, ratio, equal ? "yes" : "NO!");
+    std::printf("  %5dx%d %18.0f\n", threads, cpus, best);
     if (threads == 1024 && cpus == 8) {
-      farm_speedup_1024 = ratio;
-      farm_indexed_1024 = best_indexed;
+      farm_1024 = best;
     }
   }
 
-  std::printf("\n  1024-thread PickNext speedup: %.1fx; end-to-end farm speedup: %.2fx\n",
-              pick_speedup_1024, farm_speedup_1024);
   // Machine-readable line for scripts/check_dispatch_scale.py (CI regression gate).
-  std::printf("DISPATCH_SCALE threads=1024 pick_indexed_per_wsec=%.0f "
-              "pick_reference_per_wsec=%.0f pick_speedup=%.2f "
-              "farm_indexed_dispatch_per_wsec=%.0f farm_speedup=%.3f\n\n",
-              pick_indexed_1024, pick_reference_1024, pick_speedup_1024,
-              farm_indexed_1024, farm_speedup_1024);
+  std::printf("\nDISPATCH_SCALE threads=1024 pick_indexed_per_wsec=%.0f "
+              "farm_indexed_dispatch_per_wsec=%.0f\n\n",
+              pick_1024, farm_1024);
 }
 
-template <bool kIndexed>
 void BM_PickNext(benchmark::State& state) {
   const int total = static_cast<int>(state.range(0));
-  PickRig rig(kIndexed, total, /*runnable=*/32);
+  PickRig rig(total, /*runnable=*/32);
   const TimePoint now = rig.sim.Now();
   for (auto _ : state) {
     benchmark::DoNotOptimize(rig.rbs.PickNext(now));
   }
   state.counters["threads"] = total;
 }
-void BM_PickNextIndexed(benchmark::State& state) { BM_PickNext<true>(state); }
-void BM_PickNextReference(benchmark::State& state) { BM_PickNext<false>(state); }
-BENCHMARK(BM_PickNextIndexed)->Arg(128)->Arg(1024)->Unit(benchmark::kNanosecond);
-BENCHMARK(BM_PickNextReference)->Arg(128)->Arg(1024)->Unit(benchmark::kNanosecond);
+BENCHMARK(BM_PickNext)->Arg(128)->Arg(1024)->Unit(benchmark::kNanosecond);
 
-template <bool kIndexed>
-void BM_DispatchScaleFarm(benchmark::State& state) {
+void BM_Farm(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
-  ServerFarmParams params = ParamsForThreads(threads, 8, kIndexed);
+  ServerFarmParams params = ParamsForThreads(threads, 8);
   params.run_for = Duration::Millis(200);
   Measured last;
   for (auto _ : state) {
@@ -228,10 +175,7 @@ void BM_DispatchScaleFarm(benchmark::State& state) {
   state.counters["dispatch_per_wsec"] = last.dispatch_per_wsec();
   state.counters["dispatch_per_vsec"] = last.result.dispatch_per_vsec;
 }
-void BM_FarmIndexed(benchmark::State& state) { BM_DispatchScaleFarm<true>(state); }
-void BM_FarmReference(benchmark::State& state) { BM_DispatchScaleFarm<false>(state); }
-BENCHMARK(BM_FarmIndexed)->Arg(128)->Arg(1024)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FarmReference)->Arg(1024)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Farm)->Arg(128)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace realrate

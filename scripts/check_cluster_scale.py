@@ -61,7 +61,7 @@ def run_bench(build_dir: pathlib.Path, smoke: bool) -> tuple[list[dict], dict | 
     env = dict(os.environ)
     if not smoke:
         env["REALRATE_CLUSTER_SMOKE"] = "0"
-    out = subprocess.run([str(bench), "--benchmark_min_time=0.01s"],
+    out = subprocess.run([str(bench), "--benchmark_min_time=0.01"],
                          check=True, capture_output=True, text=True, env=env).stdout
     rows = [parse_fields(m.group(1)) for m in re.finditer(r"^CLUSTER (.*)$", out, re.M)]
     if not rows:

@@ -50,7 +50,7 @@ def run_bench(build_dir: pathlib.Path) -> dict:
     bench = build_dir / "bench" / "bench_parallel_engine"
     if not bench.exists():
         sys.exit(f"error: {bench} not found — build bench_parallel_engine first")
-    out = subprocess.run([str(bench), "--benchmark_min_time=0.01s"],
+    out = subprocess.run([str(bench), "--benchmark_min_time=0.01"],
                          check=True, capture_output=True, text=True).stdout
     match = re.search(r"^PARALLEL_SCALE (.*)$", out, re.M)
     if not match:

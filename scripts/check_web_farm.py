@@ -43,7 +43,7 @@ def run_bench(build_dir: pathlib.Path) -> list[dict]:
     bench = build_dir / "bench" / "bench_web_farm"
     if not bench.exists():
         sys.exit(f"error: {bench} not found — build bench_web_farm first")
-    out = subprocess.run([str(bench), "--benchmark_min_time=0.01s"],
+    out = subprocess.run([str(bench), "--benchmark_min_time=0.01"],
                          check=True, capture_output=True, text=True).stdout
     rows = []
     for match in re.finditer(r"^WEB_FARM (.*)$", out, re.M):

@@ -10,15 +10,15 @@
 //
 // Units: fixed reservations are summed in integer parts-per-thousand (the exact
 // representation of Proportion), so the sums are order-independent and bit-identical
-// between the incremental ledger and a fresh reference scan — the property the
-// controller's shadow mode asserts every tick. Fractions are derived on read as
-// ppt / 1000.0. Granted sums (the adaptive classes' post-squish grants) are per-tick
+// between the incremental ledger and a fresh scan — the property the invariant
+// oracle (harness/invariants.h) checks after every controller iteration. Fractions
+// are derived on read as ppt / 1000.0. Granted sums (the adaptive classes' post-squish grants) are per-tick
 // aggregates refreshed by the Resolve stage, kept as doubles for introspection only.
 //
-// The ledger's reference oracle (FixedPptOnCoreScan) reads each thread's core through
-// the registry's hot-field slab columns (task/thread_slabs.h) when present — the
-// same write-through mirror the dispatch layer scans, so ledger and slabs can never
-// silently disagree about which core a fixed reservation is drawn from.
+// The oracle's scan reads each fixed-class thread's core from the thread itself and
+// checks the thread's slab columns (task/thread_slabs.h) against it, so ledger and
+// slabs can never silently disagree about which core a fixed reservation is drawn
+// from.
 //
 // Thread-safety: none — lives inside the single-threaded simulator like its owner.
 #ifndef REALRATE_CORE_BUDGET_LEDGER_H_

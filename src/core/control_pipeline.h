@@ -1,7 +1,7 @@
 // Building blocks of the controller's staged Sample → Estimate → Resolve → Actuate
 // pipeline (see docs/ARCHITECTURE.md, "The control plane"). Each is a separately
-// testable unit with a cheap incremental fast path and an O(n) reference computation
-// the controller's shadow mode asserts it against:
+// testable unit with a cheap incremental fast path and an O(n) recomputation its unit
+// tests hold it to:
 //
 //   - SaturationWindow: the quality-exception evidence window with an O(1) running
 //     evidence count (the original controller re-summed the whole 10×patience-entry
@@ -14,8 +14,9 @@
 //     sweeps entirely for threads whose queues did not move since the last tick.
 //
 // Both fast paths are semantics-preserving: a clean thread's cached pressure and
-// saturation verdict are exactly what the reference recomputation would produce,
-// which is why pipeline and reference controllers schedule bit-identically.
+// saturation verdict are exactly what a fresh recomputation would produce, which is
+// why the pipeline reproduces the original monolithic sweep's schedule bit for bit
+// (the golden trace pins predate the pipeline).
 #ifndef REALRATE_CORE_CONTROL_PIPELINE_H_
 #define REALRATE_CORE_CONTROL_PIPELINE_H_
 
@@ -29,9 +30,8 @@
 namespace realrate {
 
 // Sliding window of per-interval saturation evidence with an O(1) running count.
-// Push maintains the sum incrementally; ScanEvidence() is the O(window) reference
-// computation (what the monolithic controller did every tick) kept for the reference
-// sweep and for shadow-mode equality checks.
+// Push maintains the sum incrementally; ScanEvidence() is the O(window) recount the
+// unit tests hold the running count to.
 class SaturationWindow {
  public:
   explicit SaturationWindow(size_t capacity) : window_(capacity) {}
@@ -79,8 +79,8 @@ inline bool FillStarved(const QueueLinkage& linkage, double fill_extreme) {
                                               : fill <= 1.0 - fill_extreme;
 }
 
-// First linkage queue (registration order) whose fill level is starved — the
-// reference recomputation of LinkageCache::static_saturated.
+// First linkage queue (registration order) whose fill level is starved — a fresh
+// recomputation of LinkageCache::static_saturated, for tests.
 BoundedBuffer* StaticSaturatedQueue(const std::vector<QueueLinkage>& linkages,
                                     double fill_extreme);
 

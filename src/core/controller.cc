@@ -167,16 +167,6 @@ double FeedbackAllocator::FixedReservedSumOnCore(CpuId core) const {
   return ledger_.FixedFractionOn(core);
 }
 
-int64_t FeedbackAllocator::FixedPptOnCoreScan(CpuId core) const {
-  int64_t sum = 0;
-  for (const Controlled& c : controlled_) {
-    if (IsFixedClass(c.cls) && CpuOf(c) == core) {
-      sum += c.fixed_ppt;
-    }
-  }
-  return sum;
-}
-
 // Real-time admission on an SMP machine: admit against the thread's own core's fixed
 // budget; only when that core would reject the request and the core with the most
 // unreserved fixed capacity would accept it is the thread migrated there first — a
@@ -324,14 +314,6 @@ void FeedbackAllocator::EnsureQualityWindow(Controlled& c) {
 // ---------------------------------------------------------------------------
 
 void FeedbackAllocator::RunOnce(TimePoint now) {
-  if (config_.use_pipeline) {
-    RunOncePipeline(now);
-  } else {
-    RunOnceReference(now);
-  }
-}
-
-void FeedbackAllocator::RunOncePipeline(TimePoint now) {
   ++invocations_;
   // If the machine's dispatch clocks are idle-suspended, settle the elided ticks
   // before sampling or actuating: budgets and period phases must read exactly as a
@@ -344,20 +326,6 @@ void FeedbackAllocator::RunOncePipeline(TimePoint now) {
   EstimateStage(dt, now);
   ResolveStage();
   ActuateStage(now);
-
-  // Slab shadow: after actuation every hot-field column must agree with the
-  // object state of every controlled thread, and the pressure column must hold
-  // exactly the pressure this tick estimated from.
-  if (config_.shadow_check && slabs_ != nullptr) {
-    for (const Controlled& c : controlled_) {
-      if (c.slab_slot == ThreadSlabs::kNoSlot) {
-        continue;
-      }
-      RR_CHECK(slabs_->MatchesObject(*c.thread));
-      RR_CHECK(slabs_->pressure(c.slab_slot) == c.last_pressure);
-      ++shadow_checks_;
-    }
-  }
 
   // The controller's own cost (Fig. 5): fixed + per-controlled-thread.
   if (config_.charge_overhead) {
@@ -387,10 +355,6 @@ void FeedbackAllocator::SampleStage() {
       c.tick_clean = true;
       ++clean_samples_;
       c.last_pressure = c.linkage_cache.pressure;
-      if (config_.shadow_check) {
-        RR_CHECK(c.last_pressure == RawPressure(queues_, c.thread->id()));
-        ++shadow_checks_;
-      }
     } else {
       ++dirty_samples_;
       const auto& linkages = c.linkage_cache.Refresh(queues_, c.thread->id());
@@ -462,8 +426,8 @@ void FeedbackAllocator::EstimateStage(double dt, TimePoint now) {
 
 void FeedbackAllocator::ResolveStage() {
   // One pass buckets every adaptive thread's request under its core, preserving the
-  // controlled-set enumeration order within each core — the order the reference
-  // sweep's per-core filter scan produces, which the squish arithmetic depends on.
+  // controlled-set enumeration order within each core, which the squish arithmetic
+  // depends on.
   const int cores = machine_.num_cpus();
   for (int core = 0; core < cores; ++core) {
     core_requests_[static_cast<size_t>(core)].clear();
@@ -493,10 +457,6 @@ void FeedbackAllocator::ResolveStage() {
     const auto& requests = core_requests_[static_cast<size_t>(core)];
     if (requests.empty()) {
       continue;
-    }
-    if (config_.shadow_check) {
-      RR_CHECK(ledger_.fixed_ppt_on(core) == FixedPptOnCoreScan(core));
-      ++shadow_checks_;
     }
     const double available = overload_threshold_ - ledger_.FixedFractionOn(core);
     double desired_sum = 0.0;
@@ -558,7 +518,7 @@ void FeedbackAllocator::ActuateStage(TimePoint now) {
   }
 
   // Post-grant quality audit: saturation evidence is judged against this tick's
-  // resolved grants, exactly where the reference sweep's quality phase sits.
+  // resolved grants.
   for (Controlled& c : controlled_) {
     QualityAudit(c, now);
   }
@@ -606,11 +566,6 @@ void FeedbackAllocator::QualityAudit(Controlled& c, TimePoint now) {
   BoundedBuffer* saturated = nullptr;
   if (c.tick_clean) {
     saturated = c.linkage_cache.static_saturated;
-    if (config_.shadow_check) {
-      RR_CHECK(saturated == StaticSaturatedQueue(queues_.LinkagesFor(c.thread->id()),
-                                                 config_.quality_fill_extreme));
-      ++shadow_checks_;
-    }
   } else {
     saturated = GatherSaturation(c);
   }
@@ -623,72 +578,13 @@ void FeedbackAllocator::QualityAudit(Controlled& c, TimePoint now) {
                                   c.desired >= config_.estimator.max_fraction - 1e-9;
   c.quality_window->Push((allocation_limited && saturated != nullptr) ? 1 : 0);
 
-  const int evidence = c.quality_window->evidence();
-  if (config_.shadow_check) {
-    RR_CHECK(evidence == c.quality_window->ScanEvidence());
-    ++shadow_checks_;
-  }
-  if (evidence >= config_.quality_patience && saturated != nullptr) {
+  if (c.quality_window->evidence() >= config_.quality_patience && saturated != nullptr) {
     c.quality_window->Clear();
     ++quality_exceptions_;
     machine_.sim().trace().Record(now, TraceKind::kQualityException, c.thread->id(),
                                   saturated->id());
     if (quality_fn_) {
       quality_fn_(QualityException{now, c.thread, saturated});
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// The reference sweep: the original monolithic RunOnce, kept as the oracle and the
-// bench_controller_scale comparison baseline. Schedules bit-identically to the
-// pipeline; differs only in cost (per-call budget scans, full linkage sweeps every
-// tick, full-window evidence rescans, per-thread actuation calls).
-// ---------------------------------------------------------------------------
-
-void FeedbackAllocator::SampleAndEstimate(Controlled& c, double dt, TimePoint now) {
-  // CPU the thread actually used last interval, as a fraction of the interval.
-  const Cycles interval_cycles = machine_.sim().cpu().DurationToCycles(config_.interval);
-  const double used_fraction =
-      static_cast<double>(c.thread->TakeWindowCycles()) / static_cast<double>(interval_cycles);
-
-  switch (c.cls) {
-    case ThreadClass::kRealTime:
-    case ThreadClass::kAperiodicRealTime:
-      c.desired = c.FixedFraction();
-      c.last_pressure = 0.0;
-      return;
-    case ThreadClass::kRealRate:
-      c.last_pressure = RawPressure(queues_, c.thread->id());
-      break;
-    case ThreadClass::kMiscellaneous:
-      c.last_pressure = config_.misc_pressure;
-      break;
-    case ThreadClass::kInteractive: {
-      const auto period_cycles =
-          static_cast<double>(machine_.sim().cpu().DurationToCycles(c.period));
-      double need =
-          config_.interactive_headroom * c.thread->burst_ewma_cycles() / period_cycles;
-      const bool saturated = c.granted > 0 && used_fraction >= 0.9 * c.granted;
-      if (saturated) {
-        need = std::max(need, c.granted * 2.0);
-      }
-      c.desired = std::clamp(need, config_.estimator.min_fraction,
-                             config_.estimator.max_fraction);
-      c.last_pressure = 0.0;
-      return;
-    }
-  }
-  c.desired = c.estimator->Step(c.last_pressure, used_fraction, c.granted, dt);
-
-  if (c.cls == ThreadClass::kRealRate && config_.enable_period_estimation) {
-    const auto& linkages = queues_.LinkagesFor(c.thread->id());
-    if (!linkages.empty()) {
-      c.fill_window->Push(linkages.front().queue->FillFraction());
-    }
-    if (now - c.last_period_mark >= c.period) {
-      ApplyPeriodEstimation(c, now);
-      c.last_period_mark = now;
     }
   }
 }
@@ -714,50 +610,6 @@ void FeedbackAllocator::ApplyPeriodEstimation(Controlled& c, TimePoint now) {
   }
 }
 
-void FeedbackAllocator::CheckQuality(Controlled& c, TimePoint now) {
-  if (c.cls != ThreadClass::kRealRate) {
-    return;
-  }
-  EnsureQualityWindow(c);
-
-  // Gather this interval's saturation evidence regardless of gating so the hit
-  // counters stay current.
-  const auto& linkages = queues_.LinkagesFor(c.thread->id());
-  c.last_full_hits.resize(linkages.size(), 0);
-  c.last_empty_hits.resize(linkages.size(), 0);
-  BoundedBuffer* saturated = nullptr;
-  for (size_t i = 0; i < linkages.size(); ++i) {
-    const QueueLinkage& l = linkages[i];
-    const double fill = l.queue->FillFraction();
-    const bool full_hit = l.queue->full_hits() > c.last_full_hits[i];
-    const bool empty_hit = l.queue->empty_hits() > c.last_empty_hits[i];
-    c.last_full_hits[i] = l.queue->full_hits();
-    c.last_empty_hits[i] = l.queue->empty_hits();
-    const bool starved = (l.role == QueueRole::kConsumer)
-                             ? (fill >= config_.quality_fill_extreme || full_hit)
-                             : (fill <= 1.0 - config_.quality_fill_extreme || empty_hit);
-    if (starved && saturated == nullptr) {
-      saturated = l.queue;
-    }
-  }
-
-  const bool allocation_limited = c.granted < c.desired - 1e-9 ||
-                                  c.desired >= config_.estimator.max_fraction - 1e-9;
-  c.quality_window->Push((allocation_limited && saturated != nullptr) ? 1 : 0);
-
-  // The reference recount scans the whole window, as the monolithic sweep did.
-  const int evidence = c.quality_window->ScanEvidence();
-  if (evidence >= config_.quality_patience && saturated != nullptr) {
-    c.quality_window->Clear();
-    ++quality_exceptions_;
-    machine_.sim().trace().Record(now, TraceKind::kQualityException, c.thread->id(),
-                                  saturated->id());
-    if (quality_fn_) {
-      quality_fn_(QualityException{now, c.thread, saturated});
-    }
-  }
-}
-
 void FeedbackAllocator::Actuate(Controlled& c, double fraction, TimePoint now) {
   const Proportion p = Proportion::FromFraction(fraction);
   c.granted = fraction;
@@ -772,77 +624,6 @@ void FeedbackAllocator::Actuate(Controlled& c, double fraction, TimePoint now) {
   // just raised its allocation.
   if (c.thread->state() == ThreadState::kSleeping && c.thread->budget_remaining() > 0) {
     machine_.CancelSleep(c.thread);
-  }
-}
-
-void FeedbackAllocator::RunOnceReference(TimePoint now) {
-  ++invocations_;
-  // If the machine's dispatch clocks are idle-suspended, settle the elided ticks
-  // before sampling or actuating: budgets and period phases must read exactly as a
-  // continuously ticking machine would present them at this instant.
-  machine_.SyncSkippedTicks(now);
-  const double dt = config_.interval.ToSeconds();
-
-  // Drop exited threads.
-  DropExited();
-
-  // Phase 1: estimate desired allocations.
-  for (Controlled& c : controlled_) {
-    SampleAndEstimate(c, dt, now);
-  }
-
-  // Phase 2 + 3: overload resolution and actuation, per core. One core → identical
-  // to the pre-SMP controller. The per-core fixed budget is re-derived by a fresh
-  // sweep over the controlled set on every query — the cost profile the pipeline's
-  // BudgetLedger replaces.
-  bool any_overload = false;
-  std::vector<SquishRequest> requests;
-  std::vector<Controlled*> adaptive;
-  for (CpuId core = 0; core < machine_.num_cpus(); ++core) {
-    requests.clear();
-    adaptive.clear();
-    for (Controlled& c : controlled_) {
-      if (IsAdaptiveClass(c.cls) && c.thread->cpu() == core) {
-        requests.push_back({c.thread->id(), c.desired, c.thread->importance(),
-                            config_.estimator.min_fraction});
-        adaptive.push_back(&c);
-      }
-    }
-    if (adaptive.empty()) {
-      continue;
-    }
-    const double available =
-        overload_threshold_ - static_cast<double>(FixedPptOnCoreScan(core)) / 1000.0;
-    double desired_sum = 0.0;
-    for (const SquishRequest& r : requests) {
-      desired_sum += r.desired;
-    }
-    const std::vector<SquishResult> grants = Squish(requests, std::max(0.0, available));
-    if (desired_sum > available) {
-      any_overload = true;
-    }
-    RR_CHECK(grants.size() == adaptive.size());
-    for (size_t i = 0; i < grants.size(); ++i) {
-      Actuate(*adaptive[i], grants[i].granted, now);
-    }
-  }
-  if (any_overload) {
-    ++squish_events_;
-  }
-
-  // Phase 4: quality exceptions.
-  for (Controlled& c : controlled_) {
-    CheckQuality(c, now);
-  }
-
-  // Phase 5: the controller's own cost (Fig. 5): fixed + per-controlled-thread.
-  if (config_.charge_overhead) {
-    machine_.StealCycles(CpuUse::kController,
-                         machine_.sim().cpu().ControllerCost(static_cast<int>(controlled_.size())));
-  }
-
-  if (post_run_hook_) {
-    post_run_hook_(now);
   }
 }
 

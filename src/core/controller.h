@@ -22,14 +22,13 @@
 //   - per-thread hot fields (exit state, cpu, importance) are read from the
 //     registry's SoA slab columns (task/thread_slabs.h) instead of chasing each
 //     SimThread pointer, and each tick's progress pressure is published back into
-//     the slab's pressure column (this controller is that column's sole writer;
-//     shadow mode re-checks every column against the object state each tick).
-// The original monolithic sweep survives as RunOnceReference();
-// ControllerConfig::use_pipeline = false falls back to it wholesale (the
-// bench_controller_scale comparison baseline), and ControllerConfig::shadow_check
-// makes every pipeline iteration re-derive each incremental quantity the reference
-// way and assert equality — the fuzz harness additionally demands bit-identical
-// whole-run traces between the two modes (harness/differential.cc).
+//     the slab's pressure column (this controller is that column's sole writer).
+// The pipeline is the only controller. The invariant oracle (harness/invariants.h)
+// re-derives its incremental state from scratch after every iteration of a fuzzed
+// run — per-core fixed sums against the ledger, each real-rate thread's pressure
+// against its queues, the slab columns against the object state — and the golden
+// trace pins recorded before the pipeline existed hold it to the original sweep's
+// schedule.
 //
 // Multi-CPU: proportions are allocated per core. Admission control and the
 // squish/overload resolution each operate within the 100% (well, overload_threshold)
@@ -109,18 +108,6 @@ struct ControllerConfig {
   // allocation headroom for one measured burst per period.
   Duration interactive_period = Duration::Millis(10);
   double interactive_headroom = 1.5;
-  // --- Control-plane execution strategy ---
-  // If true (default), RunOnce executes the staged pipeline with incrementally
-  // maintained state. If false, RunOnce falls back to RunOnceReference — the
-  // original monolithic sweep (O(cores·n) budget scans, full-window evidence
-  // rescans, per-thread actuation) kept as the comparison baseline and oracle.
-  // Both modes schedule bit-identically.
-  bool use_pipeline = true;
-  // Shadow mode (pipeline only): every iteration re-derives each incrementally
-  // maintained quantity — ledger sums, cached pressures, cached saturation
-  // verdicts, windowed evidence counts — the reference way and asserts equality.
-  // The fuzz harness runs this on every seed.
-  bool shadow_check = false;
 };
 
 class FeedbackAllocator {
@@ -158,10 +145,9 @@ class FeedbackAllocator {
   // The swap reorders the controlled set, and enumeration order is
   // schedule-visible through the squish arithmetic — so an explicit mid-run
   // Remove may perturb later grants relative to an order-preserving erase. That
-  // is deliberate (removal is an API event, deterministically replayed, and both
-  // controller modes see the same order); only the implicit exited-thread drop
-  // stays order-preserving, because threads exit without any API call to anchor
-  // the perturbation to.
+  // is deliberate (removal is an API event, deterministically replayed); only the
+  // implicit exited-thread drop stays order-preserving, because threads exit
+  // without any API call to anchor the perturbation to.
   void Remove(SimThread* thread);
 
   void SetQualityExceptionFn(QualityExceptionFn fn) { quality_fn_ = std::move(fn); }
@@ -172,15 +158,9 @@ class FeedbackAllocator {
   using PostRunHook = std::function<void(TimePoint)>;
   void SetPostRunHook(PostRunHook hook) { post_run_hook_ = std::move(hook); }
 
-  // One controller iteration (dispatches to the pipeline or the reference sweep per
-  // config().use_pipeline). Public so the wall-clock overhead bench can drive it
-  // directly; normal use goes through Start().
+  // One controller iteration: Sample → Estimate → Resolve → Actuate. Public so the
+  // wall-clock overhead bench can drive it directly; normal use goes through Start().
   void RunOnce(TimePoint now);
-  // The original monolithic sweep, preserved verbatim as the reference
-  // implementation the pipeline is validated against (shadow mode, the fuzz
-  // harness's whole-run trace-equality pass) and the baseline
-  // bench_controller_scale measures. RunOnce routes here when !use_pipeline.
-  void RunOnceReference(TimePoint now);
 
   // --- Introspection (tests, experiment harness) ---
   double DesiredFraction(ThreadId id) const;
@@ -198,9 +178,6 @@ class FeedbackAllocator {
   int64_t quality_exceptions() const { return quality_exceptions_; }
   int64_t squish_events() const { return squish_events_; }
   size_t controlled_count() const { return controlled_.size(); }
-  // Shadow-mode observability: incremental quantities re-derived the reference way
-  // and found equal.
-  int64_t shadow_checks() const { return shadow_checks_; }
   // Dirty-set sampler observability: real-rate sample/saturation sweeps skipped
   // (clean) vs executed (dirty).
   int64_t clean_samples() const { return clean_samples_; }
@@ -277,7 +254,7 @@ class FeedbackAllocator {
   // slabs are read through their column (one contiguous stream across the controlled
   // set) instead of a SimThread pointer chase; slab-less threads fall back to the
   // object. Both sides are write-through mirrors of the same state, so the values
-  // are identical by construction (and shadow mode asserts it every tick).
+  // are identical by construction (and the invariant oracle checks it every tick).
   bool ExitedOf(const Controlled& c) const;
   CpuId CpuOf(const Controlled& c) const;
   double ImportanceOf(const Controlled& c) const;
@@ -285,8 +262,7 @@ class FeedbackAllocator {
   // controller is that column's sole writer.
   void MirrorPressure(const Controlled& c);
 
-  // --- The staged pipeline (use_pipeline) ---
-  void RunOncePipeline(TimePoint now);
+  // --- The staged pipeline ---
   // Sample: drain usage windows and refresh progress pressure, skipping linkage
   // sweeps for threads whose queues kept their change epochs (the dirty set).
   void SampleStage();
@@ -303,14 +279,9 @@ class FeedbackAllocator {
   // cached fill-based verdict and returns this tick's saturated queue, if any.
   BoundedBuffer* GatherSaturation(Controlled& c);
 
-  // --- The reference sweep (RunOnceReference) ---
-  void SampleAndEstimate(Controlled& c, double dt, TimePoint now);
   void ApplyPeriodEstimation(Controlled& c, TimePoint now);
-  void CheckQuality(Controlled& c, TimePoint now);
-  // Per-thread actuation (the reference path and period-estimation re-actuations).
+  // Per-thread actuation (registration and period-estimation re-actuations).
   void Actuate(Controlled& c, double fraction, TimePoint now);
-  // Reference recomputation of the ledger's per-core fixed sum (shadow oracle).
-  int64_t FixedPptOnCoreScan(CpuId core) const;
 
   void OnDeadlineMiss(SimThread* thread, Cycles shortfall, TimePoint now);
 
@@ -340,7 +311,6 @@ class FeedbackAllocator {
   int64_t invocations_ = 0;
   int64_t quality_exceptions_ = 0;
   int64_t squish_events_ = 0;
-  int64_t shadow_checks_ = 0;
   int64_t clean_samples_ = 0;
   int64_t dirty_samples_ = 0;
   bool started_ = false;

@@ -251,14 +251,11 @@ struct ServerFarmParams {
 
   Duration run_for = Duration::Millis(500);
 
-  // Scheduler/machine hot-path knobs, exposed so bench_dispatch_scale can A/B the
-  // indexed pick against the reference scan (and fast-forward on/off) on the same
-  // workload. Defaults are the production configuration.
+  // Scheduler/machine knobs (the golden test A/Bs fast-forward on/off on the same
+  // workload). Defaults are the production configuration.
   RbsConfig rbs;
   bool idle_fast_forward = true;
-  // Control-plane knobs, exposed so bench_controller_scale (and the golden
-  // mode-equivalence test) can A/B the staged pipeline against the reference sweep
-  // on the same farm. Defaults are the production configuration.
+  // Control-plane knobs. Defaults are the production configuration.
   ControllerConfig controller;
   // Memory-layout knob (SystemConfig::thread_slabs): hot-field slab columns on
   // (production) vs the pre-slab SimThread pointer chase — bench_dispatch_scale's

@@ -32,8 +32,8 @@ struct SystemConfig {
   bool start_controller = true;
   // Hot-field slabs (task/thread_slabs.h): keep the registry's SoA columns and let
   // the dispatch/control layers scan them. Off = every layer falls back to the
-  // SimThread pointer chase — the pre-slab memory layout, kept as the A/B reference
-  // (bench_dispatch_scale) and the trace-equality oracle's other side.
+  // SimThread pointer chase — the pre-slab memory layout, kept as the other side of
+  // the fuzz battery's slabs-off trace-equality pass and the benchmark's layout A/B.
   bool thread_slabs = true;
 };
 

@@ -224,12 +224,6 @@ RunOutcome RunWorkload(const WorkloadSpec& spec, const RunOptions& options) {
     config.num_cpus = num_cpus;
     config.cpu.clock_hz = spec.clock_hz * options.clock_multiplier;
     config.rbs.work_conserving = options.rbs_work_conserving;
-    config.rbs.shadow_check = options.rbs_shadow_check;
-    if (options.rbs_force_indexed) {
-      config.rbs.pick_mode = PickMode::kIndexed;
-    }
-    config.controller.use_pipeline = options.controller_use_pipeline;
-    config.controller.shadow_check = options.controller_shadow_check;
     config.machine.idle_fast_forward = options.machine_idle_fast_forward;
     config.machine.host_threads = options.host_threads;
     config.thread_slabs = options.thread_slabs;
@@ -248,10 +242,9 @@ RunOutcome RunWorkload(const WorkloadSpec& spec, const RunOptions& options) {
     }
     FillOutcome(outcome, system.sim(), system.machine(), system.threads(), oracle, spec,
                 options);
-    for (CpuId core = 0; core < system.num_cpus(); ++core) {
-      outcome.shadow_checks += system.rbs(core).shadow_checks();
-    }
-    outcome.controller_shadow_checks = system.controller().shadow_checks();
+    outcome.pick_checks = oracle.pick_checks();
+    outcome.indexed_pick_checks = oracle.indexed_pick_checks();
+    outcome.controller_checks = oracle.controller_checks();
     outcome.controller_clean_samples = system.controller().clean_samples();
     return outcome;
   }
@@ -411,48 +404,25 @@ SeedReport CheckSeed(uint64_t seed, const SeedCheckOptions& options) {
     }
   };
 
-  // 1. Invariant battery: the spec as generated, under every scheduler. The feedback
-  // run doubles as the shadow pass for both hot paths: every dispatch asserts the
-  // indexed pick equals the reference O(n) scan pick, and every controller tick
-  // asserts the pipeline's incremental state (ledger sums, cached pressures,
-  // saturation verdicts, evidence counts) equals a fresh reference derivation (a
-  // mismatch aborts, which the CTest harness reports against this seed).
+  // 1. Invariant battery: the spec as generated, under every scheduler. On the
+  // feedback machine the oracle also re-derives both hot paths: every dispatch's
+  // reserved best by a fresh scan, and every controller tick's ledger sums, cached
+  // pressures, and slab columns.
   uint64_t feedback_trace_hash = 0;
   int64_t feedback_progress = 0;
   int64_t feedback_dispatches = 0;
   for (const SchedulerKind kind : kAllKinds) {
     RunOptions run;
     run.kind = kind;
-    run.rbs_shadow_check = kind == SchedulerKind::kFeedbackRbs;
-    run.controller_shadow_check = kind == SchedulerKind::kFeedbackRbs;
     run.collect_trace_dump = options.collect_trace_dump;
     const RunOutcome outcome = RunWorkload(spec, run);
     if (kind == SchedulerKind::kFeedbackRbs) {
       feedback_trace_hash = outcome.trace_hash;
       feedback_progress = outcome.total_progress;
       feedback_dispatches = outcome.dispatches;
+      report.indexed_pick_checks = outcome.indexed_pick_checks;
     }
     note_violations(outcome, Label("invariants", kind));
-  }
-
-  // 1b. Controller-mode equivalence: the same spec through the monolithic
-  // RunOnceReference sweep must schedule bit-identically to the staged pipeline —
-  // the whole-run complement of the per-tick shadow asserts above.
-  {
-    RunOptions reference;
-    reference.controller_use_pipeline = false;
-    reference.collect_trace_dump = options.collect_trace_dump;
-    const RunOutcome ref = RunWorkload(spec, reference);
-    note_violations(ref, "invariants [controller reference]");
-    if (ref.trace_hash != feedback_trace_hash || ref.total_progress != feedback_progress ||
-        ref.dispatches != feedback_dispatches) {
-      report.failures.push_back(
-          "controller mode equivalence: pipeline and RunOnceReference runs diverged "
-          "(hash " + std::to_string(feedback_trace_hash) + " vs " +
-          std::to_string(ref.trace_hash) + ", dispatches " +
-          std::to_string(feedback_dispatches) + " vs " + std::to_string(ref.dispatches) +
-          ")");
-    }
   }
 
   // 1c. Memory-layout equivalence: the same spec with the hot-field slabs disabled
@@ -472,27 +442,6 @@ SeedReport CheckSeed(uint64_t seed, const SeedCheckOptions& options) {
           std::to_string(feedback_trace_hash) + " vs " + std::to_string(off.trace_hash) +
           ", dispatches " + std::to_string(feedback_dispatches) + " vs " +
           std::to_string(off.dispatches) + ")");
-    }
-  }
-
-  // 1d. Pick-mode equivalence: kIndexed from the first dispatch vs the kAuto
-  // occupancy switch (the 1b reference run above is a pure kAuto run, already
-  // pinned to the same hash) — activating or never activating the indexed
-  // structures mid-run must be trace-invariant.
-  {
-    RunOptions forced;
-    forced.rbs_force_indexed = true;
-    forced.collect_trace_dump = options.collect_trace_dump;
-    const RunOutcome indexed = RunWorkload(spec, forced);
-    note_violations(indexed, "invariants [forced indexed]");
-    if (indexed.trace_hash != feedback_trace_hash ||
-        indexed.total_progress != feedback_progress ||
-        indexed.dispatches != feedback_dispatches) {
-      report.failures.push_back(
-          "pick-mode equivalence: forced-indexed and auto runs diverged (hash " +
-          std::to_string(feedback_trace_hash) + " vs " + std::to_string(indexed.trace_hash) +
-          ", dispatches " + std::to_string(feedback_dispatches) + " vs " +
-          std::to_string(indexed.dispatches) + ")");
     }
   }
 

@@ -9,10 +9,9 @@
 //     cycles the machine delivers;
 //   - seed stability: the same spec on a 1-CPU machine produces the identical trace
 //     hash on every run, under every scheduler;
-//   - mode equivalence: the feedback machine re-run with the controller's reference
-//     sweep, with the hot-field slabs disabled (pre-slab memory layout), and with
-//     the RBS pick mode pinned to kIndexed must each reproduce the production
-//     run's trace bit for bit;
+//   - layout equivalence: the feedback machine re-run with the hot-field slabs
+//     disabled (pre-slab memory layout) must reproduce the production run's trace
+//     bit for bit;
 //   - host-thread equivalence: the feedback machine re-run with the dispatch rounds
 //     fanned out over 2 and over hardware_concurrency() OS threads (sim/parallel.h)
 //     must reproduce the single-threaded run's trace bit for bit.
@@ -47,20 +46,6 @@ struct RunOptions {
   // core-monotonicity check, whose throughput claim is demand-bound, not
   // allocation-ramp-bound.
   bool rbs_work_conserving = false;
-  // Feedback machine only: shadow-scheduler mode — every dispatch computes both the
-  // indexed pick and the reference O(n) scan pick and asserts they agree (see
-  // RbsConfig::shadow_check).
-  bool rbs_shadow_check = false;
-  // Feedback machine only: run the controller's staged Sample→Estimate→Resolve→
-  // Actuate pipeline (default, the production configuration) or the monolithic
-  // reference sweep (FeedbackAllocator::RunOnceReference). The fuzz battery runs
-  // both and demands bit-identical traces.
-  bool controller_use_pipeline = true;
-  // Feedback machine only: controller shadow mode — every tick re-derives the
-  // pipeline's incrementally maintained state (ledger sums, cached pressures,
-  // saturation verdicts, evidence counts) the reference way and asserts equality
-  // (see ControllerConfig::shadow_check).
-  bool controller_shadow_check = false;
   // Machine idle fast-forward (skip runs of empty dispatch ticks). On by default,
   // like the production configuration; the metamorphic battery re-runs with it off
   // and demands a bit-identical trace.
@@ -70,19 +55,16 @@ struct RunOptions {
   // battery re-runs with them off — the pre-slab pointer-chase layout — and demands
   // a bit-identical trace.
   bool thread_slabs = true;
-  // Feedback machine only: pin the RBS pick mode to kIndexed instead of the kAuto
-  // occupancy switch, so the indexed structures run from the first dispatch. The
-  // battery compares this against an auto run — crossing (or never reaching) the
-  // activation threshold must be trace-invariant.
-  bool rbs_force_indexed = false;
   // Host OS threads for the machine's dispatch rounds (MachineConfig::host_threads).
   // 1 — the default — is the sequential reference engine; >1 fans eligible rounds
   // out over a ParallelEngine. Any value must be trace-invariant.
   int host_threads = 1;
-  // Attach the invariant oracle as the machine checker. On by default. The
-  // host-thread equivalence pass turns it off for BOTH sides of the comparison: an
-  // installed checker pins the machine to the sequential path (its per-tick hooks
-  // observe mid-round state), which would make a 1-vs-N comparison vacuous.
+  // Attach the invariant oracle as the machine checker (on the feedback machine it
+  // also re-derives every RBS pick and every controller iteration's state). On by
+  // default. The host-thread equivalence pass turns it off for BOTH sides of the
+  // comparison: an installed checker pins the machine to the sequential path (its
+  // per-tick hooks observe mid-round state), which would make a 1-vs-N comparison
+  // vacuous.
   bool attach_oracle = true;
   // Fill RunOutcome::trace_dump when the oracle records violations.
   bool collect_trace_dump = false;
@@ -102,14 +84,13 @@ struct RunOutcome {
   // zero at host_threads == 1 (the sequential engine never fans out).
   int64_t parallel_rounds = 0;
   int64_t mailbox_rounds = 0;
-  // Feedback runs only: dispatches that executed the shadow comparison (indexed pick
-  // asserted equal to the reference scan pick), summed over cores. Zero unless
-  // RunOptions::rbs_shadow_check.
-  int64_t shadow_checks = 0;
-  // Feedback runs only: controller-shadow equalities asserted (zero unless
-  // RunOptions::controller_shadow_check) and dirty-set sampler activity.
-  int64_t controller_shadow_checks = 0;
-  int64_t controller_clean_samples = 0;
+  // Feedback runs with the oracle attached: picks checked against the oracle's
+  // re-derived reserved best, the subset made while that core's pick index was
+  // active, and controlled threads whose controller state the oracle re-derived.
+  int64_t pick_checks = 0;
+  int64_t indexed_pick_checks = 0;
+  int64_t controller_checks = 0;
+  int64_t controller_clean_samples = 0;  // Dirty-set sampler skips.
   int64_t violation_count = 0;
   std::vector<std::string> violations;  // Recorded subset (see OracleConfig).
   std::string trace_dump;               // Only when collect_trace_dump and violations.
@@ -122,8 +103,7 @@ RunOutcome RunWorkload(const WorkloadSpec& spec, const RunOptions& options);
 struct SeedCheckOptions {
   // Disables the metamorphic battery (clock scaling / core monotonicity / seed
   // stability), leaving the four per-scheduler invariant runs and the feedback
-  // machine's mode-equivalence runs (controller reference, slabs off, forced
-  // indexed).
+  // machine's slabs-off and host-thread equivalence runs.
   bool run_metamorphic = true;
   // Attach the first violating run's trace to the report.
   bool collect_trace_dump = true;
@@ -144,6 +124,10 @@ struct SeedReport {
   // the 1-vs-N comparison quietly stopped exercising parallel queue rounds.
   int64_t equivalence_parallel_rounds = 0;
   int64_t equivalence_mailbox_rounds = 0;
+  // Picks the oracle checked while the core's pick index was active, in the
+  // feedback machine's invariant run. realrate_check fails a 100-seed battery that
+  // records none: the index would then go unchecked.
+  int64_t indexed_pick_checks = 0;
   bool ok() const { return failures.empty(); }
 };
 

@@ -2,14 +2,27 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <utility>
+#include <vector>
 
+#include "core/pressure.h"
 #include "exp/system.h"
 #include "queue/registry.h"
 #include "sim/simulator.h"
 #include "task/thread.h"
 
 namespace realrate {
+
+namespace {
+
+bool HasReservation(const SimThread* t) {
+  return t->policy() == SchedPolicy::kReservation && !t->proportion().IsZero();
+}
+
+TimePoint Deadline(const SimThread* t) { return t->period_start() + t->period(); }
+
+}  // namespace
 
 InvariantOracle::InvariantOracle(const OracleConfig& config) : config_(config) {}
 
@@ -20,11 +33,13 @@ void InvariantOracle::Observe(Machine& machine, QueueRegistry* queues) {
   last_tick_.assign(static_cast<size_t>(machine.num_cpus()), TimePoint::Origin());
   trace_checked_ = 0;
   controller_ran_ = false;
+  system_ = nullptr;
   machine.SetChecker(this);
 }
 
 void InvariantOracle::Observe(System& system) {
   Observe(system.machine(), &system.queues());
+  system_ = &system;
   system.controller().SetPostRunHook(
       [this, &system](TimePoint now) { OnControllerRun(system.machine(), now); });
 }
@@ -53,6 +68,48 @@ void InvariantOracle::OnPicked(const Machine& /*machine*/, CpuId core,
     Report(now, "core " + std::to_string(core) + " dispatched thread " +
                     std::to_string(pick->id()) + " assigned to core " +
                     std::to_string(pick->cpu()));
+  }
+  if (system_ != nullptr) {
+    CheckPick(core, pick, now);
+  }
+}
+
+void InvariantOracle::CheckPick(CpuId core, const SimThread* pick, TimePoint now) {
+  const RbsScheduler& rbs = system_->rbs(core);
+  ++pick_checks_;
+  if (rbs.indexing_active()) {
+    ++indexed_pick_checks_;
+  }
+  // The reference pick: a fresh scan in admission order, strict comparisons, so the
+  // earliest-admitted thread wins ties.
+  const bool edf = rbs.config().order == DispatchOrder::kEarliestDeadlineFirst;
+  const SimThread* best = nullptr;
+  for (const SimThread* t : rbs.threads()) {
+    if (!t->IsRunnable() || !HasReservation(t) || t->budget_remaining() <= 0) {
+      continue;
+    }
+    if (best == nullptr ||
+        (edf ? Deadline(t) < Deadline(best)
+             : PeriodRank(t->period()) > PeriodRank(best->period()))) {
+      best = t;
+    }
+  }
+  auto where = [&] {
+    return "core " + std::to_string(core) + " picked thread " +
+           std::to_string(pick->id()) + " (" + pick->name() + ")";
+  };
+  if (best != nullptr && pick != best) {
+    Report(now, where() + " but the reserved best is thread " +
+                    std::to_string(best->id()) + " (" + best->name() + ")");
+  }
+  // Round-robin fallback: only threads without a reservation, or budget-exhausted
+  // ones in work-conserving mode.
+  if (best == nullptr && HasReservation(pick) &&
+      !(rbs.config().work_conserving && pick->budget_remaining() <= 0)) {
+    Report(now, where() + " as fallback, but it holds an unusable reservation");
+  }
+  if (pick->bound_slabs() != nullptr && !pick->bound_slabs()->MatchesObject(*pick)) {
+    Report(now, where() + " whose slab columns disagree with its object state");
   }
 }
 
@@ -101,6 +158,48 @@ void InvariantOracle::OnControllerRun(const Machine& machine, TimePoint now) {
   last_controller_run_ = now;
   for (CpuId core = 0; core < machine.num_cpus(); ++core) {
     CheckCoreFeasibility(machine, core, now);
+  }
+  if (system_ != nullptr) {
+    CheckController(now);
+  }
+}
+
+void InvariantOracle::CheckController(TimePoint now) {
+  const FeedbackAllocator& controller = system_->controller();
+  std::vector<int64_t> fixed_ppt(static_cast<size_t>(system_->num_cpus()), 0);
+  for (const SimThread* t : system_->threads().All()) {
+    const std::optional<ThreadClass> cls = controller.ClassOf(t->id());
+    if (!cls.has_value()) {
+      continue;
+    }
+    ++controller_checks_;
+    auto who = [t] {
+      return "controlled thread " + std::to_string(t->id()) + " (" + t->name() + ")";
+    };
+    const double pressure = controller.LastPressure(t->id());
+    if (*cls == ThreadClass::kRealTime || *cls == ThreadClass::kAperiodicRealTime) {
+      fixed_ppt[static_cast<size_t>(t->cpu())] += t->proportion().ppt();
+    } else if (*cls == ThreadClass::kRealRate &&
+               pressure != RawPressure(system_->queues(), t->id())) {
+      Report(now, who() + " has a stale cached pressure " + std::to_string(pressure));
+    }
+    if (const ThreadSlabs* slabs = t->bound_slabs(); slabs != nullptr) {
+      if (!slabs->MatchesObject(*t)) {
+        Report(now, who() + " has slab columns that disagree with its object state");
+      }
+      if (slabs->pressure(t->slab_slot()) != pressure) {
+        Report(now,
+               who() + " has a slab pressure column that disagrees with the controller");
+      }
+    }
+  }
+  for (CpuId core = 0; core < system_->num_cpus(); ++core) {
+    const int64_t ledger = controller.ledger().fixed_ppt_on(core);
+    if (ledger != fixed_ppt[static_cast<size_t>(core)]) {
+      Report(now, "core " + std::to_string(core) + " ledger fixed sum " +
+                      std::to_string(ledger) + " ppt != scanned " +
+                      std::to_string(fixed_ppt[static_cast<size_t>(core)]) + " ppt");
+    }
   }
 }
 

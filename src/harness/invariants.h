@@ -13,6 +13,19 @@
 //   - trace well-formedness: the structured trace suffix recorded since the previous
 //     check passes TraceRecorder::WellFormedError.
 //
+// Observing a whole System adds the reference re-derivations of its two hot paths:
+//
+//   - RBS pick (every dispatch): the best reserved thread recomputed by a fresh
+//     scan of the core's run queue (RM period rank descending or EDF deadline
+//     ascending, admission order breaking ties) must be the pick; with no such
+//     thread, the pick must be a legal round-robin fallback. The pick's slab columns
+//     must match its object state.
+//   - controller state (every iteration): each core's ledger fixed sum equals a scan
+//     over the controlled fixed-class threads; each real-rate thread's cached
+//     pressure equals a fresh RawPressure over its queues; the slab pressure column
+//     equals the controller's pressure and every controlled thread's slab columns
+//     match its object state.
+//
 // The oracle is a pure observer (see MachineChecker): attaching one leaves the
 // schedule bit-identical, so a trace hash taken with the oracle installed pins the
 // same behavior as one taken without. Violations are accumulated (bounded) rather
@@ -87,18 +100,27 @@ class InvariantOracle : public MachineChecker {
   int64_t ticks_observed() const { return ticks_observed_; }
   int64_t picks_observed() const { return picks_observed_; }
   int64_t controller_runs_observed() const { return controller_runs_observed_; }
+  // System observation only: picks checked against the re-derived reserved best, the
+  // subset made while the core's pick index was active, and controlled threads whose
+  // controller state was re-derived.
+  int64_t pick_checks() const { return pick_checks_; }
+  int64_t indexed_pick_checks() const { return indexed_pick_checks_; }
+  int64_t controller_checks() const { return controller_checks_; }
 
   // One line per recorded violation (plus a tail count when over max_recorded).
   std::string Summary() const;
 
  private:
   void CheckCoreFeasibility(const Machine& machine, CpuId core, TimePoint now);
+  void CheckPick(CpuId core, const SimThread* pick, TimePoint now);
+  void CheckController(TimePoint now);
   void CheckQueues(TimePoint now);
   void CheckTrace(const Machine& machine, TimePoint now);
   void Report(TimePoint now, std::string message);
 
   OracleConfig config_;
   QueueRegistry* queues_ = nullptr;
+  System* system_ = nullptr;  // Set by Observe(System&): enables the hot-path checks.
   std::vector<TimePoint> last_tick_;  // Per core; grown on each core's first tick.
   TimePoint last_controller_run_;
   bool controller_ran_ = false;
@@ -106,6 +128,9 @@ class InvariantOracle : public MachineChecker {
   int64_t ticks_observed_ = 0;
   int64_t picks_observed_ = 0;
   int64_t controller_runs_observed_ = 0;
+  int64_t pick_checks_ = 0;
+  int64_t indexed_pick_checks_ = 0;
+  int64_t controller_checks_ = 0;
   int64_t violation_count_ = 0;
   std::vector<InvariantViolation> violations_;
 };

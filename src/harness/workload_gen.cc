@@ -157,8 +157,8 @@ WorkloadSpec GenerateWorkload(uint64_t seed) {
   // paper classes — real-time (pipeline producers), real-rate (pipeline consumers),
   // miscellaneous (hogs), aperiodic real-time, and interactive (tty editors) — so
   // fuzzing exercises the controller's staged pipeline (BudgetLedger, dirty-set
-  // sampler, batched actuation, and the shadow/trace-equality oracles against
-  // RunOnceReference) at production thread counts. Short horizon keeps the battery
+  // sampler, batched actuation, and the invariant oracle's per-tick re-derivation
+  // of its state) at production thread counts. Short horizon keeps the battery
   // affordable. Feasibility by construction needs both budgets to hold on the
   // smallest (6-core) machine: fixed reservations ≤ 479 producers × 3 ppt + 96
   // aperiodics × 3 ppt = 1.73 < 0.45 × 6 cores, and the adaptive allocation floors

@@ -13,23 +13,14 @@ namespace {
 constexpr int64_t kRmBase = int64_t{1} << 40;
 
 // The rate-monotonic bonus is PeriodRank (task/thread_slabs.h): periods-per-hour,
-// shared by Goodness (the reference semantics), the pick index (the incrementally
+// shared by Goodness (the scan's semantics), the pick index (the incrementally
 // maintained key), and the slab rm_rank column, so no consumer can disagree on
 // ordering.
 int64_t RmRank(const SimThread* thread) { return PeriodRank(thread->period()); }
 }  // namespace
 
-RbsScheduler::RbsScheduler(const Cpu& cpu, const RbsConfig& config) : cpu_(cpu), config_(config) {
-  // Normalize the mode: the legacy use_indexed_pick = false wins (the pre-index
-  // reference build), and shadow mode must exercise the index it validates, so kAuto
-  // hardens to kIndexed under shadow_check.
-  if (!config_.use_indexed_pick) {
-    config_.pick_mode = PickMode::kReference;
-  } else if (config_.pick_mode == PickMode::kAuto && config_.shadow_check) {
-    config_.pick_mode = PickMode::kIndexed;
-  }
-  indexing_on_ = config_.pick_mode == PickMode::kIndexed;
-}
+RbsScheduler::RbsScheduler(const Cpu& cpu, const RbsConfig& config)
+    : cpu_(cpu), config_(config) {}
 
 RbsScheduler::~RbsScheduler() {
   for (auto& [thread, node] : nodes_) {
@@ -49,7 +40,7 @@ RbsScheduler::Node* RbsScheduler::FindNode(SimThread* thread) {
 
 void RbsScheduler::Reindex(SimThread* thread) {
   if (!indexing_on_) {
-    return;  // Reference mode: no index to maintain (the A/B stays a fair fight).
+    return;  // Scanning: no index to maintain.
   }
   Node* node = FindNode(thread);
   if (node == nullptr) {
@@ -157,13 +148,10 @@ void RbsScheduler::DeactivateIndexing() {
 }
 
 void RbsScheduler::MaybeSwitchIndexing() {
-  if (config_.pick_mode != PickMode::kAuto) {
-    return;
-  }
-  const int n = static_cast<int>(threads_.size());
-  if (!indexing_on_ && n >= config_.auto_index_threshold) {
+  const size_t n = threads_.size();
+  if (!indexing_on_ && n >= kIndexOnThreads) {
     ActivateIndexing();
-  } else if (indexing_on_ && n < config_.auto_index_threshold / 2) {
+  } else if (indexing_on_ && n < kIndexOnThreads / 2) {
     DeactivateIndexing();
   }
 }
@@ -270,7 +258,7 @@ void RbsScheduler::Replenish(SimThread* thread, TimePoint now) {
 
 void RbsScheduler::OnTick(TimePoint now) {
   if (!indexing_on_) {
-    // Reference mode: the original per-tick O(n) replenish scan. With slab columns
+    // Scanning: the per-tick O(n) replenish sweep. With slab columns
     // the scan pre-filters on the deadline column — Replenish's own early-out
     // condition (now < period_start + period, i.e. now_ns < deadline_nanos) — so the
     // common not-due tick streams three small columns and touches no thread object.
@@ -357,8 +345,8 @@ int64_t RbsScheduler::Goodness(const SimThread* thread) const {
   return 1;
 }
 
-SimThread* RbsScheduler::PickReservedReference(TimePoint /*now*/) {
-  // The original O(n) scan. Reserved threads first. Rate-monotonic: highest goodness
+SimThread* RbsScheduler::PickReservedScan() {
+  // The O(n) goodness scan. Reserved threads first. Rate-monotonic: highest goodness
   // (shortest period). EDF: earliest deadline, where a thread's deadline is the end of
   // its current period. Ties broken by scan position — arrival order — matching the
   // pick index's sequence-number tiebreak.
@@ -460,45 +448,10 @@ bool RbsScheduler::PickEntryCurrent(const PickKey& key) {
   return node != nullptr && node->in_pick_index && node->pick_gen == key.gen;
 }
 
-bool RbsScheduler::HasFallbackCandidate() const {
-  if (UseColumns()) {
-    for (const int32_t s : slots_) {
-      if (slabs_->state(s) != ThreadState::kRunnable) {
-        continue;
-      }
-      const bool reserved =
-          slabs_->policy(s) == SchedPolicy::kReservation && slabs_->granted_ppt(s) != 0;
-      const bool exhausted_reserved = reserved && slabs_->budget(s) <= 0;
-      if (exhausted_reserved && !config_.work_conserving) {
-        continue;
-      }
-      if (!exhausted_reserved && reserved) {
-        continue;
-      }
-      return true;
-    }
-    return false;
-  }
-  for (SimThread* t : threads_) {
-    if (!t->IsRunnable()) {
-      continue;
-    }
-    const bool exhausted_reserved = HasReservation(t) && t->budget_remaining() <= 0;
-    if (exhausted_reserved && !config_.work_conserving) {
-      continue;
-    }
-    if (!exhausted_reserved && HasReservation(t)) {
-      continue;
-    }
-    return true;
-  }
-  return false;
-}
-
 SimThread* RbsScheduler::PickFallbackRoundRobin() {
   // No reserved thread can run: round-robin over the remaining runnables (non-reserved
-  // threads, plus exhausted reserved threads when work-conserving). Verbatim from the
-  // original scan — the cursor is positional, so this path stays O(n) but is gated by
+  // threads, plus exhausted reserved threads when work-conserving). The cursor is
+  // positional, so this path stays O(n) but is gated by
   // the occupancy counts in PickNext and only runs when it will find work. slots_ is
   // index-aligned with threads_, so the column variant's cursor arithmetic and scan
   // order are identical to the pointer scan's.
@@ -542,24 +495,8 @@ SimThread* RbsScheduler::PickFallbackRoundRobin() {
   return nullptr;
 }
 
-SimThread* RbsScheduler::PickNext(TimePoint now) {
-  SimThread* pick = nullptr;
-  if (indexing_on_) {
-    pick = PickReservedIndexed();
-    if (config_.shadow_check) {
-      // Shadow-scheduler mode: the reference scan runs alongside (side-effect-free)
-      // and must agree with the index at every dispatch; the pick's slab columns
-      // must agree with its object fields.
-      SimThread* reference = PickReservedReference(now);
-      RR_CHECK(pick == reference);
-      if (pick != nullptr && slabs_ != nullptr && pick->bound_slabs() == slabs_) {
-        RR_CHECK(slabs_->MatchesObject(*pick));
-      }
-      ++shadow_checks_;
-    }
-  } else {
-    pick = PickReservedReference(now);
-  }
+SimThread* RbsScheduler::PickNext(TimePoint /*now*/) {
+  SimThread* pick = indexing_on_ ? PickReservedIndexed() : PickReservedScan();
   if (pick != nullptr) {
     return pick;
   }
@@ -570,20 +507,9 @@ SimThread* RbsScheduler::PickNext(TimePoint now) {
     // pick index, so runnable_reserved_ now counts only exhausted ones.
     const bool have_unreserved = runnable_unreserved_ > 0;
     const bool have_exhausted = config_.work_conserving && runnable_reserved_ > 0;
-    if (config_.shadow_check) {
-      RR_CHECK((have_unreserved || have_exhausted) == HasFallbackCandidate());
-    }
     if (!have_unreserved && !have_exhausted) {
       return nullptr;
     }
-  }
-  return PickFallbackRoundRobin();
-}
-
-SimThread* RbsScheduler::PickNextReference(TimePoint now) {
-  SimThread* pick = PickReservedReference(now);
-  if (pick != nullptr) {
-    return pick;
   }
   return PickFallbackRoundRobin();
 }

@@ -6,37 +6,34 @@
 // goodness than jobs under other policies, and that jobs with shorter periods have
 // higher goodness values."
 //
-// Dispatch hot path (see docs/ARCHITECTURE.md, "The dispatch hot path"): PickNext is
-// O(log n) against indexed run queues rather than the original O(n) goodness scan.
+// Dispatch hot path (see docs/ARCHITECTURE.md, "The dispatch hot path"): one
+// PickNext, which finds the best reserved thread either by an O(n) goodness scan or
+// in O(log n) from indexed run queues, chosen by run-queue occupancy.
 //   - Reserved threads with remaining budget live in a pick index keyed by
 //     incrementally maintained period rank (rate-monotonic mode) or period deadline
 //     (EDF mode), with the thread's admission sequence number as the tiebreaker —
-//     exactly the tie order of the original scan, which resolved equal goodness by
-//     position in the (arrival-ordered) thread vector. The index is a vector-backed
-//     min-heap with lazy deletion (generation-stamped entries), so the block/wake
-//     storm of a dense farm costs O(1) per eligibility exit and an allocation-free
-//     O(log n) push per entry, with no tree nodes to chase.
+//     exactly the tie order of the scan, which resolves equal goodness by position
+//     in the (arrival-ordered) thread vector. The index is a vector-backed min-heap
+//     with lazy deletion (generation-stamped entries), so the block/wake storm of a
+//     dense farm costs O(1) per eligibility exit and an allocation-free O(log n)
+//     push per entry, with no tree nodes to chase.
 //   - Period replenishment is driven by a due-heap keyed by period end, so OnTick
 //     touches only the threads whose period actually closed instead of all n.
 //   - Best-effort (and, in work-conserving mode, budget-exhausted) threads are
 //     summarized by a secondary occupancy index — runnable counts that let PickNext
 //     skip the round-robin fallback scan entirely in the common all-blocked case; the
-//     scan itself is kept verbatim because its cursor semantics are positional.
-// The original scan survives as PickNextReference(); RbsConfig::shadow_check makes
-// every PickNext assert indexed pick == reference pick (the shadow-scheduler mode the
-// fuzz harness runs), and RbsConfig::use_indexed_pick = false falls back to the
-// reference scan wholesale (the bench_dispatch_scale comparison build).
-//
-// Pick modes (RbsConfig::pick_mode): the index wins big at high occupancy but its
-// maintenance (Reindex on every state/budget mutation, due-heap churn) is pure
-// overhead at a handful of threads per core, where the O(n) scan fits in a few
-// cachelines. kAuto therefore runs maintenance-off below auto_index_threshold
-// enqueued threads and switches the index on (rebuilding it from the thread vector,
-// O(n log n) once) when the run queue grows past it, with 2x hysteresis on the way
-// down. Both modes produce bit-identical schedules, so switching is trace-invariant.
+//     scan itself stays because its cursor semantics are positional.
+// Occupancy switch: the index's maintenance (Reindex on every state/budget mutation,
+// due-heap churn) is pure overhead at a handful of threads per core, where the scan
+// fits in a few cachelines. The scheduler therefore scans while fewer than
+// kIndexOnThreads threads are enqueued and switches the index on (rebuilding it from
+// the thread vector, O(n log n) once) when the run queue reaches that size, with 2x
+// hysteresis on the way down. Both sides pick the same thread, so switching is
+// trace-invariant. The invariant oracle (harness/invariants.h) re-derives the best
+// reserved thread at every pick of a fuzzed run and checks the dispatcher against it.
 //
 // When every enqueued thread is bound to hot-field slabs (task/thread_slabs.h), the
-// reference scan, the fallback gate, the per-tick replenish sweep, and TotalReserved
+// goodness scan, the fallback scan, the per-tick replenish sweep, and TotalReserved
 // read the slab columns instead of chasing SimThread* — same order, same ties, same
 // result, a fraction of the cachelines.
 #ifndef REALRATE_SCHED_RBS_H_
@@ -65,39 +62,12 @@ enum class DispatchOrder : uint8_t {
   kEarliestDeadlineFirst,
 };
 
-// How PickNext finds the best reserved thread (see the header comment).
-enum class PickMode : uint8_t {
-  kAuto,       // Reference scan below auto_index_threshold, indexed above.
-  kIndexed,    // Always maintain and use the indexed run queues.
-  kReference,  // Always the O(n) scan; no index maintenance at all.
-};
-
 struct RbsConfig {
   // If true, threads with exhausted budgets may still run when the CPU would otherwise
   // idle (background mode). The paper's prototype is non-work-conserving: exhausted
   // threads sleep until their next period. Default matches the paper.
   bool work_conserving = false;
   DispatchOrder order = DispatchOrder::kRateMonotonic;
-  // Legacy switch predating pick_mode: if false, the scheduler runs as the pre-index
-  // reference build (pick_mode = kReference) — PickNext uses the O(n) goodness scan,
-  // OnTick uses the O(n) per-tick replenish sweep, and no index maintenance happens
-  // at all; the comparison baseline bench_dispatch_scale measures against. Behavior
-  // (schedule, trace) is identical in every mode.
-  bool use_indexed_pick = true;
-  // Reference vs indexed selection (only consulted when use_indexed_pick is true).
-  // kAuto is the production default: per-core occupancy decides.
-  PickMode pick_mode = PickMode::kAuto;
-  // kAuto's switch-on point: enqueued-thread count at which this core's scheduler
-  // starts maintaining the indexed run queues. Tuned on bench_dispatch_scale so the
-  // farm e2e never loses to the reference scan at low density and keeps the indexed
-  // win at high density (crossover sits between 64 and 128 threads/core). Indexing
-  // switches back off below half this (hysteresis against add/remove flapping).
-  int auto_index_threshold = 96;
-  // Shadow-scheduler mode: every PickNext computes both the indexed pick and the
-  // reference scan pick and asserts they are identical. Used by the fuzz harness
-  // (RunOptions::rbs_shadow_check) to pin the indexed structures to the original
-  // semantics across generated workloads.
-  bool shadow_check = false;
 };
 
 // One element of a per-core actuation batch (ApplyReservations): the reservation a
@@ -127,12 +97,6 @@ class RbsScheduler : public Scheduler {
   void OnWake(SimThread* thread, TimePoint now) override;
   void OnBlock(SimThread* thread, TimePoint now) override;
 
-  // The original O(n) goodness/deadline scan, preserved verbatim as the reference
-  // implementation the indexed pick is validated against (shadow_check) and the
-  // baseline bench_dispatch_scale measures. Shares the round-robin cursor with
-  // PickNext, so within one run use either entry point per dispatch, not both.
-  SimThread* PickNextReference(TimePoint now);
-
   // Actuation entry point used by the controller: sets proportion/period and restarts
   // the thread's period from `now` with a fresh budget. "Very low overhead to change
   // proportion and period" — O(1) (plus O(log n) index maintenance).
@@ -161,17 +125,16 @@ class RbsScheduler : public Scheduler {
   using DeadlineMissFn = std::function<void(SimThread*, Cycles shortfall, TimePoint)>;
   void SetDeadlineMissFn(DeadlineMissFn fn) { miss_fn_ = std::move(fn); }
 
+  const RbsConfig& config() const { return config_; }
+  // Enqueued threads in admission order — the order that breaks pick ties.
   const std::vector<SimThread*>& threads() const { return threads_; }
-  // Shadow-mode observability: picks that ran both implementations and agreed.
-  int64_t shadow_checks() const { return shadow_checks_; }
-  // Pick-mode observability: is the indexed hot path being maintained right now?
-  // Constant under kIndexed/kReference; under kAuto it tracks the occupancy
-  // threshold.
+  // Is the indexed hot path being maintained right now? Tracks the occupancy
+  // switch (see the header comment).
   bool indexing_active() const { return indexing_on_; }
 
  private:
   // Per-thread bookkeeping owned by this scheduler (not the thread): the admission
-  // sequence number that reproduces the reference scan's tie order, the pick-index
+  // sequence number that reproduces the scan's tie order, the pick-index
   // membership/key snapshot, and the replenish-heap generation stamp.
   struct Node {
     RbsScheduler* owner = nullptr;  // Guards the SimThread::sched_slot cache.
@@ -186,7 +149,7 @@ class RbsScheduler : public Scheduler {
   };
 
   // Pick-index element. Ordering is (rank desc | deadline asc, seq asc): the heap
-  // minimum is exactly the thread the reference scan would return. Entries are
+  // minimum is exactly the thread the scan would return. Entries are
   // lazily deleted — `gen` matches Node::pick_gen only while the entry is current;
   // eligibility changes just bump the node's generation (O(1)) and the dead entry
   // is discarded when it surfaces at the heap top.
@@ -229,18 +192,14 @@ class RbsScheduler : public Scheduler {
   // Pushes a fresh due-heap entry for `thread`'s current period (bumping the
   // generation so older entries die), or just invalidates when unreserved.
   void RearmReplenish(SimThread* thread, Node& node);
-  // The two halves of the reference scan, side-effect-free and cursor-mutating
-  // respectively; PickNext composes the indexed (or reference) reserved pick with the
-  // shared fallback.
-  SimThread* PickReservedReference(TimePoint now);
+  // PickNext's parts: the best reserved thread by scan (index off) or from the index
+  // (index on), both side-effect-free, then the shared cursor-mutating fallback.
+  SimThread* PickReservedScan();
   SimThread* PickReservedIndexed();
   SimThread* PickFallbackRoundRobin();
-  // Side-effect-free: would the round-robin fallback scan find a candidate? Used by
-  // shadow mode to validate the occupancy counts that gate the scan.
-  bool HasFallbackCandidate() const;
-  // kAuto transitions. Activation rebuilds the pick index, occupancy counts, and
-  // due-heap from the thread vector; deactivation tears them down. Neither changes
-  // any thread's state, so the schedule is unaffected.
+  // Occupancy-switch transitions. Activation rebuilds the pick index, occupancy
+  // counts, and due-heap from the thread vector; deactivation tears them down.
+  // Neither changes any thread's state, so the schedule is unaffected.
   void ActivateIndexing();
   void DeactivateIndexing();
   void MaybeSwitchIndexing();
@@ -250,8 +209,8 @@ class RbsScheduler : public Scheduler {
   void CompactPickIndex();
   // Is this heap entry the current one for its thread (vs lazily deleted)?
   bool PickEntryCurrent(const PickKey& key);
-  // True when every enqueued thread is slab-bound, so the reference scan, the
-  // fallback gate, the replenish sweep, and TotalReserved can read columns.
+  // True when every enqueued thread is slab-bound, so the goodness scan, the
+  // fallback scan, the replenish sweep, and TotalReserved can read columns.
   bool UseColumns() const { return slabs_ != nullptr && unbound_ == 0; }
 
   const Cpu& cpu_;
@@ -266,6 +225,10 @@ class RbsScheduler : public Scheduler {
   DeadlineMissFn miss_fn_;
   size_t rr_cursor_ = 0;  // Round-robin position among non-reserved threads.
   bool indexing_on_ = false;  // Maintain/use the indexed structures right now?
+  // Occupancy switch: the index turns on at this many enqueued threads and off below
+  // half of it. The benchmark's farms (2-4 threads/core) sit below it, its dense
+  // pipelines (1024 threads/core) above it.
+  static constexpr size_t kIndexOnThreads = 96;
 
   // --- Indexed hot-path state ---
   std::unordered_map<SimThread*, Node> nodes_;
@@ -290,7 +253,6 @@ class RbsScheduler : public Scheduler {
   int64_t runnable_reserved_ = 0;
   uint64_t next_seq_ = 1;
   uint64_t next_gen_ = 1;
-  int64_t shadow_checks_ = 0;
 };
 
 }  // namespace realrate

@@ -16,8 +16,8 @@
 //     write-throughs to its bound slab (see task/thread.cc), so the columns are
 //     coherent at every instant — not rebuilt per tick. Readers (RbsScheduler column
 //     scans, Machine census/rebalance/idle checks, controller stages) never observe
-//     staleness; shadow-check mode (RbsConfig/ControllerConfig) asserts
-//     slab == object at every pick and controller tick.
+//     staleness; the invariant oracle (harness/invariants.h) checks
+//     slab == object at every pick and controller tick of a fuzzed run.
 //   - `pressure` is the one controller-owned column: the control pipeline's
 //     Sample/Estimate stages write it (there is no SimThread field behind it).
 //   - Slots are stable for the lifetime of a binding: registration and removal are
@@ -48,7 +48,7 @@ namespace realrate {
 
 // The rate-monotonic period rank: periods-per-hour, so any realistic period (>= 1 ms)
 // maps to a positive, strictly rate-ordered value. Shared by RbsScheduler::Goodness
-// (the reference semantics), the pick index, and the slab's rm_rank column, so no two
+// (the scan's semantics), the pick index, and the slab's rm_rank column, so no two
 // consumers can ever disagree on ordering.
 inline int64_t PeriodRank(Duration period) { return Duration::Seconds(3600) / period; }
 
@@ -128,9 +128,9 @@ class ThreadSlabs {
   double pressure(int32_t slot) const { return pressure_[static_cast<size_t>(slot)]; }
   void set_pressure(int32_t slot, double p) { pressure_[static_cast<size_t>(slot)] = p; }
 
-  // Shadow-check mode: do `t`'s columns equal the object's canonical fields?
-  // (Excludes `pressure`, which has no object-side field — the controller asserts it
-  // against its own per-thread state.)
+  // Do `t`'s columns equal the object's canonical fields? (Excludes `pressure`,
+  // which has no object-side field — the invariant oracle checks it against the
+  // controller's per-thread state.)
   bool MatchesObject(const SimThread& t) const;
 
  private:

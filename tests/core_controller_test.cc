@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "exp/system.h"
+#include "harness/invariants.h"
 #include "util/stats.h"
 #include "workloads/misc_work.h"
 #include "workloads/producer_consumer.h"
@@ -282,42 +282,14 @@ TEST(ControllerScaleTest, FourThousandThreadsRegisterAndRemove) {
   EXPECT_EQ(system.controller().controlled_count(), 1u);
 }
 
-// The staged pipeline and the monolithic reference sweep must produce the same
-// schedule, bit for bit, on a live machine — here end-to-end via the trace hash.
-TEST(ControllerPipelineTest, PipelineMatchesReferenceSweep) {
-  auto run = [](bool use_pipeline) {
-    SystemConfig config;
-    config.num_cpus = 2;
-    config.controller.use_pipeline = use_pipeline;
-    System system(config);
-    system.sim().trace().SetEnabled(true);
-    BoundedBuffer* q = system.CreateQueue("pipe", 4'000);
-    SimThread* producer = system.Spawn(
-        "producer", std::make_unique<ProducerWork>(q, 400'000, RateSchedule(100.0)));
-    SimThread* consumer =
-        system.Spawn("consumer", std::make_unique<ConsumerWork>(q, 2'000));
-    system.queues().Register(q, producer->id(), QueueRole::kProducer);
-    system.queues().Register(q, consumer->id(), QueueRole::kConsumer);
-    EXPECT_TRUE(system.controller().AddRealTime(producer, Proportion::Ppt(50),
-                                                Duration::Millis(10)));
-    system.controller().AddRealRate(consumer);
-    SimThread* hog = system.Spawn("hog", std::make_unique<CpuHogWork>());
-    system.controller().AddMiscellaneous(hog);
-    system.Start();
-    system.RunFor(Duration::Seconds(3));
-    return std::tuple{system.sim().trace().Hash(), hog->proportion().ppt(),
-                      consumer->proportion().ppt(), system.controller().squish_events()};
-  };
-  EXPECT_EQ(run(true), run(false));
-}
-
-// Shadow mode re-derives the incremental state the reference way every tick; the
-// dirty-set sampler must show both clean skips (idle stretches) and dirty sweeps
-// (active queueing) on a workload that ebbs.
-TEST(ControllerPipelineTest, ShadowModeCountsCleanAndDirtySamples) {
-  SystemConfig config;
-  config.controller.shadow_check = true;
-  System system(config);
+// The invariant oracle re-derives the controller's incremental state every tick
+// (cached pressures against the queues, ledger sums, slab columns); the dirty-set
+// sampler must show both clean skips (idle stretches) and dirty sweeps (active
+// queueing) on a workload that ebbs, with every cached pressure matching.
+TEST(ControllerPipelineTest, OracleAgreesAcrossCleanAndDirtySamples) {
+  InvariantOracle oracle;  // Outlives the system it observes.
+  System system{};
+  oracle.Observe(system);
   BoundedBuffer* q = system.CreateQueue("pipe", 4'000);
   SimThread* producer = system.Spawn(
       "producer", std::make_unique<ProducerWork>(q, 4'000'000, RateSchedule(100.0)));
@@ -329,7 +301,8 @@ TEST(ControllerPipelineTest, ShadowModeCountsCleanAndDirtySamples) {
   system.controller().AddRealRate(consumer);
   system.Start();
   system.RunFor(Duration::Seconds(2));
-  EXPECT_GT(system.controller().shadow_checks(), 0);
+  EXPECT_TRUE(oracle.ok()) << oracle.Summary();
+  EXPECT_GT(oracle.controller_checks(), 0);
   EXPECT_GT(system.controller().dirty_samples(), 0);
   // A trickle producer leaves the consumer's queue untouched between most 10 ms
   // controller ticks: the dirty-set sampler must actually skip.
@@ -339,19 +312,20 @@ TEST(ControllerPipelineTest, ShadowModeCountsCleanAndDirtySamples) {
 // The ledger's event-maintained fixed sums must survive rebalancer migrations:
 // deliberately stacking every reservation onto two of four cores forces the
 // greedy rebalance pass to re-home reservations through Machine::Migrate (and
-// the controller's migration hook -> BudgetLedger::MoveFixed), while shadow
-// mode asserts ledger == FixedPptOnCoreScan inside every resolve tick (an
-// RR_CHECK abort on the first divergence). The adaptive hogs keep every core's
-// squish active so the shadow comparison actually runs.
-TEST(ControllerPipelineTest, ShadowScanAgreesAcrossRebalancerMigrationStorm) {
+// the controller's migration hook -> BudgetLedger::MoveFixed), while the
+// invariant oracle compares every core's ledger sum with a fresh scan of the
+// fixed-class threads after every controller tick. The adaptive hogs keep every
+// core's squish active.
+TEST(ControllerPipelineTest, OracleScanAgreesAcrossRebalancerMigrationStorm) {
+  InvariantOracle oracle;  // Outlives the system it observes.
   SystemConfig config;
   config.num_cpus = 4;
-  config.controller.shadow_check = true;
   config.machine.rebalance_interval = Duration::Millis(20);
   // Average reserved load is 8 x 150 ppt / 4 cores = 0.3, exactly the threshold,
   // so the greedy pass keeps migrating until the skew below is fully levelled.
   config.machine.rebalance_threshold = 0.3;
   System system(config);
+  oracle.Observe(system);
   std::vector<SimThread*> rts;
   for (int i = 0; i < 8; ++i) {
     SimThread* rt = system.Spawn("rt" + std::to_string(i), std::make_unique<CpuHogWork>());
@@ -372,7 +346,8 @@ TEST(ControllerPipelineTest, ShadowScanAgreesAcrossRebalancerMigrationStorm) {
   system.Start();
   system.RunFor(Duration::Seconds(2));
   EXPECT_GT(system.machine().migrations(), 0);
-  EXPECT_GT(system.controller().shadow_checks(), 0);
+  EXPECT_TRUE(oracle.ok()) << oracle.Summary();
+  EXPECT_GT(oracle.controller_checks(), 0);
   // Reserved load (fixed reservations plus the hogs' adaptive grants) is still
   // spread over every core: the rebalancer did not strand the forced skew.
   double spread_min = 1.0;

@@ -71,31 +71,24 @@ TEST(GoldenTraceTest, ServerFarmFourCpuScheduleIsPinned) {
   EXPECT_GT(result.idle_suspensions, 0);
 }
 
-TEST(GoldenTraceTest, ServerFarmHotPathModesAreTraceEquivalent) {
-  // The tentpole guarantee, pinned at scenario level: indexed pick vs reference scan
-  // and idle fast-forward on vs off schedule the farm bit-identically.
+TEST(GoldenTraceTest, ServerFarmIdleFastForwardIsTraceEquivalent) {
+  // Idle fast-forward on vs off schedules the farm bit-identically.
   ServerFarmParams params = FarmPinParams(4);
   params.run_for = Duration::Millis(120);
-  const ServerFarmResult indexed = RunServerFarmScenario(params);
-
-  ServerFarmParams reference = params;
-  reference.rbs.use_indexed_pick = false;
-  const ServerFarmResult ref = RunServerFarmScenario(reference);
-  EXPECT_EQ(indexed.trace_hash, ref.trace_hash);
-  EXPECT_EQ(indexed.total_dispatches, ref.total_dispatches);
+  const ServerFarmResult fast = RunServerFarmScenario(params);
 
   ServerFarmParams no_ff = params;
   no_ff.idle_fast_forward = false;
   const ServerFarmResult eager = RunServerFarmScenario(no_ff);
-  EXPECT_EQ(indexed.trace_hash, eager.trace_hash);
-  EXPECT_EQ(indexed.total_dispatches, eager.total_dispatches);
-  EXPECT_EQ(indexed.total_consumed_bytes, eager.total_consumed_bytes);
+  EXPECT_EQ(fast.trace_hash, eager.trace_hash);
+  EXPECT_EQ(fast.total_dispatches, eager.total_dispatches);
+  EXPECT_EQ(fast.total_consumed_bytes, eager.total_consumed_bytes);
   EXPECT_EQ(eager.idle_suspensions, 0);  // The knob actually disables the machinery.
 }
 
 TEST(GoldenTraceTest, ServerFarmSlabModesAreTraceEquivalent) {
   // The memory-layout tentpole guarantee, pinned at scenario level: the hot-field
-  // slab columns (plus the column sweeps and kAuto pick they enable) versus the
+  // slab columns (plus the column sweeps they enable) versus the
   // pre-slab AoS build schedule the farm bit-identically — the slabs are a layout,
   // not a policy.
   ServerFarmParams params = FarmPinParams(4);
@@ -108,26 +101,6 @@ TEST(GoldenTraceTest, ServerFarmSlabModesAreTraceEquivalent) {
   EXPECT_EQ(slabs_on.trace_hash, slabs_off.trace_hash);
   EXPECT_EQ(slabs_on.total_dispatches, slabs_off.total_dispatches);
   EXPECT_EQ(slabs_on.total_consumed_bytes, slabs_off.total_consumed_bytes);
-}
-
-TEST(GoldenTraceTest, ServerFarmControllerModesAreTraceEquivalent) {
-  // The control-plane tentpole guarantee, pinned at scenario level: the staged
-  // Sample→Estimate→Resolve→Actuate pipeline (with shadow asserts live) and the
-  // monolithic RunOnceReference sweep schedule the farm bit-identically.
-  ServerFarmParams params = FarmPinParams(4);
-  params.run_for = Duration::Millis(120);
-  params.controller.shadow_check = true;
-  const ServerFarmResult pipeline = RunServerFarmScenario(params);
-
-  ServerFarmParams reference = params;
-  reference.controller.shadow_check = false;
-  reference.controller.use_pipeline = false;
-  const ServerFarmResult ref = RunServerFarmScenario(reference);
-  EXPECT_EQ(pipeline.trace_hash, ref.trace_hash);
-  EXPECT_EQ(pipeline.total_dispatches, ref.total_dispatches);
-  EXPECT_EQ(pipeline.total_consumed_bytes, ref.total_consumed_bytes);
-  EXPECT_EQ(pipeline.squish_events, ref.squish_events);
-  EXPECT_EQ(pipeline.quality_exceptions, ref.quality_exceptions);
 }
 
 TEST(GoldenTraceTest, FigureScenariosAreRunToRunDeterministic) {

@@ -102,6 +102,36 @@ TEST(InvariantOracleTest, CatchesDispatchOfBlockedThread) {
   EXPECT_NE(oracle.violations().front().message.find("state"), std::string::npos);
 }
 
+TEST(InvariantOracleTest, CatchesPickThatIsNotTheReservedBest) {
+  // Two runnable reservations on one core: rate-monotonic order makes the 10 ms
+  // thread the reserved best, so handing the CPU to the 20 ms one (or to an
+  // unreserved thread) is a dispatch bug the pick oracle must report.
+  InvariantOracle oracle;  // Outlives the system it observes.
+  System system;
+  oracle.Observe(system);
+  SimThread* fast = system.Spawn("fast", std::make_unique<CpuHogWork>());
+  SimThread* slow = system.Spawn("slow", std::make_unique<CpuHogWork>());
+  SimThread* plain = system.Spawn("plain", std::make_unique<CpuHogWork>());
+  ASSERT_TRUE(system.controller().AddRealTime(fast, Proportion::Ppt(100),
+                                              Duration::Millis(10)));
+  ASSERT_TRUE(system.controller().AddRealTime(slow, Proportion::Ppt(100),
+                                              Duration::Millis(20)));
+  const TimePoint now = system.sim().Now();
+
+  oracle.OnPicked(system.machine(), 0, fast, now);
+  EXPECT_TRUE(oracle.ok()) << oracle.Summary();
+  oracle.OnPicked(system.machine(), 0, slow, now);
+  oracle.OnPicked(system.machine(), 0, plain, now);
+  EXPECT_EQ(oracle.violation_count(), 2);
+  ASSERT_EQ(oracle.violations().size(), 2u);
+  EXPECT_NE(oracle.violations()[0].message.find("reserved best is thread " +
+                                                std::to_string(fast->id())),
+            std::string::npos)
+      << oracle.Summary();
+  EXPECT_EQ(oracle.pick_checks(), 3);
+  EXPECT_EQ(oracle.indexed_pick_checks(), 0);  // Three threads: the scan side.
+}
+
 TEST(InvariantOracleTest, CleanOnHealthySystemAndAllHooksFire) {
   // Declared before the system it observes: the system holds raw references to the
   // oracle, so the oracle must be destroyed last (see Observe's contract).
@@ -128,6 +158,8 @@ TEST(InvariantOracleTest, CleanOnHealthySystemAndAllHooksFire) {
   EXPECT_GT(oracle.ticks_observed(), 0);
   EXPECT_GT(oracle.picks_observed(), 0);
   EXPECT_GT(oracle.controller_runs_observed(), 0);
+  EXPECT_EQ(oracle.pick_checks(), oracle.picks_observed());
+  EXPECT_GT(oracle.controller_checks(), 0);
 }
 
 TEST(InvariantOracleTest, ObserverDoesNotPerturbTheSchedule) {
@@ -275,20 +307,18 @@ TEST(WorkloadGeneratorTest, ControlPlaneBucketCoversAllFiveClassesAtScale) {
   EXPECT_GE(found, 1) << "no control-plane bucket seed in 1..200";
 }
 
-TEST(DifferentialRunnerTest, ControllerShadowEngagesOnAControlPlaneBucketSeed) {
-  // On a 1000+-thread all-classes spec, the feedback run with controller shadow mode
-  // must execute shadow equalities every tick, exercise the dirty-set sampler in
-  // both directions, and stay violation-free.
+TEST(DifferentialRunnerTest, ControllerOracleEngagesOnAControlPlaneBucketSeed) {
+  // On a 1000+-thread all-classes spec, the oracle must re-derive the controller's
+  // state every tick, the dirty-set sampler must skip clean threads, and the run
+  // must stay violation-free.
   for (uint64_t seed = 1; seed <= 200; ++seed) {
     const WorkloadSpec spec = GenerateWorkload(seed);
     if (spec.interactives.empty()) {
       continue;
     }
-    RunOptions options;
-    options.controller_shadow_check = true;
-    const RunOutcome outcome = RunWorkload(spec, options);
+    const RunOutcome outcome = RunWorkload(spec, RunOptions{});
     EXPECT_EQ(outcome.violation_count, 0) << "seed " << seed;
-    EXPECT_GT(outcome.controller_shadow_checks, 0) << "seed " << seed;
+    EXPECT_GT(outcome.controller_checks, 0) << "seed " << seed;
     EXPECT_GT(outcome.controller_clean_samples, 0) << "seed " << seed;
     return;
   }
@@ -402,25 +432,39 @@ TEST(DifferentialRunnerTest, LotteryDrawsFromTheInjectedSeedOnly) {
   EXPECT_NE(hash_a, hash_b);
 }
 
-TEST(DifferentialRunnerTest, ShadowSchedulerAgreesOnOneHundredSeeds) {
-  // The shadow-scheduler pin for the indexed dispatch hot path: across 100 generated
-  // workloads (including the high-thread-count farm buckets), every RBS dispatch
-  // computes both the indexed pick and the reference O(n) scan pick and asserts they
-  // are identical — a mismatch aborts the process. The counters prove the shadow
-  // comparison actually ran, and ran on every core.
+TEST(DifferentialRunnerTest, PickOracleAgreesOnOneHundredSeeds) {
+  // The pick-oracle pin for the dispatch hot path: across 100 generated workloads
+  // (including the high-thread-count farm buckets), the oracle re-derives the best
+  // reserved thread at every RBS dispatch and reports any pick that differs. The
+  // counters prove the comparison actually ran, on both sides of the occupancy
+  // switch.
   int64_t total_checks = 0;
+  int64_t indexed_checks = 0;
   for (uint64_t seed = 1; seed <= 100; ++seed) {
     const WorkloadSpec spec = GenerateWorkload(seed);
     RunOptions options;
-    options.kind = SchedulerKind::kFeedbackRbs;
-    options.rbs_shadow_check = true;
     options.run_for_override = Duration::Millis(120);
     const RunOutcome outcome = RunWorkload(spec, options);
-    EXPECT_GT(outcome.shadow_checks, 0) << "seed " << seed;
+    EXPECT_GT(outcome.pick_checks, 0) << "seed " << seed;
     EXPECT_EQ(outcome.violation_count, 0) << "seed " << seed;
-    total_checks += outcome.shadow_checks;
+    total_checks += outcome.pick_checks;
+    indexed_checks += outcome.indexed_pick_checks;
   }
   EXPECT_GT(total_checks, 10'000);  // The pin has teeth: tens of thousands of picks.
+  EXPECT_GT(indexed_checks, 0);
+  EXPECT_LT(indexed_checks, total_checks);
+}
+
+TEST(DifferentialRunnerTest, PickOracleChecksIndexedPicksOnAHighThreadBucketSeed) {
+  // Seed 11 draws the high-thread-count bucket (324 pipelines on five cores): its
+  // cores cross the occupancy switch, so the oracle must check picks made from the
+  // pick index, not only from the scan.
+  const WorkloadSpec spec = GenerateWorkload(11);
+  ASSERT_GE(spec.pipelines.size(), 256u);
+  ASSERT_TRUE(spec.interactives.empty());
+  const RunOutcome outcome = RunWorkload(spec, RunOptions{});
+  EXPECT_EQ(outcome.violation_count, 0);
+  EXPECT_GT(outcome.indexed_pick_checks, 0);
 }
 
 TEST(DifferentialRunnerTest, HostThreadsAreTraceInvariantOnOneHundredSeeds) {
@@ -445,16 +489,18 @@ TEST(DifferentialRunnerTest, HostThreadsAreTraceInvariantOnOneHundredSeeds) {
   }
 }
 
-TEST(DifferentialRunnerTest, ShadowModeDoesNotPerturbTheSchedule) {
-  // shadow_check must be a pure observer: the same spec with and without it produces
-  // the identical trace (it shares the run with the invariant battery, so any
-  // perturbation would silently weaken both).
+TEST(DifferentialRunnerTest, OracleDoesNotPerturbTheFeedbackSchedule) {
+  // The hot-path re-derivations must be pure observers: the same spec with and
+  // without the oracle produces the identical trace (the oracle shares the run with
+  // the invariant battery, so any perturbation would silently weaken both).
   const WorkloadSpec spec = GenerateWorkload(321);
-  RunOptions plain;
-  plain.run_for_override = Duration::Millis(200);
-  RunOptions shadowed = plain;
-  shadowed.rbs_shadow_check = true;
-  EXPECT_EQ(RunWorkload(spec, plain).trace_hash, RunWorkload(spec, shadowed).trace_hash);
+  RunOptions observed;
+  observed.run_for_override = Duration::Millis(200);
+  RunOptions plain = observed;
+  plain.attach_oracle = false;
+  const RunOutcome with_oracle = RunWorkload(spec, observed);
+  EXPECT_GT(with_oracle.pick_checks, 0);
+  EXPECT_EQ(RunWorkload(spec, plain).trace_hash, with_oracle.trace_hash);
 }
 
 TEST(DifferentialRunnerTest, CheckSeedPassesOnHealthySeeds) {

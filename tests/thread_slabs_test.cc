@@ -267,22 +267,20 @@ TEST(ThreadSlabsTest, MigrationRewritesCpuColumnWithoutMovingSlot) {
 TEST(ThreadSlabsTest, SchedulerRemoveMidRunKeepsSlabBindingAndReindexes) {
   // RemoveThread takes a thread out of the run queue mid-run; the registry keeps
   // the slab binding (slot == id is the registry's contract), and a later pick
-  // must not return the removed thread.
+  // must not return the removed thread. 96 threads: enough for the pick index.
   Simulator sim;
   ThreadRegistry threads;
-  RbsConfig config;
-  config.pick_mode = PickMode::kIndexed;
-  RbsScheduler rbs(sim.cpu(), config);
-  std::vector<SimThread*> all;
-  for (int i = 0; i < 8; ++i) {
+  RbsScheduler rbs(sim.cpu());
+  for (int i = 0; i < 96; ++i) {
     SimThread* t = threads.Create("t" + std::to_string(i), std::make_unique<CpuHogWork>());
     rbs.AddThread(t);
-    rbs.SetReservation(t, Proportion::Ppt(10), Duration::Millis(10 + i), sim.Now());
-    all.push_back(t);
+    rbs.SetReservation(t, Proportion::Ppt(1), Duration::Millis(10 + i), sim.Now());
   }
+  ASSERT_TRUE(rbs.indexing_active());
   SimThread* victim = rbs.PickNext(sim.Now());
   ASSERT_NE(victim, nullptr);
   rbs.RemoveThread(victim);
+  EXPECT_TRUE(rbs.indexing_active());  // 95 enqueued: above the switch-off point.
   EXPECT_EQ(victim->slab_slot(), static_cast<int32_t>(victim->id()));
   for (int i = 0; i < 8; ++i) {
     SimThread* pick = rbs.PickNext(sim.Now());
@@ -291,27 +289,26 @@ TEST(ThreadSlabsTest, SchedulerRemoveMidRunKeepsSlabBindingAndReindexes) {
   }
 }
 
-TEST(ThreadSlabsTest, AutoPickModeActivatesAndDeactivatesWithHysteresis) {
+TEST(ThreadSlabsTest, PickIndexActivatesAndDeactivatesWithHysteresis) {
+  // The occupancy switch: the index turns on at 96 enqueued threads and off only
+  // below 48.
   Simulator sim;
   ThreadRegistry threads;
-  RbsConfig config;
-  config.pick_mode = PickMode::kAuto;
-  config.auto_index_threshold = 16;
-  RbsScheduler rbs(sim.cpu(), config);
+  RbsScheduler rbs(sim.cpu());
   std::vector<SimThread*> all;
-  for (int i = 0; i < 15; ++i) {
+  for (int i = 0; i < 95; ++i) {
     SimThread* t = threads.Create("t" + std::to_string(i), std::make_unique<CpuHogWork>());
     rbs.AddThread(t);
     all.push_back(t);
   }
-  EXPECT_FALSE(rbs.indexing_active());  // Below threshold: reference scan.
+  EXPECT_FALSE(rbs.indexing_active());  // Below the threshold: goodness scan.
   SimThread* extra = threads.Create("extra", std::make_unique<CpuHogWork>());
   rbs.AddThread(extra);
   all.push_back(extra);
   EXPECT_TRUE(rbs.indexing_active());  // Crossed the threshold.
 
-  // Hysteresis: stays on until the population falls below threshold / 2.
-  while (all.size() > 8) {
+  // Hysteresis: stays on until the population falls below half the threshold.
+  while (all.size() > 48) {
     rbs.RemoveThread(all.back());
     all.pop_back();
   }

@@ -188,10 +188,13 @@ int main(int argc, char** argv) {
   // per-core epoch mailboxes, and how many seeds came from the generator's
   // mailbox-regime bucket. If bucket seeds were generated but not one round
   // staked, the 1-vs-N equality quietly stopped testing parallel queue rounds —
-  // that is a harness regression, failed as loudly as a trace divergence.
+  // that is a harness regression, failed as loudly as a trace divergence. The same
+  // holds for the pick oracle: a 100-seed battery in which no pick was checked
+  // while a core's pick index was active has stopped testing the index.
   int64_t total_parallel_rounds = 0;
   int64_t total_mailbox_rounds = 0;
   int64_t mailbox_regime_seeds = 0;
+  int64_t total_indexed_pick_checks = 0;
   for (int64_t i = 0; i < args.iterations; ++i) {
     const uint64_t seed = args.seed_base + static_cast<uint64_t>(i);
     const realrate::SeedReport report = realrate::CheckSeed(seed, options);
@@ -201,6 +204,7 @@ int main(int argc, char** argv) {
     total_parallel_rounds += report.equivalence_parallel_rounds;
     total_mailbox_rounds += report.equivalence_mailbox_rounds;
     mailbox_regime_seeds += report.spec.mailbox_regime ? 1 : 0;
+    total_indexed_pick_checks += report.indexed_pick_checks;
     if (!args.quiet && (i + 1) % 25 == 0) {
       std::printf("%lld/%lld seeds ok (last: %llu)\n", static_cast<long long>(i + 1),
                   static_cast<long long>(args.iterations),
@@ -219,6 +223,8 @@ int main(int argc, char** argv) {
                 static_cast<long long>(total_parallel_rounds),
                 static_cast<long long>(total_mailbox_rounds),
                 static_cast<long long>(mailbox_regime_seeds));
+    std::printf("pick oracle: %lld picks checked with the pick index active\n",
+                static_cast<long long>(total_indexed_pick_checks));
   }
   if (mailbox_regime_seeds > 0 && total_mailbox_rounds == 0) {
     std::fprintf(stderr,
@@ -227,6 +233,13 @@ int main(int argc, char** argv) {
                  "mailboxes — the 1-vs-N comparison no longer exercises parallel "
                  "queue rounds\n",
                  static_cast<long long>(mailbox_regime_seeds));
+    return 1;
+  }
+  if (args.iterations >= 100 && total_indexed_pick_checks == 0) {
+    std::fprintf(stderr,
+                 "FAIL vacuity: %lld seeds ran but the oracle checked no pick made "
+                 "while a core's pick index was active — the index went unchecked\n",
+                 static_cast<long long>(args.iterations));
     return 1;
   }
   return 0;
