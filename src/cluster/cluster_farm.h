@@ -7,7 +7,7 @@
 // so every per-machine trace stays exactly what a standalone machine would
 // produce.
 //
-// Determinism contract (tests/cluster_test.cc, scripts/check_cluster_scale.py):
+// Determinism contract (tests/cluster_test.cc):
 // same params ⇒ bit-identical per-machine trace hashes at any host_threads; and
 // num_machines = 1 is pinned bit-identical to RunWebFarmScenario with the same
 // WebFarmParams. To keep the M = 1 pin exact, the degenerate cluster hands the

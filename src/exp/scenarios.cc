@@ -486,8 +486,6 @@ ServerFarmResult RunServerFarmScenario(const ServerFarmParams& params) {
   result.num_cpus = params.num_cpus;
   result.num_threads = 2 * params.num_pipelines + params.num_hogs;
   result.total_dispatches = system.machine().dispatches();
-  result.dispatch_per_vsec =
-      static_cast<double>(result.total_dispatches) / params.run_for.ToSeconds();
   result.context_switches = system.machine().context_switches();
   result.migrations = system.machine().migrations();
   result.idle_suspensions = system.machine().idle_suspensions();

@@ -204,7 +204,8 @@ struct SmpParams {
 struct SmpResult {
   int num_cpus = 0;
   // Aggregate dispatcher activity: schedule() invocations summed over cores, and the
-  // same expressed per virtual second — the bench_smp_scale scaling metric.
+  // same expressed per virtual second — the SMP scaling metric that
+  // SmpScenarioTest.DispatchThroughputGrowsFromOneToFourCores gates.
   int64_t total_dispatches = 0;
   double dispatch_throughput_per_vsec = 0.0;
   int64_t migrations = 0;
@@ -258,8 +259,8 @@ struct ServerFarmParams {
   // Control-plane knobs. Defaults are the production configuration.
   ControllerConfig controller;
   // Memory-layout knob (SystemConfig::thread_slabs): hot-field slab columns on
-  // (production) vs the pre-slab SimThread pointer chase — bench_dispatch_scale's
-  // A/B axis, and the golden slab-equivalence test's two sides.
+  // (production) vs the pre-slab SimThread pointer chase — the golden
+  // slab-equivalence test's two sides.
   bool thread_slabs = true;
   // Host OS threads driving the simulated cores (MachineConfig::host_threads).
   // Any value produces the same trace hash — bench_parallel_engine's scaling axis
@@ -270,10 +271,8 @@ struct ServerFarmParams {
 struct ServerFarmResult {
   int num_cpus = 0;
   int num_threads = 0;
-  // Aggregate dispatcher activity over the run: schedule() invocations, and the rate
-  // per virtual second — the bench_dispatch_scale scaling metric.
+  // Aggregate dispatcher activity over the run: schedule() invocations.
   int64_t total_dispatches = 0;
-  double dispatch_per_vsec = 0.0;
   int64_t context_switches = 0;
   int64_t migrations = 0;
   int64_t idle_suspensions = 0;

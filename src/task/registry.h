@@ -15,7 +15,7 @@ namespace realrate {
 // order, stable addresses) and — unless constructed with use_slabs = false — bound to
 // hot-field slabs at Create, so column sweeps cover exactly the registry's thread set
 // in creation order. `use_slabs = false` builds the pre-slab AoS configuration the
-// differential harness and bench_dispatch_scale compare against.
+// differential harness and the golden slab-equivalence test compare against.
 class ThreadRegistry {
  public:
   explicit ThreadRegistry(bool use_slabs = true) : use_slabs_(use_slabs) {}

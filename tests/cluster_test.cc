@@ -1,7 +1,8 @@
 // The cluster layer (src/cluster/): the front-end router's deterministic
 // apportionment, the M = 1 bit-equality pin against a bare Machine, per-machine
-// trace invariance across host threads and reruns, goodput scaling with M, the
-// cross-machine rebalancer, and the all-drop zero-served edge.
+// trace invariance across host threads and reruns, goodput scaling with M (and
+// the pinned M=1/4/16 scale-out sweep), the cross-machine rebalancer, the
+// all-drop zero-served edge, and a ~2M-thread configuration smoke.
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -172,6 +173,39 @@ TEST(ClusterFarmTest, GoodputScalesWithMachines) {
   EXPECT_GT(r4.goodput_rps, r1.goodput_rps * 1.5);
 }
 
+TEST(ClusterFarmTest, ScaleOutSweepIsPinned) {
+  // The scale-out sweep: 2-core/4-worker nodes behind the feedback router, fed
+  // 0.9x of the whole cluster's saturation rate for 1 s, at M = 1/4/16. The
+  // offered stream grows with M, so served must grow with it; each width's
+  // schedule is pinned.
+  struct Row {
+    int machines;
+    uint64_t cluster_hash;
+  };
+  constexpr Row kSweep[] = {{1, 11338117482333893952ull},
+                            {4, 4625612893124806026ull},
+                            {16, 2815708046067757760ull}};
+  std::vector<int64_t> served;
+  for (const Row& row : kSweep) {
+    ClusterFarmParams p;
+    p.num_machines = row.machines;
+    p.farm.num_cpus = 2;
+    p.farm.num_workers = 4;
+    p.farm.run_for = Duration::Seconds(1);
+    p.farm.arrivals.seed = 99;
+    p.farm.arrivals.requests_per_sec = 0.9 * ClusterFarmCapacityRps(p);
+    const ClusterFarmResult r = RunClusterFarmScenario(p);
+    EXPECT_EQ(r.cluster_hash, row.cluster_hash) << "M=" << row.machines;
+    EXPECT_LE(r.p50_ms, r.p99_ms) << "M=" << row.machines;
+    EXPECT_LT(r.imbalance_ratio, 1.5) << "M=" << row.machines;
+    served.push_back(r.served);
+  }
+  EXPECT_GT(served[0], 0);
+  EXPECT_LT(served[0], served[1]);
+  EXPECT_LT(served[1], served[2]);
+  EXPECT_GE(served[2], 8 * served[0]);
+}
+
 TEST(ClusterFarmTest, FeedbackRoutingSpreadsLoad) {
   ClusterFarmParams p = SmallCluster(4);
   p.farm.arrivals.requests_per_sec = 0.8 * ClusterFarmCapacityRps(p);
@@ -230,6 +264,32 @@ TEST(ClusterFarmTest, RebalancerMovesQueuedBacklog) {
   EXPECT_EQ(frozen.rebalanced, 0);
   // Moving queued work changes the schedule; the hashes must reflect it.
   EXPECT_NE(moved.machine_trace_hashes, frozen.machine_trace_hashes);
+}
+
+// ---------------------------------------------------------------------------
+// Configuration smoke: its own serial CTest entry, cluster_scale_smoke (see
+// tests/CMakeLists.txt), and filtered out of the plain cluster_test entry.
+
+TEST(ClusterScaleSmokeTest, TwoMillionThreadsServe) {
+  // ~2M simulated threads, reached wide (2048 nodes of 1024 workers) rather
+  // than deep: a node's start-up transient grows quadratically with its
+  // workers but only linearly with machines, and at 1024 workers on 2 cores a
+  // node still serves. The smoke must serve at least half of what it injects,
+  // not just allocate threads.
+  ClusterFarmParams p;
+  p.num_machines = 2048;
+  p.farm.num_cpus = 2;
+  p.farm.num_workers = 1024;
+  p.farm.run_for = Duration::Millis(300);
+  p.epoch = Duration::Millis(10);
+  p.rebalance_interval = Duration::Zero();
+  p.farm.arrivals.seed = 99;
+  p.farm.arrivals.requests_per_sec = 400'000.0;
+  const ClusterFarmResult r = RunClusterFarmScenario(p);
+  EXPECT_GE(r.total_threads, 2'000'000);
+  EXPECT_GT(r.served, 0);
+  EXPECT_GE(static_cast<double>(r.served), 0.5 * static_cast<double>(r.injected));
+  EXPECT_EQ(r.cluster_hash, 16773132090333788936ull);
 }
 
 }  // namespace

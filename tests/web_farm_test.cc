@@ -195,7 +195,7 @@ WebFarmParams PinParams() {
 // Recorded from the implementation at the commit that introduced the farm. A
 // mismatch means the open-loop schedule drifted — a behavior change to justify
 // explicitly, not a baseline to refresh casually (tools/trace_replay --selfcheck
-// and bench_web_farm both re-derive equality facts; this pins the actual value).
+// re-derives the equality facts; this pins the actual value).
 constexpr uint64_t kWebFarmPinHash = 13076213962862507137ull;
 
 TEST(WebFarmTest, GoldenScheduleIsPinned) {
@@ -293,6 +293,44 @@ TEST(WebFarmTest, OverloadShowsUpAsDropsNotCollapse) {
     EXPECT_LE(r->served, r->accepted);  // Unserved accepts are queued at a worker.
     EXPECT_EQ(r->injected, r->offered);  // Whole stream arrives within the horizon.
   }
+}
+
+TEST(WebFarmTest, LoadSweepSchedulesArePinned) {
+  // The offered-load sweep: a 4-core, 8-worker farm for 1 s under one seed-99
+  // stream per ratio of saturation, generated once and replayed. Each ratio's
+  // schedule is pinned; across the sweep overload must surface as a rising drop
+  // fraction while goodput saturates rather than collapsing.
+  struct Row {
+    double ratio;
+    uint64_t trace_hash;
+  };
+  constexpr Row kSweep[] = {{0.5, 10195338160710204624ull},
+                            {0.75, 3939434344561939996ull},
+                            {1.0, 7758713012166673980ull},
+                            {1.5, 2417153164444833427ull},
+                            {2.0, 8051969049420729151ull}};
+  WebFarmParams params;
+  params.num_cpus = 4;
+  params.num_workers = 8;
+  params.run_for = Duration::Millis(1000);
+  ArrivalConfig arrivals;
+  arrivals.seed = 99;
+  std::vector<WebFarmResult> results;
+  for (const Row& row : kSweep) {
+    arrivals.requests_per_sec = row.ratio * WebFarmCapacityRps(params);
+    params.replay = GenerateRequests(arrivals, params.run_for);
+    const WebFarmResult& r = results.emplace_back(RunWebFarmScenario(params));
+    EXPECT_EQ(r.trace_hash, row.trace_hash) << row.ratio << "x";
+    EXPECT_GT(r.served, 0) << row.ratio << "x";
+    EXPECT_LE(r.p50_ms, r.p99_ms) << row.ratio << "x";
+    EXPECT_LE(r.p99_ms, r.p999_ms) << row.ratio << "x";
+  }
+  const auto drop_frac = [](const WebFarmResult& r) {
+    return static_cast<double>(r.listen_drops + r.dispatch_drops) /
+           static_cast<double>(r.offered);
+  };
+  EXPECT_GT(drop_frac(results.back()), drop_frac(results.front()));
+  EXPECT_GE(results.back().served, results.front().served);
 }
 
 TEST(WebFarmTest, OversizedReplayRecordsAreClampedNotFatal) {
