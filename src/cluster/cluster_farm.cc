@@ -20,33 +20,6 @@ uint64_t FoldHashes(const std::vector<uint64_t>& hashes) {
   return h;
 }
 
-// The per-node stack, configured exactly as RunWebFarmScenario configures its
-// single machine — the M = 1 bit-equality pin depends on this being identical.
-SystemConfig NodeConfig(const WebFarmParams& params) {
-  SystemConfig config;
-  config.num_cpus = params.num_cpus;
-  config.cpu.clock_hz = params.clock_hz;
-  config.rbs = params.rbs;
-  config.controller = params.controller;
-  config.machine.idle_fast_forward = params.idle_fast_forward;
-  config.machine.host_threads = params.host_threads;
-  config.thread_slabs = params.thread_slabs;
-  return config;
-}
-
-WebFarmBuild NodeBuild(const WebFarmParams& params, std::vector<RequestRecord> records) {
-  WebFarmBuild build;
-  build.tag = "web";
-  build.num_workers = params.num_workers;
-  build.num_acceptors = params.num_acceptors;
-  build.accept_cycles = params.accept_cycles;
-  build.listen_queue_bytes = params.listen_queue_bytes;
-  build.worker_queue_bytes = params.worker_queue_bytes;
-  build.clock_hz = params.clock_hz;
-  build.records = std::move(records);
-  return build;
-}
-
 }  // namespace
 
 ClusterFarmResult RunClusterFarmScenario(const ClusterFarmParams& params) {
@@ -64,7 +37,7 @@ ClusterFarmResult RunClusterFarmScenario(const ClusterFarmParams& params) {
 
   ClusterConfig cluster_config;
   cluster_config.num_machines = machines;
-  cluster_config.node = NodeConfig(params.farm);
+  cluster_config.node = WebFarmSystemConfig(params.farm);
   cluster_config.epoch = params.epoch;
   Cluster cluster(cluster_config);
 
@@ -84,7 +57,7 @@ ClusterFarmResult RunClusterFarmScenario(const ClusterFarmParams& params) {
     // which is what keeps the M = 1 trace pin bit-exact. M > 1 injects
     // epoch-by-epoch from the router below.
     farms.push_back(BuildWebFarm(
-        NodeBuild(params.farm, machines == 1 ? records : std::vector<RequestRecord>{}),
+        WebFarmBuildOf(params.farm, machines == 1 ? records : std::vector<RequestRecord>{}),
         node.sim(), node.threads(), node.queues(), node.machine(), &node.controller()));
   }
 

@@ -31,13 +31,18 @@
 
 namespace realrate {
 
+// Admission threshold < 1: "reserve some capacity to cover the overhead of
+// scheduling and interrupt handling." The controller starts from this ceiling, and
+// deadline-miss backoff lowers it (core/controller.h).
+inline constexpr double kOverloadThreshold = 0.95;
+
 class BudgetLedger {
  public:
   explicit BudgetLedger(int num_cores);
 
   int num_cores() const { return static_cast<int>(fixed_ppt_.size()); }
 
-  // --- Admission threshold (mirrors the controller's overload_threshold) ---
+  // --- Admission threshold (mirrors the controller's current threshold) ---
   // The spare aggregates below are defined against this ceiling. The owning
   // controller re-mirrors it whenever adaptive admission backoff moves the
   // threshold, so cluster-level readers always see post-backoff head-room.
@@ -93,7 +98,7 @@ class BudgetLedger {
   std::vector<double> granted_;
   std::vector<int64_t> granted_ppt_;
   int64_t fixed_ppt_total_ = 0;
-  int32_t threshold_ppt_ = 950;  // ControllerConfig::overload_threshold default.
+  int32_t threshold_ppt_ = Proportion::FromFraction(kOverloadThreshold).ppt();
   int64_t spare_ppt_total_ = 0;
 };
 

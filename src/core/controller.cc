@@ -15,13 +15,14 @@ FeedbackAllocator::FeedbackAllocator(Machine& machine, RbsScheduler& rbs, QueueR
       rbs_(rbs),
       queues_(queues),
       config_(config),
-      overload_threshold_(config.overload_threshold),
+      overload_threshold_(kOverloadThreshold),
       ledger_(machine.num_cpus()),
       core_requests_(static_cast<size_t>(machine.num_cpus())),
       core_slots_(static_cast<size_t>(machine.num_cpus())),
       core_grants_(static_cast<size_t>(machine.num_cpus())) {
   RR_EXPECTS(config.interval.IsPositive());
-  RR_EXPECTS(config.overload_threshold > 0 && config.overload_threshold <= 1.0);
+  static_assert(kOverloadThreshold > 0 && kOverloadThreshold <= 1.0);
+  static_assert(kMinOverloadThreshold > 0 && kMinOverloadThreshold <= kOverloadThreshold);
   ledger_.SetThresholdPpt(Proportion::FromFraction(overload_threshold_).ppt());
   slabs_ = machine_.registry().slabs();
   WireScheduler(rbs_);
@@ -229,7 +230,7 @@ bool FeedbackAllocator::AddAperiodicRealTime(SimThread* thread, Proportion propo
   c.cls = ThreadClass::kAperiodicRealTime;
   // "Without a progress metric with which to assess the application's needs, our
   // prototype uses a default value of 30 milliseconds."
-  c.period = config_.default_period;
+  c.period = kDefaultPeriod;
   c.fixed_ppt = proportion.ppt();
   c.desired = c.granted = request;
   thread->set_thread_class(ThreadClass::kAperiodicRealTime);
@@ -249,16 +250,16 @@ void FeedbackAllocator::AddRealRate(SimThread* thread) {
   Controlled c;
   c.thread = thread;
   c.cls = ThreadClass::kRealRate;
-  c.period = config_.default_period;
+  c.period = kDefaultPeriod;
   c.estimator = std::make_unique<ProportionEstimator>(config_.estimator);
   if (config_.enable_period_estimation) {
-    c.period_estimator = std::make_unique<PeriodEstimator>(config_.period_estimator);
+    c.period_estimator = std::make_unique<PeriodEstimator>();
     const size_t window =
         std::max<size_t>(2, static_cast<size_t>(c.period / config_.interval));
     c.fill_window = std::make_unique<RingBuffer<double>>(window);
     c.last_period_mark = machine_.sim().Now();
   }
-  c.desired = c.granted = config_.estimator.min_fraction;
+  c.desired = c.granted = ProportionEstimator::kMinFraction;
   thread->set_thread_class(ThreadClass::kRealRate);
   Actuate(c, c.granted, machine_.sim().Now());
   RegisterControlled(std::move(c));
@@ -270,9 +271,9 @@ void FeedbackAllocator::AddMiscellaneous(SimThread* thread) {
   Controlled c;
   c.thread = thread;
   c.cls = ThreadClass::kMiscellaneous;
-  c.period = config_.default_period;
+  c.period = kDefaultPeriod;
   c.estimator = std::make_unique<ProportionEstimator>(config_.estimator);
-  c.desired = c.granted = config_.estimator.min_fraction;
+  c.desired = c.granted = ProportionEstimator::kMinFraction;
   thread->set_thread_class(ThreadClass::kMiscellaneous);
   Actuate(c, c.granted, machine_.sim().Now());
   RegisterControlled(std::move(c));
@@ -286,8 +287,8 @@ void FeedbackAllocator::AddInteractive(SimThread* thread) {
   c.cls = ThreadClass::kInteractive;
   // "Interactive jobs have specific requirements (periods relative to human
   // perception)": a small fixed period; the proportion floats with measured bursts.
-  c.period = config_.interactive_period;
-  c.desired = c.granted = config_.estimator.min_fraction;
+  c.period = kInteractivePeriod;
+  c.desired = c.granted = ProportionEstimator::kMinFraction;
   thread->set_thread_class(ThreadClass::kInteractive);
   Actuate(c, c.granted, machine_.sim().Now());
   RegisterControlled(std::move(c));
@@ -305,7 +306,7 @@ void FeedbackAllocator::Remove(SimThread* thread) {
 void FeedbackAllocator::EnsureQualityWindow(Controlled& c) {
   if (c.quality_window == nullptr) {
     c.quality_window = std::make_unique<SaturationWindow>(
-        static_cast<size_t>(10 * config_.quality_patience));
+        static_cast<size_t>(10 * kQualityPatience));
   }
 }
 
@@ -382,7 +383,7 @@ void FeedbackAllocator::EstimateStage(double dt, TimePoint now) {
         // is either satisfied or the CPU becomes oversubscribed." Satisfaction shows
         // up as under-use, which the estimator's reclaim branch converts into a
         // reduction.
-        c.last_pressure = config_.misc_pressure;
+        c.last_pressure = kMiscPressure;
         break;
       case ThreadClass::kInteractive: {
         // Proportion from the measured run-before-block burst: enough allocation to
@@ -393,14 +394,14 @@ void FeedbackAllocator::EstimateStage(double dt, TimePoint now) {
         const auto period_cycles =
             static_cast<double>(machine_.sim().cpu().DurationToCycles(c.period));
         double need =
-            config_.interactive_headroom * c.thread->burst_ewma_cycles() / period_cycles;
+            kInteractiveHeadroom * c.thread->burst_ewma_cycles() / period_cycles;
         const bool saturated =
             c.granted > 0 && c.tick_used_fraction >= 0.9 * c.granted;
         if (saturated) {
           need = std::max(need, c.granted * 2.0);
         }
-        c.desired = std::clamp(need, config_.estimator.min_fraction,
-                               config_.estimator.max_fraction);
+        c.desired = std::clamp(need, ProportionEstimator::kMinFraction,
+                               ProportionEstimator::kMaxFraction);
         c.last_pressure = 0.0;
         MirrorPressure(c);
         continue;
@@ -444,7 +445,7 @@ void FeedbackAllocator::ResolveStage() {
     // controlled set instead of touching each SimThread.
     const auto core = static_cast<size_t>(CpuOf(c));
     core_requests_[core].push_back(
-        {c.thread->id(), c.desired, ImportanceOf(c), config_.estimator.min_fraction});
+        {c.thread->id(), c.desired, ImportanceOf(c), ProportionEstimator::kMinFraction});
     core_slots_[core].push_back(slot);
   }
 
@@ -541,7 +542,7 @@ BoundedBuffer* FeedbackAllocator::GatherSaturation(Controlled& c) {
     // A consumer that cannot keep up sees its input pinned full (or its upstream
     // producer bouncing off a full queue); a producer that cannot keep up sees its
     // output pinned empty (or its downstream consumer finding nothing).
-    const bool fill_starved = FillStarved(l, config_.quality_fill_extreme);
+    const bool fill_starved = FillStarved(l, kQualityFillExtreme);
     const bool starved =
         fill_starved || (l.role == QueueRole::kConsumer ? full_hit : empty_hit);
     if (starved && saturated == nullptr) {
@@ -575,10 +576,10 @@ void FeedbackAllocator::QualityAudit(Controlled& c, TimePoint now) {
   // this gate, routine queue-drain events in healthy pipelines would look like
   // starvation.
   const bool allocation_limited = c.granted < c.desired - 1e-9 ||
-                                  c.desired >= config_.estimator.max_fraction - 1e-9;
+                                  c.desired >= ProportionEstimator::kMaxFraction - 1e-9;
   c.quality_window->Push((allocation_limited && saturated != nullptr) ? 1 : 0);
 
-  if (c.quality_window->evidence() >= config_.quality_patience && saturated != nullptr) {
+  if (c.quality_window->evidence() >= kQualityPatience && saturated != nullptr) {
     c.quality_window->Clear();
     ++quality_exceptions_;
     machine_.sim().trace().Record(now, TraceKind::kQualityException, c.thread->id(),
@@ -657,16 +658,13 @@ std::optional<ThreadClass> FeedbackAllocator::ClassOf(ThreadId id) const {
 
 void FeedbackAllocator::OnDeadlineMiss(SimThread* thread, Cycles shortfall, TimePoint now) {
   machine_.sim().trace().Record(now, TraceKind::kDeadlineMiss, thread->id(), shortfall);
-  if (config_.adaptive_admission) {
-    // "If the RBS is missing deadlines, it notifies the controller which can increase
-    // the amount of spare capacity by reducing the admission threshold."
-    overload_threshold_ =
-        std::max(config_.min_overload_threshold, overload_threshold_ - config_.admission_backoff);
-    // Keep the ledger's spare aggregate defined against the post-backoff ceiling:
-    // the cluster router reads head-room through the ledger, and routing new load
-    // at a machine that is shedding admissions would fight the backoff.
-    ledger_.SetThresholdPpt(Proportion::FromFraction(overload_threshold_).ppt());
-  }
+  // "If the RBS is missing deadlines, it notifies the controller which can increase
+  // the amount of spare capacity by reducing the admission threshold."
+  overload_threshold_ = std::max(kMinOverloadThreshold, overload_threshold_ - kAdmissionBackoff);
+  // Keep the ledger's spare aggregate defined against the post-backoff ceiling:
+  // the cluster router reads head-room through the ledger, and routing new load
+  // at a machine that is shedding admissions would fight the backoff.
+  ledger_.SetThresholdPpt(Proportion::FromFraction(overload_threshold_).ppt());
 }
 
 }  // namespace realrate

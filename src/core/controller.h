@@ -31,7 +31,7 @@
 // schedule.
 //
 // Multi-CPU: proportions are allocated per core. Admission control and the
-// squish/overload resolution each operate within the 100% (well, overload_threshold)
+// squish/overload resolution each operate within the 100% (well, overload threshold)
 // budget of one core, exactly as the paper's uniprocessor controller does — the
 // Machine's placement/rebalance policy decides which core a thread's proportion is
 // drawn from, and a real-time reservation that would be rejected on its own core is
@@ -76,42 +76,39 @@ struct ControllerConfig {
   // Controller execution period: "100 Hz in our prototype".
   Duration interval = Duration::Millis(10);
   ProportionEstimatorConfig estimator;
-  PeriodEstimatorConfig period_estimator;
   // The paper's experiments all disable period estimation; so do we by default.
   bool enable_period_estimation = false;
-  // Default period for aperiodic and miscellaneous threads: "our prototype uses a
-  // default value of 30 milliseconds."
-  Duration default_period = Duration::Millis(30);
-  // Overload threshold < 1: "reserve some capacity to cover the overhead of scheduling
-  // and interrupt handling."
-  double overload_threshold = 0.95;
-  // Constant progress-pressure applied to miscellaneous threads: "the controller
-  // approximates the thread's progress with a positive constant." Sized so an
-  // unopposed miscellaneous job ramps to the ceiling within a couple of seconds.
-  double misc_pressure = 0.1;
   // Whether the controller's own computation is charged to the CPU (Fig. 5 overhead).
   bool charge_overhead = true;
-  // Quality exception: fires when at least `quality_patience` of the last
-  // `10 * quality_patience` controller intervals showed saturation evidence (queue
-  // pinned beyond the fill extreme, or saturation hits — failed pushes/pops — since
-  // the previous check). A windowed count rather than a consecutive streak: bursty
-  // consumers dip below the extreme between drain bursts even while data is being
-  // dropped at a steady rate.
-  int quality_patience = 25;  // Evidence intervals within the last 10x window.
-  double quality_fill_extreme = 0.95;
-  // Deadline-miss feedback (paper footnote 3): each miss notification shrinks the
-  // admission threshold by this amount, increasing spare capacity.
-  bool adaptive_admission = true;
-  double admission_backoff = 0.002;
-  double min_overload_threshold = 0.5;
-  // Interactive heuristic: period small enough for human perception, and enough
-  // allocation headroom for one measured burst per period.
-  Duration interactive_period = Duration::Millis(10);
-  double interactive_headroom = 1.5;
 };
 
 class FeedbackAllocator {
  public:
+  // Default period for aperiodic and miscellaneous threads: "our prototype uses a
+  // default value of 30 milliseconds."
+  static constexpr Duration kDefaultPeriod = Duration::Millis(30);
+  // Constant progress-pressure applied to miscellaneous threads: "the controller
+  // approximates the thread's progress with a positive constant." Sized so an
+  // unopposed miscellaneous job ramps to the ceiling within a couple of seconds.
+  static constexpr double kMiscPressure = 0.1;
+  // Quality exception: fires when at least kQualityPatience of the last
+  // 10 * kQualityPatience controller intervals showed saturation evidence (queue
+  // pinned beyond kQualityFillExtreme, or saturation hits — failed pushes/pops —
+  // since the previous check). A windowed count rather than a consecutive streak:
+  // bursty consumers dip below the extreme between drain bursts even while data is
+  // being dropped at a steady rate.
+  static constexpr int kQualityPatience = 25;
+  static constexpr double kQualityFillExtreme = 0.95;
+  // Deadline-miss feedback (paper footnote 3): each miss notification shrinks the
+  // admission threshold (from kOverloadThreshold, core/budget_ledger.h) by
+  // kAdmissionBackoff, increasing spare capacity, down to kMinOverloadThreshold.
+  static constexpr double kAdmissionBackoff = 0.002;
+  static constexpr double kMinOverloadThreshold = 0.5;
+  // Interactive heuristic: period small enough for human perception, and enough
+  // allocation headroom for one measured burst per period.
+  static constexpr Duration kInteractivePeriod = Duration::Millis(10);
+  static constexpr double kInteractiveHeadroom = 1.5;
+
   FeedbackAllocator(Machine& machine, RbsScheduler& rbs, QueueRegistry& queues,
                     const ControllerConfig& config = ControllerConfig{});
   ~FeedbackAllocator();  // Releases the Machine's migration hook.

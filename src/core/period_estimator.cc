@@ -6,10 +6,9 @@
 
 namespace realrate {
 
-PeriodEstimator::PeriodEstimator(const PeriodEstimatorConfig& config)
-    : config_(config), swings_(static_cast<size_t>(config.window)) {
-  RR_EXPECTS(config.window >= 1);
-  RR_EXPECTS(config.min_period <= config.max_period);
+PeriodEstimator::PeriodEstimator() : swings_(static_cast<size_t>(kWindow)) {
+  static_assert(kWindow >= 1);
+  static_assert(kMinPeriod <= kMaxPeriod);
 }
 
 void PeriodEstimator::ObserveFillSwing(double swing) {
@@ -31,12 +30,12 @@ double PeriodEstimator::MeanSwing() const {
 Duration PeriodEstimator::Propose(Duration current, double allocation_fraction) {
   RR_EXPECTS(current.IsPositive());
   // Jitter first: halve the period when fill level oscillates too widely.
-  if (swings_.full() && MeanSwing() > config_.jitter_threshold) {
-    return std::max(config_.min_period, current / 2);
+  if (swings_.full() && MeanSwing() > kJitterThreshold) {
+    return std::max(kMinPeriod, current / 2);
   }
   // Quantization: double the period while the proportion is small.
-  if (allocation_fraction < config_.small_fraction) {
-    return std::min(config_.max_period, current * 2);
+  if (allocation_fraction < kSmallFraction) {
+    return std::min(kMaxPeriod, current * 2);
   }
   return current;
 }

@@ -16,23 +16,22 @@
 
 namespace realrate {
 
-struct PeriodEstimatorConfig {
-  Duration min_period = Duration::Millis(5);
-  Duration max_period = Duration::Millis(240);
+class PeriodEstimator {
+ public:
+  // Range a proposed period is clamped to.
+  static constexpr Duration kMinPeriod = Duration::Millis(5);
+  static constexpr Duration kMaxPeriod = Duration::Millis(240);
   // Proportion below which quantization error dominates: with a 1 ms dispatch quantum,
   // a thread with a 10 ms period and a 2% share is due 0.2 quanta per period — it
   // either gets one quantum (5x too much) or none. Growing the period amortizes this.
-  double small_fraction = 0.02;
+  static constexpr double kSmallFraction = 0.02;
   // Fill-level swing (fraction of buffer size, averaged over the window) above which
   // the period shrinks to cut jitter.
-  double jitter_threshold = 0.25;
+  static constexpr double kJitterThreshold = 0.25;
   // Number of recent fill-swing observations averaged.
-  int window = 8;
-};
+  static constexpr int kWindow = 8;
 
-class PeriodEstimator {
- public:
-  explicit PeriodEstimator(const PeriodEstimatorConfig& config);
+  PeriodEstimator();
 
   // Records the fill-level swing (max-min fill fraction) observed over the last period.
   void ObserveFillSwing(double swing);
@@ -46,7 +45,6 @@ class PeriodEstimator {
   double MeanSwing() const;
 
  private:
-  PeriodEstimatorConfig config_;
   RingBuffer<double> swings_;
 };
 

@@ -9,11 +9,11 @@ namespace realrate {
 ProportionEstimator::ProportionEstimator(const ProportionEstimatorConfig& config)
     : config_(config),
       pid_(config.gains),
-      pressure_filter_(config.pressure_filter_tau),
-      desired_(config.min_fraction) {
-  RR_EXPECTS(config.min_fraction >= 0 && config.min_fraction <= config.max_fraction);
-  RR_EXPECTS(config.max_fraction <= 1.0);
-  RR_EXPECTS(config.reclaim_patience >= 1);
+      pressure_filter_(kPressureFilterTau),
+      desired_(kMinFraction) {
+  static_assert(kMinFraction >= 0 && kMinFraction <= kMaxFraction);
+  static_assert(kMaxFraction <= 1.0);
+  static_assert(kReclaimPatience >= 1);
 }
 
 double ProportionEstimator::Step(double pressure, double used_fraction,
@@ -21,26 +21,26 @@ double ProportionEstimator::Step(double pressure, double used_fraction,
   RR_EXPECTS(dt > 0);
   reclaimed_ = false;
 
-  // "Too generous" check first: the thread left more than `reclaim_headroom` of the
+  // "Too generous" check first: the thread left more than `kReclaimHeadroom` of the
   // allocation it was actually granted unused. A squished thread that consumes its
   // whole (small) grant is not over-provisioned, however large its desire. Requiring
   // a streak avoids reacting to a single interval where the thread happened to block
   // briefly (e.g. a momentarily empty input queue).
-  const bool underused = granted_fraction > config_.min_fraction &&
-                         used_fraction < granted_fraction * (1.0 - config_.reclaim_headroom);
+  const bool underused = granted_fraction > kMinFraction &&
+                         used_fraction < granted_fraction * (1.0 - kReclaimHeadroom);
   if (underused) {
     ++underuse_streak_;
   } else {
     underuse_streak_ = 0;
   }
 
-  if (underuse_streak_ >= config_.reclaim_patience) {
+  if (underuse_streak_ >= kReclaimPatience) {
     // P'_t = P_t - C, where P_t is the allocation actually in force. Also rebase the
     // PID so its integral agrees with the reduced allocation (bumpless transfer);
     // otherwise the integral would immediately push the allocation back up.
-    desired_ = std::max(config_.min_fraction,
+    desired_ = std::max(kMinFraction,
                         std::min(desired_, granted_fraction) - config_.reclaim_step);
-    pid_.SetOutputState(desired_ / config_.scale_k);
+    pid_.SetOutputState(desired_ / kScaleK);
     underuse_streak_ = 0;
     reclaimed_ = true;
     return desired_;
@@ -48,14 +48,14 @@ double ProportionEstimator::Step(double pressure, double used_fraction,
 
   // P'_t = k * Q_t, the "on target" branch, with the pressure smoothed first.
   const double q = pid_.Step(pressure_filter_.Step(pressure, dt), dt);
-  desired_ = std::clamp(config_.scale_k * q, config_.min_fraction, config_.max_fraction);
+  desired_ = std::clamp(kScaleK * q, kMinFraction, kMaxFraction);
   return desired_;
 }
 
 void ProportionEstimator::Reset() {
   pid_.Reset();
   pressure_filter_.Reset();
-  desired_ = config_.min_fraction;
+  desired_ = kMinFraction;
   underuse_streak_ = 0;
   reclaimed_ = false;
 }

@@ -22,31 +22,34 @@ struct ProportionEstimatorConfig {
   // the paper's measured responsiveness.
   swift::PidGains gains{.kp = 0.3, .ki = 2.0, .kd = 0.0, .integral_limit = 0.5,
                         .derivative_filter_tau = 0.05};
-  // The constant scaling factor k mapping PID output to a CPU fraction.
-  double scale_k = 1.0;
-  // Low-pass time constant (seconds) applied to the sampled pressure before the PID.
-  // The controller samples fill levels asynchronously to thread periods; threads drain
-  // their per-period budgets in bursts, so raw samples alias at the beat frequency.
-  // "Using a suitable low-pass filter, we can schedule jobs with reasonable
-  // responsiveness and low overhead while keeping the sampling rate reasonably high."
-  double pressure_filter_tau = 0.04;
-  // Allocation floor: "avoids starvation by ensuring that every job in the system is
-  // assigned a non-zero percentage of the CPU."
-  double min_fraction = 0.005;  // 5 ppt
-  double max_fraction = 0.95;
-  // "Too generous" detection: if the thread used less than (1 - reclaim_headroom) of
-  // the allocation it was actually granted for reclaim_patience consecutive samples,
-  // reduce by reclaim_step. The step must out-pace the miscellaneous constant-pressure
-  // growth (scale_k * ki * misc_pressure per second) or an idle important thread would
+  // The reclaim step: the constant C, as a CPU fraction (50 ppt). It must out-pace
+  // the miscellaneous constant-pressure growth (kScaleK * ki *
+  // FeedbackAllocator::kMiscPressure per second) or an idle important thread would
   // hold an inflated allocation forever.
-  double reclaim_headroom = 0.25;
-  int reclaim_patience = 3;
-  double reclaim_step = 0.05;  // The constant C, as a CPU fraction (50 ppt).
+  double reclaim_step = 0.05;
 };
 
 // Per-thread estimator state: one PID plus reclaim bookkeeping.
 class ProportionEstimator {
  public:
+  // The constant scaling factor k mapping PID output to a CPU fraction.
+  static constexpr double kScaleK = 1.0;
+  // Low-pass time constant (seconds) applied to the sampled pressure before the PID.
+  // The controller samples fill levels asynchronously to thread periods; threads drain
+  // their per-period budgets in bursts, so raw samples alias at the beat frequency.
+  // "Using a suitable low-pass filter, we can schedule jobs with reasonable
+  // responsiveness and low overhead while keeping the sampling rate reasonably high."
+  static constexpr double kPressureFilterTau = 0.04;
+  // Allocation floor: "avoids starvation by ensuring that every job in the system is
+  // assigned a non-zero percentage of the CPU."
+  static constexpr double kMinFraction = 0.005;  // 5 ppt
+  static constexpr double kMaxFraction = 0.95;
+  // "Too generous" detection: if the thread used less than (1 - kReclaimHeadroom) of
+  // the allocation it was actually granted for kReclaimPatience consecutive samples,
+  // reduce by the configured reclaim_step.
+  static constexpr double kReclaimHeadroom = 0.25;
+  static constexpr int kReclaimPatience = 3;
+
   explicit ProportionEstimator(const ProportionEstimatorConfig& config);
 
   // One controller interval for this thread.
@@ -55,7 +58,8 @@ class ProportionEstimator {
   //   granted_fraction: CPU fraction actuated for it last interval (post-squish) —
   //                     the "amount allocated to it" of the paper's reclaim test.
   //   dt:               controller interval in seconds.
-  // Returns the new desired allocation as a CPU fraction (clamped to [min, max]).
+  // Returns the new desired allocation as a CPU fraction, clamped to
+  // [kMinFraction, kMaxFraction].
   double Step(double pressure, double used_fraction, double granted_fraction, double dt);
 
   // Desired allocation from the previous Step.

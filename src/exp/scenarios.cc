@@ -366,67 +366,6 @@ StarvationResult RunStarvationScenario(SchedulerKind kind, double importance_rat
   return result;
 }
 
-SmpResult RunSmpPipelinesScenario(const SmpParams& params) {
-  RR_EXPECTS(params.num_cpus >= 1);
-  RR_EXPECTS(params.num_pipelines >= 1);
-  SystemConfig config;
-  config.num_cpus = params.num_cpus;
-  config.cpu.clock_hz = params.clock_hz;
-  System system(config);
-  system.sim().trace().SetEnabled(true);
-
-  std::vector<SimThread*> consumers;
-  consumers.reserve(static_cast<size_t>(params.num_pipelines));
-  for (int i = 0; i < params.num_pipelines; ++i) {
-    const std::string tag = std::to_string(i);
-    BoundedBuffer* queue = system.CreateQueue("pipe" + tag, params.queue_bytes);
-    SimThread* producer = system.Spawn(
-        "producer" + tag,
-        std::make_unique<ProducerWork>(queue, params.producer_cycles_per_item,
-                                       RateSchedule(params.bytes_per_item)));
-    SimThread* consumer = system.Spawn(
-        "consumer" + tag,
-        std::make_unique<ConsumerWork>(queue, params.consumer_cycles_per_byte));
-    system.queues().Register(queue, producer->id(), QueueRole::kProducer);
-    system.queues().Register(queue, consumer->id(), QueueRole::kConsumer);
-    RR_CHECK(system.controller().AddRealTime(producer, params.producer_proportion,
-                                             params.producer_period));
-    system.controller().AddRealRate(consumer);
-    consumers.push_back(consumer);
-  }
-  for (int i = 0; i < params.num_hogs; ++i) {
-    SimThread* hog = system.Spawn("hog" + std::to_string(i), std::make_unique<CpuHogWork>());
-    system.controller().AddMiscellaneous(hog);
-  }
-
-  system.Start();
-  system.RunFor(params.run_for);
-
-  SmpResult result;
-  result.num_cpus = params.num_cpus;
-  result.total_dispatches = system.machine().dispatches();
-  result.dispatch_throughput_per_vsec =
-      static_cast<double>(result.total_dispatches) / params.run_for.ToSeconds();
-  result.migrations = system.machine().migrations();
-  const auto per_core_capacity =
-      static_cast<double>(system.sim().cpu().DurationToCycles(params.run_for));
-  result.aggregate_user_fraction =
-      static_cast<double>(system.sim().UsedAllCpus(CpuUse::kUser)) /
-      (per_core_capacity * params.num_cpus);
-  for (CpuId c = 0; c < params.num_cpus; ++c) {
-    result.core_user_fraction.push_back(
-        static_cast<double>(system.sim().cpu(c).Used(CpuUse::kUser)) / per_core_capacity);
-    result.core_reserved_fraction.push_back(system.machine().ReservedFractionOn(c));
-  }
-  for (const SimThread* consumer : consumers) {
-    result.total_consumed_bytes += consumer->progress_units();
-  }
-  result.quality_exceptions = system.controller().quality_exceptions();
-  result.squish_events = system.controller().squish_events();
-  result.trace_hash = system.sim().trace().Hash();
-  return result;
-}
-
 ServerFarmResult RunServerFarmScenario(const ServerFarmParams& params) {
   RR_EXPECTS(params.num_cpus >= 1);
   // A pure-hog farm (num_pipelines == 0) is a valid configuration: it is the

@@ -174,56 +174,6 @@ StarvationResult RunStarvationScenario(SchedulerKind kind, double importance_rat
                                        uint64_t lottery_seed = 1234);
 
 // ---------------------------------------------------------------------------
-// SMP: N producer/consumer pipelines spread across a multi-core machine.
-// ---------------------------------------------------------------------------
-
-// The paper's Fig. 6 pipeline, replicated: `num_pipelines` independent real-time
-// producer → real-rate consumer pairs run on a `num_cpus`-core machine. Placement is
-// the Machine's least-loaded policy; the controller allocates proportions within each
-// core's budget; the rebalancer resolves any over-subscription. With
-// num_cpus == num_pipelines == 1 this is exactly the Fig. 6 steady-state setup.
-struct SmpParams {
-  int num_cpus = 4;
-  int num_pipelines = 4;
-  double clock_hz = 400e6;
-
-  // Per-pipeline shapes (same meaning as PipelineParams, steady rate, no pulses).
-  Proportion producer_proportion = Proportion::Ppt(50);
-  Duration producer_period = Duration::Millis(10);
-  Cycles producer_cycles_per_item = 400'000;
-  double bytes_per_item = 100.0;
-  Cycles consumer_cycles_per_byte = 2'000;
-  int64_t queue_bytes = 4'000;
-
-  // Optional miscellaneous CPU hogs competing machine-wide.
-  int num_hogs = 0;
-
-  Duration run_for = Duration::Seconds(10);
-};
-
-struct SmpResult {
-  int num_cpus = 0;
-  // Aggregate dispatcher activity: schedule() invocations summed over cores, and the
-  // same expressed per virtual second — the SMP scaling metric that
-  // SmpScenarioTest.DispatchThroughputGrowsFromOneToFourCores gates.
-  int64_t total_dispatches = 0;
-  double dispatch_throughput_per_vsec = 0.0;
-  int64_t migrations = 0;
-  // User work as a fraction of the whole machine's capacity (all cores), plus the
-  // per-core breakdown and each core's final reserved-proportion sum.
-  double aggregate_user_fraction = 0.0;
-  std::vector<double> core_user_fraction;
-  std::vector<double> core_reserved_fraction;
-  // End-to-end progress: bytes consumed summed over every pipeline's consumer.
-  int64_t total_consumed_bytes = 0;
-  int64_t quality_exceptions = 0;
-  int64_t squish_events = 0;
-  uint64_t trace_hash = 0;
-};
-
-SmpResult RunSmpPipelinesScenario(const SmpParams& params);
-
-// ---------------------------------------------------------------------------
 // Server farm: hundreds to thousands of pipeline threads on a few cores — the
 // production-scale workload the indexed dispatch hot path (sched/rbs.h) and the
 // Machine's idle fast-forward exist for.
@@ -236,6 +186,8 @@ SmpResult RunSmpPipelinesScenario(const SmpParams& params);
 // miscellaneous. Thread count = 2 * num_pipelines + num_hogs. The default clock
 // models a modern server core rather than the paper's 400 MHz testbed, keeping the
 // per-10 ms controller pass (which is O(threads)) a realistic fraction of a core.
+// Set to the paper's 400 MHz clock and Fig. 6 pipeline shape, a handful of pipelines
+// per core is the SMP scaling scenario (tests/smp_test.cc, SmpScenarioTest).
 struct ServerFarmParams {
   int num_cpus = 4;
   int num_pipelines = 256;

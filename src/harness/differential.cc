@@ -597,7 +597,7 @@ SeedReport CheckSeed(uint64_t seed, const SeedCheckOptions& options) {
   // generator's feasibility guarantee: the controller's per-thread allocation floor
   // times hundreds of adaptive threads exceeds the core outright. Such specs run at
   // their own (deterministic all the same) width. The threshold derives from the
-  // same controller defaults RunWorkload builds with: the floors must fit in half
+  // same controller constants RunWorkload builds with: the floors must fit in half
   // the admission budget, leaving the other half for fixed reservations and growth.
   int adaptive_threads =
       static_cast<int>(spec.hogs.size()) + static_cast<int>(spec.interactives.size());
@@ -607,11 +607,8 @@ SeedReport CheckSeed(uint64_t seed, const SeedCheckOptions& options) {
   for (const OpenLoopSpec& ol : spec.open_loops) {
     adaptive_threads += ol.num_workers + ol.num_acceptors;  // All real-rate.
   }
-  const ControllerConfig controller_defaults;
-  const double floor_sum =
-      adaptive_threads * controller_defaults.estimator.min_fraction;
-  const int stability_cpus =
-      floor_sum > controller_defaults.overload_threshold / 2 ? spec.num_cpus : 1;
+  const double floor_sum = adaptive_threads * ProportionEstimator::kMinFraction;
+  const int stability_cpus = floor_sum > kOverloadThreshold / 2 ? spec.num_cpus : 1;
   for (const SchedulerKind kind : kAllKinds) {
     RunOptions uni;
     uni.kind = kind;

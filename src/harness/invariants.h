@@ -54,8 +54,9 @@ struct InvariantViolation {
 
 struct OracleConfig {
   // Ceiling for one core's reserved-proportion sum. The controller actually enforces
-  // its overload_threshold (0.95 by default); the oracle checks the weaker hard bound
-  // Σ <= 1 so it stays valid for rigs that bypass the controller.
+  // its overload threshold (kOverloadThreshold = 0.95, lowered by deadline-miss
+  // backoff); the oracle checks the weaker hard bound Σ <= 1 so it stays valid for
+  // rigs that bypass the controller.
   double max_core_allocation = 1.0;
   // Violations recorded verbatim; beyond this they are only counted.
   size_t max_recorded = 16;

@@ -18,7 +18,7 @@ Machine::Machine(Simulator& sim, std::vector<Scheduler*> schedulers, ThreadRegis
   RR_EXPECTS(!schedulers.empty());
   RR_EXPECTS(static_cast<int>(schedulers.size()) == sim.num_cpus());
   RR_EXPECTS(config.dispatch_interval.IsPositive());
-  RR_EXPECTS(config.rebalance_threshold > 0);
+  static_assert(kRebalanceInterval.IsPositive() && kRebalanceThreshold > 0);
   cores_.resize(schedulers.size());
   for (size_t i = 0; i < schedulers.size(); ++i) {
     RR_EXPECTS(schedulers[i] != nullptr);
@@ -57,8 +57,8 @@ void Machine::Start() {
     CoreAt(c).next_tick_event =
         sim_.ScheduleAfter(config_.dispatch_interval, TickCallback(c));
   }
-  if (num_cpus() > 1 && config_.rebalance_interval.IsPositive()) {
-    sim_.ScheduleAfter(config_.rebalance_interval, [this] { Rebalance(); });
+  if (num_cpus() > 1) {
+    sim_.ScheduleAfter(kRebalanceInterval, [this] { Rebalance(); });
   }
 }
 
@@ -373,8 +373,8 @@ void Machine::PushSleeper(const SleepEntry& entry) {
 }
 
 void Machine::WakeExpiredSleepers(TimePoint now) {
-  // The global timer interrupt is serviced by the boot core; its cost lands there.
-  Cpu& cpu = sim_.cpu(0);
+  // The global timer interrupt is serviced by the boot core; its cost lands there
+  // (StealCycles' default core).
   bool any_expired = false;
   // Gather this tick's due sleepers from both levels, then sort the batch into the
   // (wake_at, generation) order the single heap used to pop in — stale entries are
@@ -443,7 +443,7 @@ void Machine::WakeExpiredSleepers(TimePoint now) {
     }
     any_expired = true;
     if (config_.charge_overheads) {
-      StealCycles(CpuUse::kTimer, cpu.config().timer_expired_cycles);
+      StealCycles(CpuUse::kTimer, Cpu::kTimerExpiredCycles);
     }
     thread->set_state(ThreadState::kRunnable);
     thread->set_last_wake_time(now);
@@ -454,7 +454,7 @@ void Machine::WakeExpiredSleepers(TimePoint now) {
   // The cached next-expiry means an interrupt that finds nothing expired does near-zero
   // work ("this routine typically runs in constant time").
   if (!any_expired && config_.charge_overheads) {
-    StealCycles(CpuUse::kTimer, cpu.config().timer_idle_cycles);
+    StealCycles(CpuUse::kTimer, Cpu::kTimerIdleCycles);
   }
   if (any_expired) {
     InvalidateRoundGate();  // The runnable set grew; re-evaluate before forking.
@@ -907,8 +907,8 @@ void Machine::AccountIdleTick(CpuId core_id) {
   Cpu& cpu = sim_.cpu(core_id);
   ++core.ticks;
   if (core_id == 0 && config_.charge_overheads) {
-    cpu.Charge(CpuUse::kTimer, cpu.config().timer_idle_cycles);
-    core.stolen_backlog += cpu.config().timer_idle_cycles;
+    cpu.Charge(CpuUse::kTimer, Cpu::kTimerIdleCycles);
+    core.stolen_backlog += Cpu::kTimerIdleCycles;
   }
   Cycles cycles_left = cycles_per_tick_;
   const Cycles absorbed = std::min(core.stolen_backlog, cycles_left);
@@ -941,7 +941,7 @@ void Machine::AccountSkippedTicks(TimePoint upto, bool inclusive) {
   // multiplications. The degenerate sub-timer-cost tick capacity falls back to a
   // literal per-tick replay, where backlog genuinely carries across ticks.
   const bool steady = !config_.charge_overheads ||
-                      sim_.cpu(0).config().timer_idle_cycles <= cycles_per_tick_;
+                      Cpu::kTimerIdleCycles <= cycles_per_tick_;
   for (CpuId c = 0; c < num_cpus(); ++c) {
     if (!steady) {
       for (int64_t i = 0; i < count; ++i) {
@@ -955,7 +955,7 @@ void Machine::AccountSkippedTicks(TimePoint upto, bool inclusive) {
       Cycles cycles_left = cycles_per_tick_;  // Per-tick remainder after overheads.
       if (config_.charge_overheads) {
         if (c == 0) {
-          const Cycles timer = cpu.config().timer_idle_cycles;
+          const Cycles timer = Cpu::kTimerIdleCycles;
           cpu.Charge(CpuUse::kTimer, timer * count);
           cycles_left -= timer;  // Absorbed from the same tick's capacity.
         }
@@ -1023,7 +1023,7 @@ void Machine::DispatchLoop(Core& core, CpuId core_id, TimePoint now, Cycles cycl
     if (pick != core.last_ran) {
       ++core.context_switches;
       if (config_.charge_overheads) {
-        const Cycles cs = cpu.config().context_switch_cycles;
+        const Cycles cs = Cpu::kContextSwitchCycles;
         cpu.Charge(CpuUse::kDispatch, cs);
         cycles_left -= std::min(cs, cycles_left);
         if (cycles_left == 0) {
@@ -1131,7 +1131,7 @@ void Machine::Rebalance() {
         lo_load = load;
       }
     }
-    if (hi_load <= config_.rebalance_threshold || hi == lo) {
+    if (hi_load <= kRebalanceThreshold || hi == lo) {
       break;
     }
     // Smallest positive reservation on the over-subscribed core (tie: lowest id).
@@ -1178,12 +1178,12 @@ void Machine::Rebalance() {
     // onto a nearly-full core would break the headroom admission control
     // guaranteed there.
     if (victim == nullptr || lo_load + victim_fraction >= hi_load - 1e-12 ||
-        lo_load + victim_fraction > config_.rebalance_threshold + 1e-12) {
+        lo_load + victim_fraction > kRebalanceThreshold + 1e-12) {
       break;
     }
     Migrate(victim, lo);
   }
-  sim_.ScheduleAfter(config_.rebalance_interval, [this] { Rebalance(); });
+  sim_.ScheduleAfter(kRebalanceInterval, [this] { Rebalance(); });
 }
 
 }  // namespace realrate

@@ -101,16 +101,6 @@ struct MachineConfig {
   // the header comment). Behavior-preserving; disable only to A/B the event count or
   // to debug the catch-up path itself.
   bool idle_fast_forward = true;
-  // --- SMP policy knobs (ignored on a 1-core machine) ---
-  // How often the rebalancer looks for proportion-over-subscribed cores. Zero
-  // disables rebalancing entirely.
-  Duration rebalance_interval = Duration::Millis(100);
-  // A core whose reserved-proportion sum exceeds this is over-subscribed: the
-  // rebalancer migrates its smallest reservations to the least-loaded core for as
-  // long as each move strictly reduces the machine's load spread. Defaults just
-  // under the controller's 0.95 admission ceiling so a core pinned at the squish
-  // ceiling counts as over-subscribed.
-  double rebalance_threshold = 0.9;
   // Host OS threads driving the simulated cores. 1 (the default) is the reference
   // engine: every event runs on the caller's thread. N > 1 runs gated dispatch
   // rounds one-host-thread-per-core (clamped to the core count) with bit-identical
@@ -120,6 +110,16 @@ struct MachineConfig {
 
 class Machine {
  public:
+  // --- SMP rebalancer policy (unused on a 1-core machine) ---
+  // How often the rebalancer looks for proportion-over-subscribed cores.
+  static constexpr Duration kRebalanceInterval = Duration::Millis(100);
+  // A core whose reserved-proportion sum exceeds this is over-subscribed: the
+  // rebalancer migrates its smallest reservations to the least-loaded core for as
+  // long as each move strictly reduces the machine's load spread. Just under the
+  // controller's 0.95 admission ceiling, so a core pinned at the squish ceiling
+  // counts as over-subscribed.
+  static constexpr double kRebalanceThreshold = 0.9;
+
   // Single-core machine (the paper's uniprocessor): `scheduler` is core 0's run
   // queue. Requires a 1-CPU simulator.
   Machine(Simulator& sim, Scheduler& scheduler, ThreadRegistry& registry,

@@ -257,36 +257,15 @@ void RbsScheduler::Replenish(SimThread* thread, TimePoint now) {
 }
 
 void RbsScheduler::OnTick(TimePoint now) {
-  if (!indexing_on_) {
-    // Scanning: the per-tick O(n) replenish sweep. With slab columns
-    // the scan pre-filters on the deadline column — Replenish's own early-out
-    // condition (now < period_start + period, i.e. now_ns < deadline_nanos) — so the
-    // common not-due tick streams three small columns and touches no thread object.
-    if (UseColumns()) {
-      const int64_t now_ns = now.nanos();
-      const size_t n = slots_.size();
-      for (size_t i = 0; i < n; ++i) {
-        const int32_t s = slots_[i];
-        if (slabs_->policy(s) == SchedPolicy::kReservation && slabs_->granted_ppt(s) != 0 &&
-            slabs_->deadline_nanos(s) <= now_ns) {
-          Replenish(threads_[i], now);
-        }
-      }
-      return;
-    }
-    for (SimThread* t : threads_) {
-      if (HasReservation(t)) {
-        Replenish(t, now);
-      }
-    }
-    return;
-  }
   if (UseColumns()) {
-    // Indexed mode with full slab coverage: the deadline-column sweep replaces the
-    // due-heap — one streaming pass over three small columns per tick instead of
-    // two O(log n) heap sifts per thread-period. `threads_` order is admission
-    // (seq) order — RemoveThread erases and AddThread appends with a fresh seq —
-    // so the replenish order matches the due-heap path's seq sort exactly.
+    // Slab-column sweep, in both modes: the scan pre-filters on the deadline column
+    // — Replenish's own early-out condition (now < period_start + period, i.e.
+    // now_ns < deadline_nanos) — so the common not-due tick streams three small
+    // columns and touches no thread object. In indexed mode it replaces the
+    // due-heap: one streaming pass per tick instead of two O(log n) heap sifts per
+    // thread-period. `threads_` order is admission (seq) order — RemoveThread
+    // erases and AddThread appends with a fresh seq — so the replenish order
+    // matches the due-heap path's seq sort exactly.
     const int64_t now_ns = now.nanos();
     const size_t n = slots_.size();
     for (size_t i = 0; i < n; ++i) {
@@ -294,6 +273,15 @@ void RbsScheduler::OnTick(TimePoint now) {
       if (slabs_->policy(s) == SchedPolicy::kReservation && slabs_->granted_ppt(s) != 0 &&
           slabs_->deadline_nanos(s) <= now_ns) {
         Replenish(threads_[i], now);
+      }
+    }
+    return;
+  }
+  if (!indexing_on_) {
+    // Scanning without slabs: the per-tick O(n) replenish sweep over the objects.
+    for (SimThread* t : threads_) {
+      if (HasReservation(t)) {
+        Replenish(t, now);
       }
     }
     return;

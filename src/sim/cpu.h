@@ -21,24 +21,6 @@ struct CpuConfig {
   // Paper testbed: "400 Mhz Pentium 2 with 128MB of memory".
   double clock_hz = 400e6;
 
-  // Cost, in cycles, of a context switch between threads (register save/restore plus
-  // immediate cache disturbance).
-  Cycles context_switch_cycles = 400;
-
-  // schedule(): base cost of one dispatcher run.
-  Cycles dispatch_base_cycles = 500;
-
-  // Cache-pollution term: at high dispatch frequency, each dispatch amortizes less
-  // cached state, so the per-dispatch cost grows roughly linearly with frequency.
-  // Expressed as extra cycles per kHz of dispatch frequency. Calibrated so the Fig. 8
-  // sweep shows its knee near 4 kHz with ~2.7% total overhead there.
-  double dispatch_cache_cycles_per_khz = 550.0;
-
-  // do_timers(): cost of a timer interrupt that finds no expired timer (the common
-  // case, thanks to the cached next-expiry) and of one that must do work.
-  Cycles timer_idle_cycles = 60;
-  Cycles timer_expired_cycles = 300;
-
   // User-level controller costs (Fig. 5): fixed cost per controller invocation plus a
   // per-controlled-thread cost (read metrics, compute, write allocation). Calibrated
   // from the paper's fit y = .00066x + .00057 at a 10 ms controller period:
@@ -60,6 +42,22 @@ enum class CpuUse : int {
 
 class Cpu {
  public:
+  // Kernel overhead cost model, in cycles, calibrated to the paper's 400 MHz testbed.
+  // Cost of a context switch between threads (register save/restore plus immediate
+  // cache disturbance).
+  static constexpr Cycles kContextSwitchCycles = 400;
+  // schedule(): base cost of one dispatcher run.
+  static constexpr Cycles kDispatchBaseCycles = 500;
+  // Cache-pollution term: at high dispatch frequency, each dispatch amortizes less
+  // cached state, so the per-dispatch cost grows roughly linearly with frequency.
+  // Expressed as extra cycles per kHz of dispatch frequency. Calibrated so the Fig. 8
+  // sweep shows its knee near 4 kHz with ~2.7% total overhead there.
+  static constexpr double kDispatchCacheCyclesPerKhz = 550.0;
+  // do_timers(): cost of a timer interrupt that finds no expired timer (the common
+  // case, thanks to the cached next-expiry) and of one that must do work.
+  static constexpr Cycles kTimerIdleCycles = 60;
+  static constexpr Cycles kTimerExpiredCycles = 300;
+
   explicit Cpu(const CpuConfig& config, CpuId id = 0) : config_(config), id_(id) {
     RR_EXPECTS(config.clock_hz > 0);
     RR_EXPECTS(id >= 0);
@@ -78,8 +76,8 @@ class Cpu {
 
   // Per-dispatch cost (cycles) when the dispatcher runs `dispatch_hz` times per second.
   Cycles DispatchCostAt(double dispatch_hz) const {
-    return config_.dispatch_base_cycles +
-           static_cast<Cycles>(config_.dispatch_cache_cycles_per_khz * dispatch_hz / 1000.0);
+    return kDispatchBaseCycles +
+           static_cast<Cycles>(kDispatchCacheCyclesPerKhz * dispatch_hz / 1000.0);
   }
 
   // Controller cost for one invocation controlling `num_threads` threads.

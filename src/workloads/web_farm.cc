@@ -319,10 +319,7 @@ std::unique_ptr<WebFarmInstance> BuildWebFarm(const WebFarmBuild& build, Simulat
   return farm;
 }
 
-WebFarmResult RunWebFarmScenario(const WebFarmParams& params) {
-  RR_EXPECTS(params.num_cpus >= 1);
-  RR_EXPECTS(params.run_for.IsPositive());
-
+SystemConfig WebFarmSystemConfig(const WebFarmParams& params) {
   SystemConfig config;
   config.num_cpus = params.num_cpus;
   config.cpu.clock_hz = params.clock_hz;
@@ -331,11 +328,10 @@ WebFarmResult RunWebFarmScenario(const WebFarmParams& params) {
   config.machine.idle_fast_forward = params.idle_fast_forward;
   config.machine.host_threads = params.host_threads;
   config.thread_slabs = params.thread_slabs;
-  System system(config);
-  system.sim().trace().SetEnabled(true);
-  // Only the hash is read; at overload densities the farm records a lot of events.
-  system.sim().trace().SetHashOnly(true);
+  return config;
+}
 
+WebFarmBuild WebFarmBuildOf(const WebFarmParams& params, std::vector<RequestRecord> records) {
   WebFarmBuild build;
   build.tag = "web";
   build.num_workers = params.num_workers;
@@ -344,8 +340,22 @@ WebFarmResult RunWebFarmScenario(const WebFarmParams& params) {
   build.listen_queue_bytes = params.listen_queue_bytes;
   build.worker_queue_bytes = params.worker_queue_bytes;
   build.clock_hz = params.clock_hz;
-  build.records = params.replay.empty() ? GenerateRequests(params.arrivals, params.run_for)
-                                        : params.replay;
+  build.records = std::move(records);
+  return build;
+}
+
+WebFarmResult RunWebFarmScenario(const WebFarmParams& params) {
+  RR_EXPECTS(params.num_cpus >= 1);
+  RR_EXPECTS(params.run_for.IsPositive());
+
+  System system(WebFarmSystemConfig(params));
+  system.sim().trace().SetEnabled(true);
+  // Only the hash is read; at overload densities the farm records a lot of events.
+  system.sim().trace().SetHashOnly(true);
+
+  const WebFarmBuild build = WebFarmBuildOf(
+      params, params.replay.empty() ? GenerateRequests(params.arrivals, params.run_for)
+                                    : params.replay);
   const auto offered = static_cast<int64_t>(build.records.size());
 
   std::unique_ptr<WebFarmInstance> farm =

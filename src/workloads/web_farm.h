@@ -33,6 +33,8 @@
 
 namespace realrate {
 
+struct SystemConfig;
+
 // A request sitting in (or popped from) a farm queue. BoundedBuffer counts bytes
 // only, so per-request identity (arrival time, service demand) rides in a side-band
 // FIFO that the single-threaded simulation keeps exactly in step with the buffer.
@@ -231,6 +233,12 @@ struct WebFarmResult {
 };
 
 WebFarmResult RunWebFarmScenario(const WebFarmParams& params);
+
+// The one mapping from WebFarmParams to a machine configuration and a farm build.
+// RunWebFarmScenario and the cluster's per-node stack (cluster/cluster_farm.h) both
+// use it: the M = 1 cluster pin depends on the two wiring their machines identically.
+SystemConfig WebFarmSystemConfig(const WebFarmParams& params);
+WebFarmBuild WebFarmBuildOf(const WebFarmParams& params, std::vector<RequestRecord> records);
 
 // The request rate (per second) at which the farm's CPUs are exactly saturated by
 // mean service + accept demand — the 1.0x point of an offered-load sweep.

@@ -143,11 +143,7 @@ TEST(ControllerTest, RealRateConsumerTracksProducerRate) {
 }
 
 TEST(ControllerTest, QualityExceptionFiresWhenDemandIsInfeasible) {
-  ControllerConfig config;
-  config.quality_patience = 10;
-  SystemConfig sys_config;
-  sys_config.controller = config;
-  System system(sys_config);
+  System system{};
 
   BoundedBuffer* q = system.CreateQueue("pipe", 2'000);
   // Producer floods; consumer needs ~190% of the CPU to keep up => impossible.
@@ -174,11 +170,7 @@ TEST(ControllerTest, QualityExceptionFiresWhenDemandIsInfeasible) {
 }
 
 TEST(ControllerTest, AdaptiveAdmissionShrinksThresholdOnMisses) {
-  ControllerConfig config;
-  config.adaptive_admission = true;
-  SystemConfig sys_config;
-  sys_config.controller = config;
-  System system(sys_config);
+  System system{};
   const double before = system.controller().overload_threshold();
 
   // Oversubscribed real-time pair (admitted separately under the threshold, but with a
@@ -310,32 +302,30 @@ TEST(ControllerPipelineTest, OracleAgreesAcrossCleanAndDirtySamples) {
 }
 
 // The ledger's event-maintained fixed sums must survive rebalancer migrations:
-// deliberately stacking every reservation onto two of four cores forces the
-// greedy rebalance pass to re-home reservations through Machine::Migrate (and
-// the controller's migration hook -> BudgetLedger::MoveFixed), while the
-// invariant oracle compares every core's ledger sum with a fresh scan of the
-// fixed-class threads after every controller tick. The adaptive hogs keep every
-// core's squish active.
+// deliberately stacking every reservation onto two of four cores, past the
+// rebalancer's over-subscription threshold, forces the greedy rebalance pass to
+// re-home reservations through Machine::Migrate (and the controller's migration
+// hook -> BudgetLedger::MoveFixed), while the invariant oracle compares every
+// core's ledger sum with a fresh scan of the fixed-class threads after every
+// controller tick. The adaptive hogs keep every core's squish active.
 TEST(ControllerPipelineTest, OracleScanAgreesAcrossRebalancerMigrationStorm) {
   InvariantOracle oracle;  // Outlives the system it observes.
   SystemConfig config;
   config.num_cpus = 4;
-  config.machine.rebalance_interval = Duration::Millis(20);
-  // Average reserved load is 8 x 150 ppt / 4 cores = 0.3, exactly the threshold,
-  // so the greedy pass keeps migrating until the skew below is fully levelled.
-  config.machine.rebalance_threshold = 0.3;
   System system(config);
   oracle.Observe(system);
   std::vector<SimThread*> rts;
   for (int i = 0; i < 8; ++i) {
     SimThread* rt = system.Spawn("rt" + std::to_string(i), std::make_unique<CpuHogWork>());
     ASSERT_TRUE(
-        system.controller().AddRealTime(rt, Proportion::Ppt(150), Duration::Millis(10)));
+        system.controller().AddRealTime(rt, Proportion::Ppt(230), Duration::Millis(10)));
     rts.push_back(rt);
   }
   // Placement spreads reservations evenly; undo that by stacking all eight onto
-  // cores 0 and 1 (600 ppt each, cores 2 and 3 idle) before the machine starts.
-  // Each forced move runs the migration hook, so the ledger tracks the skew too.
+  // cores 0 and 1 (920 ppt each, over the 900 ppt rebalance threshold; cores 2 and
+  // 3 idle) before the machine starts. Each forced move runs the migration hook,
+  // so the ledger tracks the skew too.
+  static_assert(4 * 0.230 > Machine::kRebalanceThreshold);
   for (size_t i = 0; i < rts.size(); ++i) {
     system.machine().Migrate(rts[i], i < 4 ? 0 : 1);
   }
@@ -344,6 +334,7 @@ TEST(ControllerPipelineTest, OracleScanAgreesAcrossRebalancerMigrationStorm) {
     system.controller().AddMiscellaneous(hog);
   }
   system.Start();
+  // Twenty 100 ms rebalance passes.
   system.RunFor(Duration::Seconds(2));
   EXPECT_GT(system.machine().migrations(), 0);
   EXPECT_TRUE(oracle.ok()) << oracle.Summary();
@@ -382,11 +373,7 @@ TEST(ControllerLifecycleTest, RemoveMidRunThenReAddUnderAnotherClass) {
 // A quality-exception victim can be removed and re-added: the fresh registration
 // starts with an empty evidence window and can raise exceptions again.
 TEST(ControllerLifecycleTest, ReAddAfterQualityExceptionStartsFresh) {
-  ControllerConfig config;
-  config.quality_patience = 10;
-  SystemConfig sys_config;
-  sys_config.controller = config;
-  System system(sys_config);
+  System system{};
 
   BoundedBuffer* q = system.CreateQueue("pipe", 2'000);
   // Producer floods; consumer needs ~190% of the CPU to keep up => impossible.
@@ -418,13 +405,7 @@ TEST(ControllerLifecycleTest, ReAddAfterQualityExceptionStartsFresh) {
 // keeps honoring the shrunken threshold (and the controller keeps functioning) once
 // the pressure source is removed.
 TEST(ControllerLifecycleTest, AdmissionRecoversAtMinOverloadThreshold) {
-  ControllerConfig config;
-  config.adaptive_admission = true;
-  config.admission_backoff = 0.05;  // Reach the floor quickly.
-  config.min_overload_threshold = 0.5;
-  SystemConfig sys_config;
-  sys_config.controller = config;
-  System system(sys_config);
+  System system{};
 
   // Reserved pair at 95% plus a sustained overhead storm (half of every dispatch
   // tick's capacity stolen — the interrupt-load situation footnote 3's backoff is
@@ -436,12 +417,14 @@ TEST(ControllerLifecycleTest, AdmissionRecoversAtMinOverloadThreshold) {
   ASSERT_TRUE(system.controller().AddRealTime(b, Proportion::Ppt(450), Duration::Millis(2)));
   system.Start();
   const Cycles half_tick = system.sim().cpu().DurationToCycles(Duration::Millis(1)) / 2;
-  for (int i = 0; i < 100; ++i) {
+  for (int i = 0; i < 400; ++i) {
     system.machine().StealCycles(CpuUse::kController, half_tick);
     system.RunFor(Duration::Millis(2));
   }
+  // From 0.95 to 0.5 in 0.002 steps takes at least 225 misses.
+  EXPECT_GE(a->deadline_misses() + b->deadline_misses(), 225);
   ASSERT_DOUBLE_EQ(system.controller().overload_threshold(),
-                   config.min_overload_threshold);  // Clamped, never below.
+                   FeedbackAllocator::kMinOverloadThreshold);  // Clamped, never below.
 
   // Clear the overload and verify the recovered regime: admission answers against
   // the floor threshold, and adaptive threads still receive grants within it.

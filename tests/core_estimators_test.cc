@@ -68,15 +68,8 @@ TEST(PressureTest, UnregisteredThreadHasZeroPressure) {
 
 // --- Proportion estimation (Figure 4) ---
 
-ProportionEstimatorConfig TestConfig() {
-  ProportionEstimatorConfig config;
-  config.min_fraction = 0.005;
-  config.max_fraction = 0.95;
-  return config;
-}
-
 TEST(ProportionEstimatorTest, PositivePressureGrowsAllocation) {
-  ProportionEstimator est(TestConfig());
+  ProportionEstimator est(ProportionEstimatorConfig{});
   double desired = 0.0;
   for (int i = 0; i < 50; ++i) {
     desired = est.Step(/*pressure=*/0.4, /*used_fraction=*/desired, /*granted=*/desired, kDt);
@@ -85,7 +78,7 @@ TEST(ProportionEstimatorTest, PositivePressureGrowsAllocation) {
 }
 
 TEST(ProportionEstimatorTest, NegativePressureShrinksAllocation) {
-  ProportionEstimator est(TestConfig());
+  ProportionEstimator est(ProportionEstimatorConfig{});
   for (int i = 0; i < 50; ++i) {
     est.Step(0.4, est.desired(), est.desired(), kDt);
   }
@@ -97,12 +90,12 @@ TEST(ProportionEstimatorTest, NegativePressureShrinksAllocation) {
 }
 
 TEST(ProportionEstimatorTest, ClampsToFloorAndCeiling) {
-  ProportionEstimator est(TestConfig());
+  ProportionEstimator est(ProportionEstimatorConfig{});
   for (int i = 0; i < 2000; ++i) {
     est.Step(0.5, est.desired(), est.desired(), kDt);
   }
   EXPECT_LE(est.desired(), 0.95);
-  ProportionEstimator shrink(TestConfig());
+  ProportionEstimator shrink(ProportionEstimatorConfig{});
   for (int i = 0; i < 2000; ++i) {
     shrink.Step(-0.5, shrink.desired(), shrink.desired(), kDt);
   }
@@ -110,8 +103,8 @@ TEST(ProportionEstimatorTest, ClampsToFloorAndCeiling) {
 }
 
 TEST(ProportionEstimatorTest, ReclaimTriggersAfterPatience) {
-  ProportionEstimatorConfig config = TestConfig();
-  config.reclaim_patience = 3;
+  static_assert(ProportionEstimator::kReclaimPatience == 3);
+  ProportionEstimatorConfig config;
   config.reclaim_step = 0.01;
   ProportionEstimator est(config);
   // Pump the allocation up.
@@ -132,7 +125,7 @@ TEST(ProportionEstimatorTest, ReclaimTriggersAfterPatience) {
 }
 
 TEST(ProportionEstimatorTest, NoReclaimWhenAllocationIsUsed) {
-  ProportionEstimatorConfig config = TestConfig();
+  ProportionEstimatorConfig config;
   ProportionEstimator est(config);
   for (int i = 0; i < 100; ++i) {
     // Fully used allocation: never "too generous".
@@ -142,9 +135,7 @@ TEST(ProportionEstimatorTest, NoReclaimWhenAllocationIsUsed) {
 }
 
 TEST(ProportionEstimatorTest, ReclaimIsBumpless) {
-  ProportionEstimatorConfig config = TestConfig();
-  config.reclaim_patience = 1;
-  ProportionEstimator est(config);
+  ProportionEstimator est(ProportionEstimatorConfig{});
   for (int i = 0; i < 100; ++i) {
     est.Step(0.4, est.desired(), est.desired(), kDt);
   }
@@ -153,7 +144,11 @@ TEST(ProportionEstimatorTest, ReclaimIsBumpless) {
   for (int i = 0; i < 50; ++i) {
     est.Step(0.0, est.desired(), est.desired(), kDt);
   }
-  est.Step(0.0, 0.0, est.desired(), kDt);  // Forces the reclaim branch.
+  // kReclaimPatience under-used steps force the reclaim branch on the last one.
+  for (int i = 0; i < ProportionEstimator::kReclaimPatience; ++i) {
+    est.Step(0.0, 0.0, est.desired(), kDt);
+  }
+  ASSERT_TRUE(est.reclaimed_last_step());
   const double after_reclaim = est.desired();
   // The next on-target step must continue from the reduced value (modulo a small
   // derivative transient), not bounce back to the inflated one.
@@ -163,7 +158,7 @@ TEST(ProportionEstimatorTest, ReclaimIsBumpless) {
 }
 
 TEST(ProportionEstimatorTest, ResetRestoresFloor) {
-  ProportionEstimator est(TestConfig());
+  ProportionEstimator est(ProportionEstimatorConfig{});
   for (int i = 0; i < 100; ++i) {
     est.Step(0.4, est.desired(), est.desired(), kDt);
   }
@@ -174,52 +169,48 @@ TEST(ProportionEstimatorTest, ResetRestoresFloor) {
 // --- Period estimation (§3.3) ---
 
 TEST(PeriodEstimatorTest, SmallProportionDoublesPeriod) {
-  PeriodEstimator est(PeriodEstimatorConfig{});
+  PeriodEstimator est;
   const Duration proposed = est.Propose(Duration::Millis(30), /*allocation=*/0.01);
   EXPECT_EQ(proposed, Duration::Millis(60));
 }
 
 TEST(PeriodEstimatorTest, PeriodCappedAtMax) {
-  PeriodEstimatorConfig config;
-  config.max_period = Duration::Millis(100);
-  PeriodEstimator est(config);
-  EXPECT_EQ(est.Propose(Duration::Millis(80), 0.01), Duration::Millis(100));
+  static_assert(PeriodEstimator::kMaxPeriod == Duration::Millis(240));
+  PeriodEstimator est;
+  EXPECT_EQ(est.Propose(Duration::Millis(160), 0.01), Duration::Millis(240));
 }
 
 TEST(PeriodEstimatorTest, JitterHalvesPeriod) {
-  PeriodEstimatorConfig config;
-  config.window = 4;
-  config.jitter_threshold = 0.25;
-  PeriodEstimator est(config);
-  for (int i = 0; i < 4; ++i) {
+  static_assert(PeriodEstimator::kWindow == 8 && PeriodEstimator::kJitterThreshold == 0.25);
+  PeriodEstimator est;
+  for (int i = 0; i < 8; ++i) {
     est.ObserveFillSwing(0.6);
   }
   EXPECT_EQ(est.Propose(Duration::Millis(40), 0.2), Duration::Millis(20));
 }
 
 TEST(PeriodEstimatorTest, JitterTakesPrecedenceOverQuantization) {
-  PeriodEstimatorConfig config;
-  config.window = 2;
-  PeriodEstimator est(config);
-  est.ObserveFillSwing(0.9);
-  est.ObserveFillSwing(0.9);
+  PeriodEstimator est;
+  for (int i = 0; i < PeriodEstimator::kWindow; ++i) {
+    est.ObserveFillSwing(0.9);
+  }
   // Small allocation would double, but jitter wins and halves.
   EXPECT_EQ(est.Propose(Duration::Millis(40), 0.01), Duration::Millis(20));
 }
 
 TEST(PeriodEstimatorTest, SteadyAdequateThreadKeepsPeriod) {
-  PeriodEstimator est(PeriodEstimatorConfig{});
+  PeriodEstimator est;
   est.ObserveFillSwing(0.05);
   EXPECT_EQ(est.Propose(Duration::Millis(30), 0.2), Duration::Millis(30));
 }
 
 TEST(PeriodEstimatorTest, PeriodFlooredAtMin) {
-  PeriodEstimatorConfig config;
-  config.window = 1;
-  config.min_period = Duration::Millis(10);
-  PeriodEstimator est(config);
-  est.ObserveFillSwing(0.9);
-  EXPECT_EQ(est.Propose(Duration::Millis(15), 0.5), Duration::Millis(10));
+  static_assert(PeriodEstimator::kMinPeriod == Duration::Millis(5));
+  PeriodEstimator est;
+  for (int i = 0; i < PeriodEstimator::kWindow; ++i) {
+    est.ObserveFillSwing(0.9);
+  }
+  EXPECT_EQ(est.Propose(Duration::Millis(8), 0.5), Duration::Millis(5));
 }
 
 // --- Squish (overload policy) ---

@@ -213,7 +213,7 @@ TEST(SaturationWindowTest, ClearResetsTheRunningCount) {
 }
 
 TEST(SaturationWindowTest, LongRandomishSequenceStaysEqualToScan) {
-  SaturationWindow window(250);  // The default 10 * quality_patience size.
+  SaturationWindow window(250);  // 10 * FeedbackAllocator::kQualityPatience.
   for (int i = 0; i < 2'000; ++i) {
     window.Push(static_cast<uint8_t>((i * 7 + i / 3) % 5 == 0 ? 1 : 0));
     ASSERT_EQ(window.evidence(), window.ScanEvidence()) << "at push " << i;

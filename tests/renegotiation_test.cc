@@ -56,11 +56,7 @@ TEST(RenegotiationTest, QualityExceptionDrivesSourceDegradation) {
   // 100 kB/s * 8000 cyc/B = 800 Mcyc/s = 200% CPU. Infeasible: the queue pins full
   // and quality exceptions fire. The application's handler degrades the source; after
   // two halvings (25 kB/s -> 50% CPU) the system is feasible and exceptions stop.
-  ControllerConfig config;
-  config.quality_patience = 10;
-  SystemConfig sys_config;
-  sys_config.controller = config;
-  System system(sys_config);
+  System system;
 
   BoundedBuffer* q = system.CreateQueue("pipe", 8'000);
   auto source_work = std::make_unique<AdaptiveSourceWork>(
