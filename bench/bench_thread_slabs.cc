@@ -1,22 +1,17 @@
 // Thread-slab scaling: the memory layout itself, isolated from the scheduler.
-// Two measurements over the structures in task/thread_slabs.h, at farm densities
-// (256 / 1024 / 4096 threads):
-//
-//   1. Churn: Release + Bind cycles — thread exit/spawn at steady state. Exercises
-//      the LIFO slot free list, the dense id→slot map, and column seeding; must stay
-//      O(1) per op, independent of how many threads are live.
-//   2. Hot sweep: the placement-census read (sum granted ppt of live reserved
-//      threads on one core) as a slab column scan vs the same predicate chasing
-//      arena-allocated SimThread objects (the AoS layout every sweep used before
-//      the slabs). The ratio is the cache-locality win the SoA columns exist for:
-//      a column sweep streams the bytes it reads; the AoS sweep drags whole
-//      ~200-byte thread records through L2.
+// One measurement over the structures in task/thread_slabs.h, at farm densities
+// (256 / 1024 / 4096 threads): the placement-census read (sum granted ppt of live
+// reserved threads on one core) as a slab column scan vs the same predicate chasing
+// arena-allocated SimThread objects (the AoS layout every sweep used before the
+// slabs). The ratio is the cache-locality win the SoA columns exist for: a column
+// sweep streams the bytes it reads; the AoS sweep drags whole ~200-byte thread
+// records through L2.
 //
 // Both sides compute the identical sum (asserted) — the ratio is layout, not work.
 //
 // The `SLAB_SCALE ...` line is machine-readable: scripts/check_slab_scale.py
 // compares it against the committed BENCH_slab_baseline.json in CI and fails on a
-// > 2x throughput regression (churn or slab sweep) at 4096 threads.
+// > 2x slab-sweep throughput regression at 4096 threads.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -46,8 +41,8 @@ constexpr int kCores = 8;
 // through this object, and an unpinned frame makes measured throughput swing
 // ~30% with the parity of sizeof(ThreadSlabs) — layout luck, not layout cost.
 struct alignas(64) SlabRig {
+  ThreadSlabs slabs;  // Declared first: it must outlive the threads bound to it.
   ThreadArena arena;
-  ThreadSlabs slabs;
   std::vector<SimThread*> threads;
 
   explicit SlabRig(int total) {
@@ -102,25 +97,6 @@ double MeasureSweep(bool columns, const SlabRig& rig, int64_t iterations) {
   return static_cast<double>(iterations) / wall;
 }
 
-// Release + re-Bind cycles per wall-second: each iteration churns a 64-thread batch
-// at a rotating offset, so slot recycling runs against a full, live slab.
-double MeasureChurn(SlabRig& rig, int64_t iterations) {
-  const auto n = static_cast<int64_t>(rig.threads.size());
-  const auto start = std::chrono::steady_clock::now();
-  for (int64_t i = 0; i < iterations; ++i) {
-    const int64_t base = (i * 64) % n;
-    for (int64_t j = 0; j < 64; ++j) {
-      rig.slabs.Release(rig.threads[static_cast<size_t>((base + j) % n)]);
-    }
-    for (int64_t j = 0; j < 64; ++j) {
-      rig.slabs.Bind(rig.threads[static_cast<size_t>((base + j) % n)]);
-    }
-  }
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return static_cast<double>(iterations * 128) / wall;
-}
-
 void PrintSlabScale() {
   bench::PrintHeader(
       "Hot sweep: placement census (reserved ppt on one core) over every thread\n"
@@ -151,26 +127,11 @@ void PrintSlabScale() {
     }
   }
 
-  bench::PrintHeader(
-      "Churn: Release + Bind (thread exit/spawn), 64-thread batches\n"
-      "ops/wall-second; flat across densities <=> O(1) slot recycling");
-  std::printf("  %8s %18s\n", "threads", "churn ops/ws");
-  double churn_4096 = 0.0;
-  for (int total : {256, 1024, 4096}) {
-    SlabRig rig(total);
-    const double churn = MeasureChurn(rig, 20'000);
-    std::printf("  %8d %18.0f\n", total, churn);
-    if (total == 4096) {
-      churn_4096 = churn;
-    }
-  }
-
   std::printf("\n  4096-thread sweep speedup: %.1fx\n", slab_sweep_4096 / aos_sweep_4096);
   // Machine-readable line for scripts/check_slab_scale.py (CI regression gate).
   std::printf("SLAB_SCALE threads=4096 slab_sweep_per_wsec=%.0f aos_sweep_per_wsec=%.0f "
-              "sweep_speedup=%.2f churn_per_wsec=%.0f\n\n",
-              slab_sweep_4096, aos_sweep_4096, slab_sweep_4096 / aos_sweep_4096,
-              churn_4096);
+              "sweep_speedup=%.2f\n\n",
+              slab_sweep_4096, aos_sweep_4096, slab_sweep_4096 / aos_sweep_4096);
 }
 
 void BM_SlabSweep(benchmark::State& state) {
@@ -194,20 +155,6 @@ void BM_AosSweep(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_AosSweep)->Arg(256)->Arg(1024)->Arg(4096)->Unit(benchmark::kNanosecond);
-
-void BM_SlabChurn(benchmark::State& state) {
-  SlabRig rig(static_cast<int>(state.range(0)));
-  const auto n = static_cast<int64_t>(rig.threads.size());
-  int64_t i = 0;
-  for (auto _ : state) {
-    const auto idx = static_cast<size_t>((i * 7) % n);
-    rig.slabs.Release(rig.threads[idx]);
-    rig.slabs.Bind(rig.threads[idx]);
-    ++i;
-  }
-  state.counters["threads"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_SlabChurn)->Arg(256)->Arg(4096)->Unit(benchmark::kNanosecond);
 
 }  // namespace
 }  // namespace realrate

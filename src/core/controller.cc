@@ -81,16 +81,13 @@ const FeedbackAllocator::Controlled* FeedbackAllocator::Find(ThreadId id) const 
 }
 
 void FeedbackAllocator::RegisterControlled(Controlled&& c) {
-  // Cache the thread's slab slot (stable for its lifetime) so the per-tick sweeps
-  // read columns without re-resolving; stays kNoSlot for slab-less registries.
-  c.slab_slot = (slabs_ != nullptr && c.thread->bound_slabs() == slabs_)
-                    ? c.thread->slab_slot()
-                    : ThreadSlabs::kNoSlot;
+  RR_EXPECTS(c.thread->bound_slabs() == slabs_);  // A thread of this machine's registry.
+  c.id = c.thread->id();
   if (IsFixedClass(c.cls)) {
     ledger_.AddFixed(c.thread->cpu(), c.fixed_ppt);
   }
+  slot_of_[c.id] = controlled_.size();
   controlled_.push_back(std::move(c));
-  slot_of_[controlled_.back().thread->id()] = controlled_.size() - 1;
 }
 
 void FeedbackAllocator::RemoveSlot(size_t slot) {
@@ -99,11 +96,11 @@ void FeedbackAllocator::RemoveSlot(size_t slot) {
   if (IsFixedClass(victim.cls)) {
     ledger_.RemoveFixed(victim.thread->cpu(), victim.fixed_ppt);
   }
-  slot_of_.erase(victim.thread->id());
+  slot_of_.erase(victim.id);
   const size_t last = controlled_.size() - 1;
   if (slot != last) {
     controlled_[slot] = std::move(controlled_[last]);
-    slot_of_[controlled_[slot].thread->id()] = slot;
+    slot_of_[controlled_[slot].id] = slot;
   }
   controlled_.pop_back();
 }
@@ -111,30 +108,28 @@ void FeedbackAllocator::RemoveSlot(size_t slot) {
 void FeedbackAllocator::RebuildSlotIndex() {
   slot_of_.clear();
   for (size_t i = 0; i < controlled_.size(); ++i) {
-    slot_of_[controlled_[i].thread->id()] = i;
+    slot_of_[controlled_[i].id] = i;
   }
 }
 
 bool FeedbackAllocator::ExitedOf(const Controlled& c) const {
   // state(kExited) ⇔ SimThread::HasExited(): the state column is a write-through
   // mirror of the object's run state.
-  return c.slab_slot != ThreadSlabs::kNoSlot
-             ? slabs_->state(c.slab_slot) == ThreadState::kExited
-             : c.thread->HasExited();
+  return slabs_ != nullptr ? slabs_->state(c.id) == ThreadState::kExited
+                           : c.thread->HasExited();
 }
 
 CpuId FeedbackAllocator::CpuOf(const Controlled& c) const {
-  return c.slab_slot != ThreadSlabs::kNoSlot ? slabs_->cpu(c.slab_slot) : c.thread->cpu();
+  return slabs_ != nullptr ? slabs_->cpu(c.id) : c.thread->cpu();
 }
 
 double FeedbackAllocator::ImportanceOf(const Controlled& c) const {
-  return c.slab_slot != ThreadSlabs::kNoSlot ? slabs_->importance(c.slab_slot)
-                                             : c.thread->importance();
+  return slabs_ != nullptr ? slabs_->importance(c.id) : c.thread->importance();
 }
 
 void FeedbackAllocator::MirrorPressure(const Controlled& c) {
-  if (c.slab_slot != ThreadSlabs::kNoSlot) {
-    slabs_->set_pressure(c.slab_slot, c.last_pressure);
+  if (slabs_ != nullptr) {
+    slabs_->set_pressure(c.id, c.last_pressure);
   }
 }
 
@@ -352,13 +347,13 @@ void FeedbackAllocator::SampleStage() {
     // Dirty-set check: if the linkage list and every linked queue kept their change
     // epochs since the previous tick, the pressure (a pure function of queue fills)
     // is provably the cached value — skip the sweep.
-    if (c.linkage_cache.IsClean(queues_, c.thread->id())) {
+    if (c.linkage_cache.IsClean(queues_, c.id)) {
       c.tick_clean = true;
       ++clean_samples_;
       c.last_pressure = c.linkage_cache.pressure;
     } else {
       ++dirty_samples_;
-      const auto& linkages = c.linkage_cache.Refresh(queues_, c.thread->id());
+      const auto& linkages = c.linkage_cache.Refresh(queues_, c.id);
       c.last_pressure = RawPressure(linkages);
       c.linkage_cache.pressure = c.last_pressure;
     }
@@ -445,7 +440,7 @@ void FeedbackAllocator::ResolveStage() {
     // controlled set instead of touching each SimThread.
     const auto core = static_cast<size_t>(CpuOf(c));
     core_requests_[core].push_back(
-        {c.thread->id(), c.desired, ImportanceOf(c), ProportionEstimator::kMinFraction});
+        {c.id, c.desired, ImportanceOf(c), ProportionEstimator::kMinFraction});
     core_slots_[core].push_back(slot);
   }
 
@@ -485,37 +480,14 @@ void FeedbackAllocator::ActuateStage(TimePoint now) {
   const int cores = machine_.num_cpus();
   for (CpuId core = 0; core < cores; ++core) {
     const auto& slots = core_slots_[static_cast<size_t>(core)];
-    if (slots.empty()) {
-      continue;
-    }
     const auto& grants = core_grants_[static_cast<size_t>(core)];
     batch_.clear();
     for (size_t i = 0; i < slots.size(); ++i) {
-      Controlled& c = controlled_[slots[i]];
-      const double fraction = grants[i];
-      const Proportion p = Proportion::FromFraction(fraction);
-      c.granted = fraction;
-      if (c.thread->policy() == SchedPolicy::kReservation && c.thread->proportion() == p &&
-          c.thread->period() == c.period) {
-        continue;  // No change; avoid perturbing the budget.
-      }
-      batch_.push_back({c.thread, p, c.period});
-    }
-    if (batch_.empty()) {
-      continue;
+      StageGrant(controlled_[slots[i]], grants[i]);
     }
     // One batched call per core instead of one scheduler call per changed thread
     // (each update still pays its own O(log n) index maintenance inside).
-    SchedulerForCore(core).ApplyReservations(batch_, now);
-    for (const ReservationUpdate& u : batch_) {
-      machine_.sim().trace().Record(now, TraceKind::kAllocationSet, u.thread->id(),
-                                    u.proportion.ppt(), u.period.nanos());
-      // A thread sleeping out an exhausted budget deserves to run again if the
-      // controller just raised its allocation.
-      if (u.thread->state() == ThreadState::kSleeping && u.thread->budget_remaining() > 0) {
-        machine_.CancelSleep(u.thread);
-      }
-    }
+    ApplyBatch(SchedulerForCore(core), now);
   }
 
   // Post-grant quality audit: saturation evidence is judged against this tick's
@@ -612,19 +584,34 @@ void FeedbackAllocator::ApplyPeriodEstimation(Controlled& c, TimePoint now) {
 }
 
 void FeedbackAllocator::Actuate(Controlled& c, double fraction, TimePoint now) {
+  batch_.clear();
+  StageGrant(c, fraction);
+  ApplyBatch(SchedulerFor(c.thread), now);
+}
+
+void FeedbackAllocator::StageGrant(Controlled& c, double fraction) {
   const Proportion p = Proportion::FromFraction(fraction);
   c.granted = fraction;
   if (c.thread->policy() == SchedPolicy::kReservation && c.thread->proportion() == p &&
       c.thread->period() == c.period) {
     return;  // No change; avoid perturbing the budget.
   }
-  SchedulerFor(c.thread).SetReservation(c.thread, p, c.period, now);
-  machine_.sim().trace().Record(now, TraceKind::kAllocationSet, c.thread->id(), p.ppt(),
-                                c.period.nanos());
-  // A thread sleeping out an exhausted budget deserves to run again if the controller
-  // just raised its allocation.
-  if (c.thread->state() == ThreadState::kSleeping && c.thread->budget_remaining() > 0) {
-    machine_.CancelSleep(c.thread);
+  batch_.push_back({c.thread, p, c.period});
+}
+
+void FeedbackAllocator::ApplyBatch(RbsScheduler& scheduler, TimePoint now) {
+  if (batch_.empty()) {
+    return;
+  }
+  scheduler.ApplyReservations(batch_, now);
+  for (const ReservationUpdate& u : batch_) {
+    machine_.sim().trace().Record(now, TraceKind::kAllocationSet, u.thread->id(),
+                                  u.proportion.ppt(), u.period.nanos());
+    // A thread sleeping out an exhausted budget deserves to run again if the
+    // controller just raised its allocation.
+    if (u.thread->state() == ThreadState::kSleeping && u.thread->budget_remaining() > 0) {
+      machine_.CancelSleep(u.thread);
+    }
   }
 }
 

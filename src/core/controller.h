@@ -190,10 +190,9 @@ class FeedbackAllocator {
     ThreadClass cls = ThreadClass::kMiscellaneous;
     // Per-tick scratch: written by the Sample stage, consumed by Estimate/Actuate.
     bool tick_clean = false;
-    // The thread's slot in the registry's hot-field slabs (task/thread_slabs.h),
-    // cached at registration; kNoSlot when the registry runs slab-less. Stable for
-    // the thread's lifetime, so the pipeline reads columns without re-resolving.
-    int32_t slab_slot = ThreadSlabs::kNoSlot;
+    // thread->id(), cached at registration: its slot in the registry's hot-field
+    // slabs (task/thread_slabs.h), so the column reads skip the thread record.
+    ThreadId id = kInvalidThreadId;
     // Real-time / aperiodic real-time reservation, in exact integer ppt (the
     // ledger's currency). The fraction view is derived, never stored separately.
     int32_t fixed_ppt = 0;
@@ -247,11 +246,12 @@ class FeedbackAllocator {
   // original sweep — removal order is schedule-visible through the squish).
   void DropExited();
   void EnsureQualityWindow(Controlled& c);
-  // Slab-column reads for the per-tick sweeps: threads bound to the registry's SoA
-  // slabs are read through their column (one contiguous stream across the controlled
-  // set) instead of a SimThread pointer chase; slab-less threads fall back to the
-  // object. Both sides are write-through mirrors of the same state, so the values
-  // are identical by construction (and the invariant oracle checks it every tick).
+  // Slab-column reads for the per-tick sweeps: with the registry's SoA slabs on,
+  // every controlled thread is read through its column (one contiguous stream across
+  // the controlled set) instead of a SimThread pointer chase; a slab-less registry
+  // reads the objects. Both sides are write-through mirrors of the same state, so
+  // the values are identical by construction (and the invariant oracle checks it
+  // every tick).
   bool ExitedOf(const Controlled& c) const;
   CpuId CpuOf(const Controlled& c) const;
   double ImportanceOf(const Controlled& c) const;
@@ -277,8 +277,15 @@ class FeedbackAllocator {
   BoundedBuffer* GatherSaturation(Controlled& c);
 
   void ApplyPeriodEstimation(Controlled& c, TimePoint now);
-  // Per-thread actuation (registration and period-estimation re-actuations).
+  // Per-thread actuation (registration and period-estimation re-actuations): a
+  // one-update batch.
   void Actuate(Controlled& c, double fraction, TimePoint now);
+  // Grants `fraction` to `c` and queues its reservation on batch_, unless the thread
+  // already holds it (re-actuating would perturb its budget).
+  void StageGrant(Controlled& c, double fraction);
+  // Applies batch_ through `scheduler` — every update first — then records each
+  // change and wakes the sleepers it funded.
+  void ApplyBatch(RbsScheduler& scheduler, TimePoint now);
 
   void OnDeadlineMiss(SimThread* thread, Cycles shortfall, TimePoint now);
 

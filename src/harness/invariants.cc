@@ -187,7 +187,7 @@ void InvariantOracle::CheckController(TimePoint now) {
       if (!slabs->MatchesObject(*t)) {
         Report(now, who() + " has slab columns that disagree with its object state");
       }
-      if (slabs->pressure(t->slab_slot()) != pressure) {
+      if (slabs->pressure(t->id()) != pressure) {
         Report(now,
                who() + " has a slab pressure column that disagrees with the controller");
       }

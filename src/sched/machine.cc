@@ -63,7 +63,7 @@ void Machine::Start() {
 }
 
 CpuId Machine::LeastLoadedCore(const SimThread* placing) const {
-  if (UseColumns()) {
+  if (slabs_ != nullptr) {
     // O(cores) from the slabs' integer census. Loads are whole ppt, and the double
     // sums below differ from them by far less than their 1e-12 tolerance, so exact
     // integer comparisons make the same choice.
@@ -99,10 +99,10 @@ CpuId Machine::LeastLoadedCore(const SimThread* placing) const {
 
 double Machine::ReservedFractionOn(CpuId core, const SimThread* excluding) const {
   double sum = 0.0;
-  if (UseColumns()) {
+  if (slabs_ != nullptr) {
     // Slot order == registry creation order, so this double sum adds the exact same
     // terms in the exact same order as the pointer sweep — bit-identical result.
-    const int32_t ex = excluding != nullptr ? excluding->slab_slot() : ThreadSlabs::kNoSlot;
+    const ThreadId ex = excluding != nullptr ? excluding->id() : kInvalidThreadId;
     const int32_t n = slabs_->slot_count();
     for (int32_t s = 0; s < n; ++s) {
       if (s != ex && slabs_->cpu(s) == core && slabs_->state(s) != ThreadState::kExited &&
@@ -121,25 +121,21 @@ double Machine::ReservedFractionOn(CpuId core, const SimThread* excluding) const
   return sum;
 }
 
-int32_t Machine::CensusSlotOn(CpuId core, const SimThread* excluding) const {
-  const int32_t s = excluding != nullptr ? excluding->slab_slot() : ThreadSlabs::kNoSlot;
-  return s >= 0 && s < slabs_->slot_count() && slabs_->cpu(s) == core &&
-                 slabs_->state(s) != ThreadState::kExited
-             ? s
-             : ThreadSlabs::kNoSlot;
+bool Machine::CountedOn(CpuId core, const SimThread* t) const {
+  return t != nullptr && slabs_->cpu(t->id()) == core &&
+         slabs_->state(t->id()) != ThreadState::kExited;
 }
 
 int64_t Machine::ReservedPptOn(CpuId core, const SimThread* excluding) const {
-  const int32_t ex = CensusSlotOn(core, excluding);
-  const bool reserved =
-      ex != ThreadSlabs::kNoSlot && slabs_->policy(ex) == SchedPolicy::kReservation;
-  return slabs_->reserved_ppt_on(core) - (reserved ? slabs_->granted_ppt(ex) : 0);
+  const bool reserved = CountedOn(core, excluding) &&
+                        slabs_->policy(excluding->id()) == SchedPolicy::kReservation;
+  return slabs_->reserved_ppt_on(core) - (reserved ? slabs_->granted_ppt(excluding->id()) : 0);
 }
 
 int Machine::ThreadCountOn(CpuId core, const SimThread* excluding) const {
-  if (UseColumns()) {
+  if (slabs_ != nullptr) {
     const int64_t live = slabs_->live_on(core);
-    return static_cast<int>(live - (CensusSlotOn(core, excluding) != ThreadSlabs::kNoSlot));
+    return static_cast<int>(live - CountedOn(core, excluding));
   }
   int count = 0;
   for (const SimThread* t : registry_.All()) {
@@ -151,38 +147,27 @@ int Machine::ThreadCountOn(CpuId core, const SimThread* excluding) const {
 }
 
 uint64_t Machine::SleepGenOf(ThreadId id) const {
-  if (slabs_ != nullptr) {
-    return static_cast<size_t>(id) < sleep_gen_dense_.size()
-               ? sleep_gen_dense_[static_cast<size_t>(id)]
-               : 0;
-  }
-  const auto it = sleep_generation_.find(id);
-  return it == sleep_generation_.end() ? 0 : it->second;
+  return static_cast<size_t>(id) < sleep_gen_dense_.size()
+             ? sleep_gen_dense_[static_cast<size_t>(id)]
+             : 0;
 }
 
 void Machine::SetSleepGen(ThreadId id, uint64_t gen) {
-  if (slabs_ != nullptr) {
-    if (static_cast<size_t>(id) >= sleep_gen_dense_.size()) {
-      sleep_gen_dense_.resize(static_cast<size_t>(id) + 1, 0);
-    }
-    sleep_gen_dense_[static_cast<size_t>(id)] = gen;
-    return;
+  if (static_cast<size_t>(id) >= sleep_gen_dense_.size()) {
+    sleep_gen_dense_.resize(static_cast<size_t>(id) + 1, 0);
   }
-  sleep_generation_[id] = gen;
+  sleep_gen_dense_[static_cast<size_t>(id)] = gen;
 }
 
 void Machine::ClearSleepGen(ThreadId id) {
-  if (slabs_ != nullptr) {
-    if (static_cast<size_t>(id) < sleep_gen_dense_.size()) {
-      sleep_gen_dense_[static_cast<size_t>(id)] = 0;
-    }
-    return;
+  if (static_cast<size_t>(id) < sleep_gen_dense_.size()) {
+    sleep_gen_dense_[static_cast<size_t>(id)] = 0;
   }
-  sleep_generation_.erase(id);
 }
 
 void Machine::Attach(SimThread* thread) {
   RR_EXPECTS(thread != nullptr);
+  RR_EXPECTS(registry_.Find(thread->id()) == thread);  // Ids index the slab columns.
   RR_EXPECTS(!in_round_);  // Epoch contract: no attaches from inside a parallel round.
   InvalidateRoundGate();
   ResumeTicking();  // A newly attached thread is runnable: the idle span is over.
@@ -240,18 +225,11 @@ void Machine::Attach(TtyPort* tty) {
 }
 
 void Machine::Wake(ThreadId thread_id) {
-  if (slabs_ != nullptr) {
-    // Registry slots are never released, so slot == id: the state column answers
-    // the spurious-wake test without dragging the cold thread record into cache.
-    // (Buffers wake every waiter on each operation, so most wakes are spurious.)
-    const auto slot = static_cast<int32_t>(thread_id);
-    if (slot < 0 || slot >= slabs_->slot_count() ||
-        slabs_->state(slot) != ThreadState::kBlocked) {
-      return;  // Spurious or stale wake.
-    }
-  }
+  // Slot == id: the state column answers the spurious-wake test without dragging
+  // the cold thread record into cache. (Buffers wake every waiter on each
+  // operation, so most wakes are spurious.)
   SimThread* thread = registry_.Find(thread_id);
-  if (thread == nullptr || thread->state() != ThreadState::kBlocked) {
+  if (thread == nullptr || StateOf(thread_id, thread) != ThreadState::kBlocked) {
     return;  // Spurious or stale wake.
   }
   RR_EXPECTS(!in_round_);  // Gated rounds run only wake-free (round-local) work.
@@ -428,17 +406,8 @@ void Machine::WakeExpiredSleepers(TimePoint now) {
       continue;  // Stale entry: thread was re-slept or woken through another path.
     }
     ClearSleepGen(entry.thread);
-    if (slabs_ != nullptr) {
-      // Slot == id (registry slots are never released): answer the not-sleeping
-      // test from the state column before touching the thread record.
-      const auto slot = static_cast<int32_t>(entry.thread);
-      if (slot < 0 || slot >= slabs_->slot_count() ||
-          slabs_->state(slot) != ThreadState::kSleeping) {
-        continue;
-      }
-    }
     SimThread* thread = registry_.Find(entry.thread);
-    if (thread == nullptr || thread->state() != ThreadState::kSleeping) {
+    if (thread == nullptr || StateOf(entry.thread, thread) != ThreadState::kSleeping) {
       continue;
     }
     any_expired = true;
@@ -510,11 +479,11 @@ bool Machine::RoundIsLocal(TimePoint now) {
   // state column (slot order) keeps the scan cache-friendly; the verdict is cached
   // until the runnable set changes, so steady farm phases pay it once.
   bool local = true;
-  if (UseColumns()) {
+  if (slabs_ != nullptr) {
     const int32_t n = slabs_->slot_count();
     for (int32_t s = 0; s < n && local; ++s) {
       if (slabs_->state(s) == ThreadState::kRunnable) {
-        SimThread* t = slabs_->thread_at(s);
+        SimThread* t = registry_.All()[static_cast<size_t>(s)];
         local = t->work().RoundLocalCycles(now) >= cycles_per_tick_;
       }
     }
@@ -618,11 +587,11 @@ bool Machine::RoundPlanIsFeasible(TimePoint now) {
   };
 
   bool ok = true;
-  if (UseColumns()) {
+  if (slabs_ != nullptr) {
     const int32_t n = slabs_->slot_count();
     for (int32_t s = 0; s < n && ok; ++s) {
       if (slabs_->state(s) == ThreadState::kRunnable) {
-        ok = consider(slabs_->thread_at(s));
+        ok = consider(registry_.All()[static_cast<size_t>(s)]);
       }
     }
   } else {
@@ -825,7 +794,7 @@ bool Machine::ShouldSuspend() const {
   // whose replenishment at a period boundary must be observed on time — means
   // upcoming ticks are not no-ops. The slabs maintain the runnable census
   // incrementally, collapsing the per-round registry sweep to one comparison.
-  if (UseColumns()) {
+  if (slabs_ != nullptr) {
     return slabs_->runnable_count() == 0;
   }
   for (const SimThread* t : registry_.All()) {
@@ -1139,7 +1108,7 @@ void Machine::Rebalance() {
     // cpu/state/policy/ppt columns; only the chosen victim's record is touched.
     SimThread* victim = nullptr;
     double victim_fraction = 0.0;
-    if (UseColumns()) {
+    if (slabs_ != nullptr) {
       const int32_t slots = slabs_->slot_count();
       for (int32_t s = 0; s < slots; ++s) {
         const ThreadState state = slabs_->state(s);
@@ -1153,7 +1122,7 @@ void Machine::Rebalance() {
           continue;
         }
         if (victim == nullptr || f < victim_fraction - 1e-12) {
-          victim = slabs_->thread_at(s);
+          victim = registry_.All()[static_cast<size_t>(s)];
           victim_fraction = f;
         }
       }

@@ -59,7 +59,6 @@
 #include <functional>
 #include <memory>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "queue/bounded_buffer.h"
@@ -258,22 +257,19 @@ class Machine {
     }
   };
 
-  // True when the registry's hot-field slabs cover every registry thread, so the
-  // machine-wide sweeps (census, rebalancer victim scan, idle-suspension check) can
-  // read slab columns in slot order — which is registry creation order, preserving
-  // even floating-point summation order — instead of chasing SimThread*.
-  bool UseColumns() const {
-    return slabs_ != nullptr && slabs_->live_count() == static_cast<int64_t>(registry_.size());
+  // Column-path census helpers (require slabs_): does the census count `t` on
+  // `core`; and `core`'s reserved ppt without `excluding`.
+  bool CountedOn(CpuId core, const SimThread* t) const;
+  // The run state of thread `id` (record `t`), from the state column when the slabs
+  // are on: the wake paths test it without dragging the cold record into cache.
+  ThreadState StateOf(ThreadId id, const SimThread* t) const {
+    return slabs_ != nullptr ? slabs_->state(id) : t->state();
   }
-  // Column-path census helpers (require UseColumns()): the slot `excluding` holds if
-  // it is counted on `core`, else kNoSlot; and `core`'s reserved ppt without it.
-  int32_t CensusSlotOn(CpuId core, const SimThread* excluding) const;
   int64_t ReservedPptOn(CpuId core, const SimThread* excluding) const;
 
   // Sleep-generation bookkeeping: which incarnation of "this thread is asleep" the
-  // heap entries refer to (0 = not asleep). Slab-backed registries use a dense
-  // ThreadId-indexed vector (the timer path is hot at farm scale); legacy registries
-  // keep the unordered_map.
+  // heap entries refer to (0 = not asleep), in a dense ThreadId-indexed vector (the
+  // timer path is hot at farm scale).
   uint64_t SleepGenOf(ThreadId id) const;
   void SetSleepGen(ThreadId id, uint64_t gen);
   void ClearSleepGen(ThreadId id);
@@ -383,7 +379,11 @@ class Machine {
   std::vector<Core> cores_;
   Cycles cycles_per_tick_ = 0;
 
-  const ThreadSlabs* slabs_ = nullptr;  // The registry's slabs (null when disabled).
+  // The registry's slabs (null when disabled). Slot == ThreadId and slot order is
+  // creation order, so the machine-wide sweeps (census, rebalancer victim scan,
+  // idle-suspension check) read columns in the order the registry_.All() sweeps
+  // walk, preserving even floating-point summation order.
+  const ThreadSlabs* slabs_ = nullptr;
 
   // Sleeper bookkeeping is a two-level structure. Short sleeps — the overwhelmingly
   // common case: one reservation period, a few dispatch ticks — go into a timing
@@ -400,8 +400,7 @@ class Machine {
   int64_t sleep_wheel_count_ = 0;         // Entries currently in the wheel.
   std::vector<SleepEntry> wake_batch_;    // WakeExpiredSleepers's reused scratch.
   std::priority_queue<SleepEntry, std::vector<SleepEntry>, std::greater<SleepEntry>> sleepers_;
-  std::unordered_map<ThreadId, uint64_t> sleep_generation_;  // Legacy (no-slab) path.
-  std::vector<uint64_t> sleep_gen_dense_;                    // Slab-backed path.
+  std::vector<uint64_t> sleep_gen_dense_;  // Indexed by ThreadId.
   uint64_t next_generation_ = 1;
 
   // Fast-forward state: the last tick grid point whose effects (real or replayed)

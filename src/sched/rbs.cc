@@ -74,24 +74,17 @@ void RbsScheduler::Reindex(SimThread* thread) {
       return;  // Membership and key unchanged: the common OnRan case, O(1).
     }
     node->in_pick_index = false;  // The heap entry is now stale (generation mismatch).
-    if (node->pick_slot != ThreadSlabs::kNoSlot) {
-      pick_gen_by_slot_[static_cast<size_t>(node->pick_slot)] = 0;
-    }
+    pick_gen_by_id_[static_cast<size_t>(thread->id())] = 0;
     --pick_live_;
   }
   if (eligible) {
-    node->pick_gen = next_gen_++;
-    const int32_t slot = slabs_ != nullptr && thread->bound_slabs() == slabs_
-                             ? thread->slab_slot()
-                             : ThreadSlabs::kNoSlot;
-    node->pick_slot = slot;
-    if (slot != ThreadSlabs::kNoSlot) {
-      if (static_cast<size_t>(slot) >= pick_gen_by_slot_.size()) {
-        pick_gen_by_slot_.resize(static_cast<size_t>(slot) + 1, 0);
-      }
-      pick_gen_by_slot_[static_cast<size_t>(slot)] = node->pick_gen;
+    const uint64_t gen = next_gen_++;
+    const auto id = static_cast<size_t>(thread->id());
+    if (id >= pick_gen_by_id_.size()) {
+      pick_gen_by_id_.resize(id + 1, 0);
     }
-    pick_index_.push_back(PickKey{primary, node->seq, node->pick_gen, slot, thread});
+    pick_gen_by_id_[id] = gen;
+    pick_index_.push_back(PickKey{primary, node->seq, gen, thread->id(), thread});
     std::push_heap(pick_index_.begin(), pick_index_.end(), std::greater<PickKey>{});
     node->pick_primary = primary;
     node->in_pick_index = true;
@@ -111,7 +104,7 @@ void RbsScheduler::CompactPickIndex() {
 
 void RbsScheduler::RearmReplenish(SimThread* thread, Node& node) {
   node.replenish_gen = next_gen_++;  // Any older due-heap entry is now stale.
-  // With full slab coverage OnTick replenishes off the deadline column instead of
+  // With slab columns OnTick replenishes off the deadline column instead of
   // the due-heap (see OnTick), so feeding the heap would only grow garbage.
   if (indexing_on_ && !UseColumns() && HasReservation(thread)) {
     due_.push(DueEntry{thread->period_start() + thread->period(), node.seq,
@@ -137,7 +130,7 @@ void RbsScheduler::DeactivateIndexing() {
   indexing_on_ = false;
   pick_index_.clear();
   pick_live_ = 0;
-  std::fill(pick_gen_by_slot_.begin(), pick_gen_by_slot_.end(), 0);
+  std::fill(pick_gen_by_id_.begin(), pick_gen_by_id_.end(), 0);
   due_ = {};  // Entries would die by generation anyway; drop them wholesale.
   runnable_unreserved_ = 0;
   runnable_reserved_ = 0;
@@ -158,28 +151,14 @@ void RbsScheduler::MaybeSwitchIndexing() {
 
 void RbsScheduler::AddThread(SimThread* thread) {
   RR_EXPECTS(thread != nullptr);
-  RR_EXPECTS(std::find(threads_.begin(), threads_.end(), thread) == threads_.end());
-  const bool had_columns = UseColumns();
+  // Ids key the slab columns and the pick-generation table: one thread per id.
+  RR_EXPECTS(std::find(ids_.begin(), ids_.end(), thread->id()) == ids_.end());
+  if (next_seq_ == 1) {
+    slabs_ = thread->bound_slabs();  // The first thread ever added fixes the layout.
+  }
+  RR_EXPECTS(thread->bound_slabs() == slabs_);
   threads_.push_back(thread);
-  const int32_t slot = thread->slab_slot();
-  if (slot != ThreadSlabs::kNoSlot &&
-      (slabs_ == nullptr || slabs_ == thread->bound_slabs())) {
-    slabs_ = thread->bound_slabs();
-    slots_.push_back(slot);
-  } else {
-    slots_.push_back(ThreadSlabs::kNoSlot);  // Unbound (or foreign slab): no columns.
-    ++unbound_;
-  }
-  if (indexing_on_ && had_columns && !UseColumns()) {
-    // This thread just broke column coverage: OnTick falls back to the due-heap,
-    // which sat empty while the column sweep replenished. Re-arm every enqueued
-    // thread so the heap has a current entry per reservation again.
-    for (SimThread* t : threads_) {
-      if (Node* n = FindNode(t)) {
-        RearmReplenish(t, *n);
-      }
-    }
-  }
+  ids_.push_back(thread->id());
   Node& node = nodes_[thread];  // Node-based container: the address is stable.
   node.owner = this;
   node.seq = next_seq_++;
@@ -192,22 +171,16 @@ void RbsScheduler::AddThread(SimThread* thread) {
 void RbsScheduler::RemoveThread(SimThread* thread) {
   const auto it = std::find(threads_.begin(), threads_.end(), thread);
   if (it != threads_.end()) {
-    const size_t idx = static_cast<size_t>(it - threads_.begin());
-    if (slots_[idx] == ThreadSlabs::kNoSlot) {
-      --unbound_;
-    }
+    ids_.erase(ids_.begin() + (it - threads_.begin()));
     threads_.erase(it);
-    slots_.erase(slots_.begin() + static_cast<ptrdiff_t>(idx));
   }
   Node* node = FindNode(thread);
   if (node == nullptr) {
     return;
   }
   if (node->in_pick_index) {
-    node->in_pick_index = false;  // Heap entry dies lazily (and by FindNode below).
-    if (node->pick_slot != ThreadSlabs::kNoSlot) {
-      pick_gen_by_slot_[static_cast<size_t>(node->pick_slot)] = 0;
-    }
+    node->in_pick_index = false;  // Heap entry dies lazily (generation mismatch).
+    pick_gen_by_id_[static_cast<size_t>(thread->id())] = 0;
     --pick_live_;
   }
   if (node->counted_runnable) {
@@ -267,9 +240,9 @@ void RbsScheduler::OnTick(TimePoint now) {
     // erases and AddThread appends with a fresh seq — so the replenish order
     // matches the due-heap path's seq sort exactly.
     const int64_t now_ns = now.nanos();
-    const size_t n = slots_.size();
+    const size_t n = ids_.size();
     for (size_t i = 0; i < n; ++i) {
-      const int32_t s = slots_[i];
+      const ThreadId s = ids_[i];
       if (slabs_->policy(s) == SchedPolicy::kReservation && slabs_->granted_ppt(s) != 0 &&
           slabs_->deadline_nanos(s) <= now_ns) {
         Replenish(threads_[i], now);
@@ -344,11 +317,11 @@ SimThread* RbsScheduler::PickReservedScan() {
   // SimThread cachelines per candidate.
   if (UseColumns()) {
     SimThread* best = nullptr;
-    const size_t n = slots_.size();
+    const size_t n = ids_.size();
     if (config_.order == DispatchOrder::kEarliestDeadlineFirst) {
       int64_t best_deadline = TimePoint::Max().nanos();
       for (size_t i = 0; i < n; ++i) {
-        const int32_t s = slots_[i];
+        const ThreadId s = ids_[i];
         if (slabs_->state(s) != ThreadState::kRunnable ||
             slabs_->policy(s) != SchedPolicy::kReservation || slabs_->granted_ppt(s) == 0 ||
             slabs_->budget(s) <= 0) {
@@ -364,7 +337,7 @@ SimThread* RbsScheduler::PickReservedScan() {
     }
     int64_t best_rank = -1;  // Any reserved candidate (rank >= 0) beats "none".
     for (size_t i = 0; i < n; ++i) {
-      const int32_t s = slots_[i];
+      const ThreadId s = ids_[i];
       if (slabs_->state(s) != ThreadState::kRunnable ||
           slabs_->policy(s) != SchedPolicy::kReservation || slabs_->granted_ppt(s) == 0 ||
           slabs_->budget(s) <= 0) {
@@ -427,27 +400,18 @@ SimThread* RbsScheduler::PickReservedIndexed() {
   return nullptr;
 }
 
-bool RbsScheduler::PickEntryCurrent(const PickKey& key) {
-  if (key.slot != ThreadSlabs::kNoSlot) {
-    // One dense word per slot instead of a pointer chase through the thread record.
-    return pick_gen_by_slot_[static_cast<size_t>(key.slot)] == key.gen;
-  }
-  const Node* node = FindNode(key.thread);
-  return node != nullptr && node->in_pick_index && node->pick_gen == key.gen;
-}
-
 SimThread* RbsScheduler::PickFallbackRoundRobin() {
   // No reserved thread can run: round-robin over the remaining runnables (non-reserved
   // threads, plus exhausted reserved threads when work-conserving). The cursor is
   // positional, so this path stays O(n) but is gated by
-  // the occupancy counts in PickNext and only runs when it will find work. slots_ is
+  // the occupancy counts in PickNext and only runs when it will find work. ids_ is
   // index-aligned with threads_, so the column variant's cursor arithmetic and scan
   // order are identical to the pointer scan's.
   const size_t n = threads_.size();
   if (UseColumns()) {
     for (size_t i = 0; i < n; ++i) {
       const size_t idx = (rr_cursor_ + i) % n;
-      const int32_t s = slots_[idx];
+      const ThreadId s = ids_[idx];
       if (slabs_->state(s) != ThreadState::kRunnable) {
         continue;
       }
@@ -592,7 +556,7 @@ void RbsScheduler::ApplyReservations(const std::vector<ReservationUpdate>& batch
 Proportion RbsScheduler::TotalReserved() const {
   if (UseColumns()) {
     int32_t total_ppt = 0;
-    for (const int32_t s : slots_) {
+    for (const ThreadId s : ids_) {
       if (slabs_->policy(s) == SchedPolicy::kReservation) {
         total_ppt += slabs_->granted_ppt(s);
       }

@@ -32,10 +32,11 @@
 // trace-invariant. The invariant oracle (harness/invariants.h) re-derives the best
 // reserved thread at every pick of a fuzzed run and checks the dispatcher against it.
 //
-// When every enqueued thread is bound to hot-field slabs (task/thread_slabs.h), the
-// goodness scan, the fallback scan, the per-tick replenish sweep, and TotalReserved
-// read the slab columns instead of chasing SimThread* — same order, same ties, same
-// result, a fraction of the cachelines.
+// When the enqueued threads are bound to hot-field slabs (task/thread_slabs.h) — all
+// of them to the same slabs, or none — the goodness scan, the fallback scan, the
+// per-tick replenish sweep, and TotalReserved read the slab columns instead of
+// chasing SimThread* — same order, same ties, same result, a fraction of the
+// cachelines.
 #ifndef REALRATE_SCHED_RBS_H_
 #define REALRATE_SCHED_RBS_H_
 
@@ -141,8 +142,6 @@ class RbsScheduler : public Scheduler {
     uint64_t seq = 0;
     bool in_pick_index = false;
     int64_t pick_primary = 0;       // Key snapshot while in the pick index.
-    uint64_t pick_gen = 0;          // Generation of the current pick-heap entry.
-    int32_t pick_slot = ThreadSlabs::kNoSlot;  // Slab slot of that entry, if bound.
     bool counted_runnable = false;  // Contributes to the occupancy counts below.
     bool counted_reserved = false;  // Which count it contributes to.
     uint64_t replenish_gen = 0;     // Current generation; stale heap entries mismatch.
@@ -150,14 +149,14 @@ class RbsScheduler : public Scheduler {
 
   // Pick-index element. Ordering is (rank desc | deadline asc, seq asc): the heap
   // minimum is exactly the thread the scan would return. Entries are
-  // lazily deleted — `gen` matches Node::pick_gen only while the entry is current;
-  // eligibility changes just bump the node's generation (O(1)) and the dead entry
-  // is discarded when it surfaces at the heap top.
+  // lazily deleted — `gen` matches pick_gen_by_id_ only while the entry is current;
+  // eligibility changes just overwrite the thread's generation there (O(1)) and the
+  // dead entry is discarded when it surfaces at the heap top.
   struct PickKey {
     int64_t primary = 0;  // -rm_rank, or the EDF deadline in nanos.
     uint64_t seq = 0;
-    uint64_t gen = 0;     // Current iff == the owning Node's pick_gen.
-    int32_t slot = ThreadSlabs::kNoSlot;  // Slab slot, for object-free stale checks.
+    uint64_t gen = 0;     // Current iff == pick_gen_by_id_[id].
+    ThreadId id = kInvalidThreadId;  // For the object-free stale check.
     SimThread* thread = nullptr;
     bool operator>(const PickKey& other) const {
       if (primary != other.primary) {
@@ -208,20 +207,23 @@ class RbsScheduler : public Scheduler {
   // logical erase.
   void CompactPickIndex();
   // Is this heap entry the current one for its thread (vs lazily deleted)?
-  bool PickEntryCurrent(const PickKey& key);
-  // True when every enqueued thread is slab-bound, so the goodness scan, the
+  bool PickEntryCurrent(const PickKey& key) const {
+    return pick_gen_by_id_[static_cast<size_t>(key.id)] == key.gen;
+  }
+  // True when the enqueued threads are slab-bound, so the goodness scan, the
   // fallback scan, the replenish sweep, and TotalReserved can read columns.
-  bool UseColumns() const { return slabs_ != nullptr && unbound_ == 0; }
+  bool UseColumns() const { return slabs_ != nullptr; }
 
   const Cpu& cpu_;
   RbsConfig config_;
   std::vector<SimThread*> threads_;
-  // threads_[i]'s slab slot (ThreadSlabs::kNoSlot when unbound), kept index-aligned
-  // with threads_ so column scans preserve scan order, ties, and the round-robin
-  // cursor arithmetic.
-  std::vector<int32_t> slots_;
-  const ThreadSlabs* slabs_ = nullptr;  // The slab every bound thread belongs to.
-  size_t unbound_ = 0;                  // Enqueued threads without a slab slot.
+  // threads_[i]->id() — its slab slot — kept index-aligned with threads_ so column
+  // scans preserve scan order, ties, and the round-robin cursor arithmetic without
+  // touching the thread records.
+  std::vector<ThreadId> ids_;
+  // The slabs every enqueued thread is bound to (null: none are), taken from the
+  // first thread ever added.
+  const ThreadSlabs* slabs_ = nullptr;
   DeadlineMissFn miss_fn_;
   size_t rr_cursor_ = 0;  // Round-robin position among non-reserved threads.
   bool indexing_on_ = false;  // Maintain/use the indexed structures right now?
@@ -239,10 +241,10 @@ class RbsScheduler : public Scheduler {
   // the current (non-stale) entries; CompactPickIndex() bounds the garbage.
   std::vector<PickKey> pick_index_;
   int64_t pick_live_ = 0;
-  // Current pick generation per slab slot (0 = not in the index): lets the heap's
+  // Current pick generation per ThreadId (0 = not in the index): lets the heap's
   // stale-entry test read one dense word instead of chasing the (cold) thread
-  // record's sched_slot on every pick. Unbound threads fall back to FindNode.
-  std::vector<uint64_t> pick_gen_by_slot_;
+  // record's sched_slot on every pick.
+  std::vector<uint64_t> pick_gen_by_id_;
   std::priority_queue<DueEntry, std::vector<DueEntry>, std::greater<DueEntry>> due_;
   std::vector<DueEntry> due_now_;  // OnTick's reused due-batch buffer.
   // Secondary occupancy index for the round-robin fallback: how many runnable

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "util/assert.h"
-
 namespace realrate {
 
 SimThread* ThreadRegistry::Create(std::string name, std::unique_ptr<WorkModel> work) {
@@ -12,8 +10,7 @@ SimThread* ThreadRegistry::Create(std::string name, std::unique_ptr<WorkModel> w
   raw_.push_back(thread);
   thread->work().Bind(thread);
   if (use_slabs_) {
-    const int32_t slot = slabs_.Bind(thread);
-    RR_ENSURES(slot == id);  // Registry threads are never released: slot == id.
+    slabs_.Bind(thread);
   }
   return thread;
 }

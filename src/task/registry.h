@@ -35,18 +35,17 @@ class ThreadRegistry {
   const std::vector<SimThread*>& All() const { return raw_; }
 
   // The hot-field slabs every registry thread is bound to, or nullptr when this
-  // registry was built without them. With the registry never releasing slots,
-  // slot == id and slot order == creation order.
+  // registry was built without them. Append-only columns indexed by ThreadId, so
+  // slot order == creation order.
   ThreadSlabs* slabs() { return use_slabs_ ? &slabs_ : nullptr; }
   const ThreadSlabs* slabs() const { return use_slabs_ ? &slabs_ : nullptr; }
 
  private:
   const bool use_slabs_;
+  // Declared before arena_ so it outlives the threads bound to it.
+  ThreadSlabs slabs_;
   ThreadArena arena_;
   std::vector<SimThread*> raw_;  // Indexed by ThreadId; maintained by Create().
-  // Declared after arena_ so it is destroyed first: its destructor unbinds threads,
-  // which must still be alive.
-  ThreadSlabs slabs_;
 };
 
 }  // namespace realrate

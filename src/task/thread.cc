@@ -48,21 +48,21 @@ SimThread::SimThread(ThreadId id, std::string name, std::unique_ptr<WorkModel> w
 void SimThread::set_state(ThreadState s) {
   state_ = s;
   if (slabs_ != nullptr) {
-    slabs_->MirrorState(slab_slot_, s);
+    slabs_->MirrorState(id_, s);
   }
 }
 
 void SimThread::set_thread_class(ThreadClass c) {
   class_ = c;
   if (slabs_ != nullptr) {
-    slabs_->MirrorClass(slab_slot_, c);
+    slabs_->MirrorClass(id_, c);
   }
 }
 
 void SimThread::set_policy(SchedPolicy p) {
   policy_ = p;
   if (slabs_ != nullptr) {
-    slabs_->MirrorPolicy(slab_slot_, p);
+    slabs_->MirrorPolicy(id_, p);
   }
 }
 
@@ -70,7 +70,7 @@ void SimThread::set_importance(double w) {
   RR_EXPECTS(w > 0);
   importance_ = w;
   if (slabs_ != nullptr) {
-    slabs_->MirrorImportance(slab_slot_, w);
+    slabs_->MirrorImportance(id_, w);
   }
 }
 
@@ -78,7 +78,7 @@ void SimThread::set_cpu(CpuId core) {
   RR_EXPECTS(core >= 0);
   cpu_ = core;
   if (slabs_ != nullptr) {
-    slabs_->MirrorCpu(slab_slot_, core);
+    slabs_->MirrorCpu(id_, core);
   }
 }
 
@@ -88,14 +88,14 @@ void SimThread::SetReservation(Proportion proportion, Duration period) {
   proportion_ = proportion;
   period_ = period;
   if (slabs_ != nullptr) {
-    slabs_->MirrorReservation(slab_slot_, *this);
+    slabs_->MirrorReservation(id_, *this);
   }
 }
 
 void SimThread::set_budget_remaining(Cycles c) {
   budget_remaining_ = c;
   if (slabs_ != nullptr) {
-    slabs_->MirrorBudget(slab_slot_, c);
+    slabs_->MirrorBudget(id_, c);
   }
 }
 
@@ -103,7 +103,7 @@ void SimThread::set_period_start(TimePoint t) {
   period_start_ = t;
   if (slabs_ != nullptr) {
     // Moving the period phase moves the deadline (and nothing else reservation-side).
-    slabs_->MirrorReservation(slab_slot_, *this);
+    slabs_->MirrorReservation(id_, *this);
   }
 }
 

@@ -109,11 +109,9 @@ class SimThread {
   void set_sched_slot(void* slot) { sched_slot_ = slot; }
 
   // --- Hot-field slab binding (see task/thread_slabs.h) ---
-  // The slab this thread's hot fields are mirrored into (null when unbound) and its
-  // slot there. The slot is stable across migrations and other threads' lifecycle;
-  // consumers may cache it for the binding's lifetime.
+  // The slabs this thread's hot fields are mirrored into (null when unbound). Its
+  // slot there is its id().
   ThreadSlabs* bound_slabs() const { return slabs_; }
-  int32_t slab_slot() const { return slab_slot_; }
 
   // --- Baseline-scheduler bookkeeping ---
   int priority() const { return priority_; }
@@ -160,14 +158,13 @@ class SimThread {
   double burst_ewma_cycles() const { return burst_ewma_; }
 
  private:
-  friend class ThreadSlabs;  // Maintains slabs_/slab_slot_ on Bind/Release.
+  friend class ThreadSlabs;  // Sets slabs_ on Bind.
 
   const ThreadId id_;
   const std::string name_;
   std::unique_ptr<WorkModel> work_;
 
   ThreadSlabs* slabs_ = nullptr;
-  int32_t slab_slot_ = -1;
 
   ThreadState state_ = ThreadState::kRunnable;
   ThreadClass class_ = ThreadClass::kMiscellaneous;

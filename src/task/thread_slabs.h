@@ -20,15 +20,14 @@
 //     slab == object at every pick and controller tick of a fuzzed run.
 //   - `pressure` is the one controller-owned column: the control pipeline's
 //     Sample/Estimate stages write it (there is no SimThread field behind it).
-//   - Slots are stable for the lifetime of a binding: registration and removal are
-//     O(1) through a free list (released slots are recycled LIFO), and nothing —
-//     migration, reservation churn, other threads exiting — ever moves a bound
-//     thread's slot. The Machine moves *slots between cores* by rewriting the cpu
-//     column, not by moving records.
-//   - id → slot is the registry's dense ThreadId space: with the registry binding
-//     every thread at Create and never releasing, slot == id and slot order == the
-//     registry's creation order, which is what keeps column sweeps bit-identical
-//     (including floating-point sum order) to the SimThread* sweeps they replace.
+//   - The columns are append-only and indexed by ThreadId: the registry binds each
+//     thread as it creates it, so slot == id, and a thread keeps its slot for the
+//     life of the slabs. An exited thread stays bound with state kExited, which every
+//     sweep already skips by predicate. The Machine moves threads between cores by
+//     rewriting the cpu column, never by moving records.
+//   - Slot order is therefore the registry's creation order, which is what keeps
+//     column sweeps bit-identical (including floating-point sum order) to the
+//     SimThread* sweeps they replace.
 #ifndef REALRATE_TASK_THREAD_SLABS_H_
 #define REALRATE_TASK_THREAD_SLABS_H_
 
@@ -52,27 +51,20 @@ namespace realrate {
 // consumers can ever disagree on ordering.
 inline int64_t PeriodRank(Duration period) { return Duration::Seconds(3600) / period; }
 
+// Bound threads keep a pointer to their slabs, so the slabs must outlive them.
 class ThreadSlabs {
  public:
-  static constexpr int32_t kNoSlot = -1;
-
   ThreadSlabs() = default;
   ThreadSlabs(const ThreadSlabs&) = delete;
   ThreadSlabs& operator=(const ThreadSlabs&) = delete;
-  ~ThreadSlabs();  // Unbinds every still-bound thread.
 
-  // Binds `thread` (not currently bound anywhere) to a slot and seeds its columns
-  // from the object. O(1): recycles the most recently freed slot, else appends one.
-  int32_t Bind(SimThread* thread);
-  // Releases `thread`'s slot back to the free list and clears its columns to inert
-  // values (kExited, zero proportion), so sweeps skip the hole without a branch on a
-  // separate liveness bit. Other threads' slots are untouched. O(1).
-  void Release(SimThread* thread);
+  // Appends `thread` (not bound anywhere, id == slot_count()) as the next slot and
+  // seeds its columns from the object. Amortized O(1).
+  void Bind(SimThread* thread);
 
-  // Slots ever allocated, including currently free ones. Column sweeps iterate
-  // [0, slot_count()) in slot order.
-  int32_t slot_count() const { return static_cast<int32_t>(thread_.size()); }
-  int64_t live_count() const { return live_count_; }
+  // Bound threads, exited ones included. Column sweeps iterate [0, slot_count()) in
+  // slot (== ThreadId) order.
+  int32_t slot_count() const { return static_cast<int32_t>(state_.size()); }
   // Bound threads whose state column is kRunnable — the Machine's O(1)
   // idle-suspension check. Atomic (relaxed) because it is the one machine-wide
   // counter that state write-throughs touch from inside a parallel tick round,
@@ -81,7 +73,7 @@ class ThreadSlabs {
   int64_t runnable_count() const { return runnable_count_.load(std::memory_order_relaxed); }
 
   // Per-core placement census, kept by write-through like runnable_count(): the
-  // bound non-exited slots whose cpu column is `core`, and the sum of their granted
+  // non-exited slots whose cpu column is `core`, and the sum of their granted
   // ppt among kReservation slots. Integers, so they equal a full column rescan
   // exactly, in any update order. O(1) reads; a core no slot has named reads 0.
   // Inside a parallel round only exits move them, and a thread exits on its own
@@ -92,23 +84,15 @@ class ThreadSlabs {
   // Concurrent-round mode: while true, runnable-count updates use an atomic RMW
   // (multiple host threads bump the counter from inside a fanned dispatch round);
   // while false — the sequential engine, and everything fenced to epoch
-  // boundaries (Bind/Release, wakes, migrations) — they use a plain load+store,
-  // which keeps the lock prefix out of the bind/release and dispatch hot loops.
+  // boundaries (Bind, wakes, migrations) — they use a plain load+store, which
+  // keeps the lock prefix out of the dispatch hot loop.
   // The Machine toggles this around ParallelEngine::RunRound; the engine's
   // fork/join ordering publishes the flag to the workers. Const (with a mutable
   // flag) because it selects the counter-update instruction without changing
   // any observable column value — the Machine only holds a const view.
   void set_shared_mode(bool shared) const { shared_mode_ = shared; }
 
-  // Back-pointers. thread_at is nullptr for a free slot.
-  SimThread* thread_at(int32_t slot) const { return thread_[static_cast<size_t>(slot)]; }
-  int32_t slot_of(ThreadId id) const {
-    return id >= 0 && static_cast<size_t>(id) < slot_of_id_.size()
-               ? slot_of_id_[static_cast<size_t>(id)]
-               : kNoSlot;
-  }
-
-  // --- Column reads (free slots read as inert: kExited / zero / max deadline) ---
+  // --- Column reads, by slot (== ThreadId) ---
   ThreadState state(int32_t slot) const { return state_[static_cast<size_t>(slot)]; }
   SchedPolicy policy(int32_t slot) const { return policy_[static_cast<size_t>(slot)]; }
   ThreadClass cls(int32_t slot) const { return class_[static_cast<size_t>(slot)]; }
@@ -179,8 +163,6 @@ class ThreadSlabs {
     deadline_nanos_[i] = (t.period_start() + t.period()).nanos();
   }
 
-  void SeedColumns(int32_t slot, const SimThread& t);
-
   struct CoreCensus {
     int64_t live = 0;
     int64_t reserved_ppt = 0;
@@ -219,7 +201,6 @@ class ThreadSlabs {
 
   // One entry per slot. Parallel vectors rather than a struct so each sweep streams
   // only the bytes it reads.
-  std::vector<SimThread*> thread_;
   std::vector<ThreadState> state_;
   std::vector<ThreadClass> class_;
   std::vector<SchedPolicy> policy_;
@@ -231,9 +212,6 @@ class ThreadSlabs {
   std::vector<double> importance_;
   std::vector<double> pressure_;
 
-  std::vector<int32_t> slot_of_id_;  // Dense ThreadId -> slot (kNoSlot when unbound).
-  std::vector<int32_t> free_slots_;  // LIFO recycling.
-  int64_t live_count_ = 0;
   std::atomic<int64_t> runnable_count_{0};
   std::vector<CoreCensus> census_;  // Indexed by core; grows to the largest cpu seen.
   mutable bool shared_mode_ = false;

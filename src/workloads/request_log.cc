@@ -66,7 +66,9 @@ bool ParseRequestLog(const std::string& text, std::vector<RequestRecord>* out,
     if (eol == std::string::npos) {
       eol = text.size();
     }
-    const std::string line = text.substr(pos, eol - pos);
+    // A CRLF log's '\r' belongs to the line ending, not to the last field.
+    const size_t end = eol > pos && text[eol - 1] == '\r' ? eol - 1 : eol;
+    const std::string line = text.substr(pos, end - pos);
     pos = eol + 1;
 
     const char* p = line.c_str();

@@ -3,7 +3,7 @@
 // (workloads/web_farm.h), and a generated stream round-trips bit-exactly because
 // every RequestRecord field is integral.
 //
-// Format (one request per line, whitespace-separated):
+// Format (one request per line, whitespace-separated; LF or CRLF line endings):
 //
 //   # comment — ignored, as are blank lines
 //   <arrival_ns> <bytes> <service_cycles>

@@ -1,6 +1,7 @@
-// Hot-field slabs and thread arena (task/thread_slabs.h): Bind/Release slot
-// lifecycle, write-through mirroring, the per-core placement census, migration slot
-// stability, scheduler removal mid-run, kAuto index activation, and the trace
+// Hot-field slabs and thread arena (task/thread_slabs.h): append-only binding with
+// slot == ThreadId and its preconditions, write-through mirroring, the per-core
+// placement census, migration slot stability, scheduler removal mid-run, the
+// scheduler's one-layout/one-id preconditions, pick-index activation, and the trace
 // recorder's hash-only mode the farm scenarios lean on.
 #include <memory>
 #include <string>
@@ -21,11 +22,11 @@
 namespace realrate {
 namespace {
 
-// Arena-backed threads bound to a standalone slab set (no registry), so the tests
-// can exercise Release — the registry itself never releases slots.
+// Arena-backed threads bound to a standalone slab set (no registry), so a test can
+// set a thread's fields before binding it. Slabs first: they must outlive the threads.
 struct SlabRig {
-  ThreadArena arena;
   ThreadSlabs slabs;
+  ThreadArena arena;
   std::vector<SimThread*> threads;
 
   SimThread* Spawn() {
@@ -46,11 +47,10 @@ TEST(ThreadSlabsTest, BindSeedsColumnsFromObject) {
   t->set_cpu(3);
   t->set_state(ThreadState::kRunnable);
 
-  const int32_t slot = rig.slabs.Bind(t);
-  EXPECT_EQ(slot, t->slab_slot());
+  rig.slabs.Bind(t);
+  const int32_t slot = t->id();
+  EXPECT_EQ(rig.slabs.slot_count(), 1);
   EXPECT_EQ(t->bound_slabs(), &rig.slabs);
-  EXPECT_EQ(rig.slabs.thread_at(slot), t);
-  EXPECT_EQ(rig.slabs.slot_of(t->id()), slot);
   EXPECT_EQ(rig.slabs.state(slot), ThreadState::kRunnable);
   EXPECT_EQ(rig.slabs.policy(slot), SchedPolicy::kReservation);
   EXPECT_EQ(rig.slabs.cpu(slot), 3);
@@ -58,12 +58,25 @@ TEST(ThreadSlabsTest, BindSeedsColumnsFromObject) {
   EXPECT_EQ(rig.slabs.rm_rank(slot), PeriodRank(Duration::Millis(20)));
   EXPECT_EQ(rig.slabs.deadline_nanos(slot), (t->period_start() + t->period()).nanos());
   EXPECT_TRUE(rig.slabs.MatchesObject(*t));
+  // A reservation bound in counts once in its core's census.
+  EXPECT_EQ(rig.slabs.runnable_count(), 1);
+  EXPECT_EQ(rig.slabs.live_on(3), 1);
+  EXPECT_EQ(rig.slabs.reserved_ppt_on(3), 250);
+}
+
+TEST(ThreadSlabsDeathTest, OutOfOrderAppendDies) {
+  // Slot == ThreadId: the next bind must carry id slot_count().
+  SlabRig rig;
+  rig.Spawn();
+  SimThread* skipped = rig.arena.Create(2, "skipped", std::make_unique<CpuHogWork>());
+  EXPECT_DEATH(rig.slabs.Bind(skipped), "Precondition failed: thread->id\\(\\) == slot_count");
+  EXPECT_DEATH(rig.slabs.Bind(rig.threads[0]), "Precondition failed: thread->slabs_");
 }
 
 TEST(ThreadSlabsTest, SettersWriteThroughToColumns) {
   SlabRig rig;
   SimThread* t = rig.Spawn();
-  const int32_t slot = t->slab_slot();
+  const int32_t slot = t->id();
 
   t->set_state(ThreadState::kSleeping);
   EXPECT_EQ(rig.slabs.state(slot), ThreadState::kSleeping);
@@ -87,120 +100,51 @@ TEST(ThreadSlabsTest, RunnableCountTracksStateColumn) {
   EXPECT_EQ(rig.slabs.runnable_count(), 2);
   a->set_state(ThreadState::kBlocked);
   EXPECT_EQ(rig.slabs.runnable_count(), 1);
-  rig.slabs.Release(b);
+  b->set_state(ThreadState::kExited);
   EXPECT_EQ(rig.slabs.runnable_count(), 0);
-}
-
-TEST(ThreadSlabsTest, ReleaseRecyclesSlotsLifoAndLeavesOthersIntact) {
-  SlabRig rig;
-  for (int i = 0; i < 4; ++i) {
-    SimThread* t = rig.Spawn();
-    t->set_policy(SchedPolicy::kReservation);
-    t->SetReservation(Proportion::Ppt(10 + i), Duration::Millis(10));
-  }
-  const int32_t slot1 = rig.threads[1]->slab_slot();
-  const int32_t slot2 = rig.threads[2]->slab_slot();
-
-  rig.slabs.Release(rig.threads[1]);
-  rig.slabs.Release(rig.threads[2]);
-  EXPECT_EQ(rig.threads[1]->bound_slabs(), nullptr);
-  EXPECT_EQ(rig.threads[1]->slab_slot(), ThreadSlabs::kNoSlot);
-  // Freed slots read inert, so sweeps skip them by predicate.
-  EXPECT_EQ(rig.slabs.state(slot1), ThreadState::kExited);
-  EXPECT_EQ(rig.slabs.granted_ppt(slot1), 0);
-  EXPECT_EQ(rig.slabs.thread_at(slot1), nullptr);
-  // Survivors' slots and columns are untouched.
-  EXPECT_EQ(rig.threads[0]->slab_slot(), 0);
-  EXPECT_EQ(rig.threads[3]->slab_slot(), 3);
-  EXPECT_EQ(rig.slabs.granted_ppt(rig.threads[3]->slab_slot()), 13);
-  EXPECT_EQ(rig.slabs.live_count(), 2);
-
-  // LIFO recycling: the most recently freed slot is handed out first, and the
-  // slab does not grow while free slots exist.
-  const int32_t before = rig.slabs.slot_count();
-  SimThread* x = rig.Spawn();
-  SimThread* y = rig.Spawn();
-  EXPECT_EQ(x->slab_slot(), slot2);
-  EXPECT_EQ(y->slab_slot(), slot1);
-  EXPECT_EQ(rig.slabs.slot_count(), before);
-}
-
-TEST(ThreadSlabsTest, FourThousandThreadChurnKeepsBindingsCoherent) {
-  SlabRig rig;
-  constexpr int kTotal = 4096;
-  for (int i = 0; i < kTotal; ++i) {
-    SimThread* t = rig.Spawn();
-    t->set_state(i % 2 == 0 ? ThreadState::kRunnable : ThreadState::kBlocked);
-  }
-  EXPECT_EQ(rig.slabs.live_count(), kTotal);
-
-  // Release every third thread, then bind the same number of fresh ones: the slab
-  // must recycle every hole before growing, and every binding must stay coherent.
-  int released = 0;
-  for (int i = 0; i < kTotal; i += 3) {
-    rig.slabs.Release(rig.threads[static_cast<size_t>(i)]);
-    ++released;
-  }
-  EXPECT_EQ(rig.slabs.live_count(), kTotal - released);
-  const int32_t peak = rig.slabs.slot_count();
-  for (int i = 0; i < released; ++i) {
-    rig.Spawn();
-  }
-  EXPECT_EQ(rig.slabs.slot_count(), peak);
-  EXPECT_EQ(rig.slabs.live_count(), kTotal);
-
-  int32_t live_by_scan = 0;
-  for (int32_t s = 0; s < rig.slabs.slot_count(); ++s) {
-    SimThread* t = rig.slabs.thread_at(s);
-    if (t == nullptr) {
-      continue;
-    }
-    ++live_by_scan;
-    ASSERT_EQ(t->slab_slot(), s);
-    ASSERT_EQ(rig.slabs.slot_of(t->id()), s);
-    ASSERT_TRUE(rig.slabs.MatchesObject(*t));
-  }
-  EXPECT_EQ(live_by_scan, kTotal);
 }
 
 TEST(ThreadSlabsTest, PerCoreCensusMatchesRescanThroughChurn) {
   // The per-core aggregates behind Machine::LeastLoadedCore are kept by
   // write-through; they must equal a full column rescan after a migration storm,
-  // reservation churn, exits, releases and rebinding into recycled slots.
+  // reservation and policy churn, exits, and threads the registry keeps creating.
   constexpr CpuId kCores = 5;
-  SlabRig rig;
+  ThreadRegistry registry;
+  const ThreadSlabs& slabs = *registry.slabs();
   Rng rng(77);
+  auto spawn = [&] {
+    return registry.Create("t" + std::to_string(registry.size()),
+                           std::make_unique<CpuHogWork>());
+  };
   auto check = [&] {
+    ASSERT_EQ(slabs.slot_count(), static_cast<int32_t>(registry.size()));
     for (CpuId c = 0; c <= kCores; ++c) {  // Core kCores is never used: reads 0.
       int64_t live = 0;
       int64_t ppt = 0;
-      for (int32_t s = 0; s < rig.slabs.slot_count(); ++s) {
-        if (rig.slabs.cpu(s) != c || rig.slabs.state(s) == ThreadState::kExited) {
+      for (int32_t s = 0; s < slabs.slot_count(); ++s) {
+        if (slabs.cpu(s) != c || slabs.state(s) == ThreadState::kExited) {
           continue;
         }
         ++live;
-        if (rig.slabs.policy(s) == SchedPolicy::kReservation) {
-          ppt += rig.slabs.granted_ppt(s);
+        if (slabs.policy(s) == SchedPolicy::kReservation) {
+          ppt += slabs.granted_ppt(s);
         }
       }
-      ASSERT_EQ(rig.slabs.live_on(c), live) << "core " << c;
-      ASSERT_EQ(rig.slabs.reserved_ppt_on(c), ppt) << "core " << c;
+      ASSERT_EQ(slabs.live_on(c), live) << "core " << c;
+      ASSERT_EQ(slabs.reserved_ppt_on(c), ppt) << "core " << c;
     }
   };
   for (int i = 0; i < 256; ++i) {
-    rig.Spawn()->set_state(ThreadState::kRunnable);
+    spawn()->set_state(ThreadState::kRunnable);
   }
   check();
   constexpr ThreadState kStates[] = {ThreadState::kRunnable, ThreadState::kRunning,
                                      ThreadState::kBlocked, ThreadState::kSleeping,
                                      ThreadState::kExited};
   int exits = 0;
-  int releases = 0;
+  int spawns = 0;
   for (int op = 0; op < 20'000; ++op) {
-    SimThread* t = rig.threads[rng.NextBounded(rig.threads.size())];
-    if (t->bound_slabs() == nullptr) {
-      continue;  // Released below; its slot belongs to someone else now.
-    }
+    SimThread* t = registry.All()[rng.NextBounded(registry.size())];
     switch (rng.NextBounded(7)) {
       case 0:
       case 1:
@@ -223,9 +167,8 @@ TEST(ThreadSlabsTest, PerCoreCensusMatchesRescanThroughChurn) {
         t->set_period_start(TimePoint::FromNanos(static_cast<int64_t>(op)));
         break;
       default:
-        rig.slabs.Release(t);
-        ++releases;
-        rig.Spawn()->set_cpu(static_cast<CpuId>(rng.NextBounded(kCores)));
+        spawn()->set_cpu(static_cast<CpuId>(rng.NextBounded(kCores)));
+        ++spawns;
         break;
     }
     if (op % 97 == 0) {
@@ -233,8 +176,11 @@ TEST(ThreadSlabsTest, PerCoreCensusMatchesRescanThroughChurn) {
     }
   }
   check();
+  for (const SimThread* t : registry.All()) {
+    ASSERT_TRUE(slabs.MatchesObject(*t)) << "thread " << t->id();
+  }
   EXPECT_GT(exits, 100);
-  EXPECT_GT(releases, 100);
+  EXPECT_GT(spawns, 100);
 }
 
 TEST(ThreadSlabsTest, MigrationRewritesCpuColumnWithoutMovingSlot) {
@@ -254,20 +200,19 @@ TEST(ThreadSlabsTest, MigrationRewritesCpuColumnWithoutMovingSlot) {
 
   ThreadSlabs* slabs = threads.slabs();
   ASSERT_NE(slabs, nullptr);
-  const int32_t slot = t->slab_slot();
   const CpuId from = t->cpu();
   const CpuId to = from == 0 ? 1 : 0;
   machine.Migrate(t, to);
-  EXPECT_EQ(t->slab_slot(), slot);
-  EXPECT_EQ(slabs->cpu(slot), to);
-  EXPECT_EQ(slabs->thread_at(slot), t);
+  EXPECT_EQ(slabs->cpu(t->id()), to);
+  EXPECT_EQ(slabs->live_on(to), 1);
+  EXPECT_EQ(slabs->live_on(from), 0);
   EXPECT_TRUE(slabs->MatchesObject(*t));
 }
 
 TEST(ThreadSlabsTest, SchedulerRemoveMidRunKeepsSlabBindingAndReindexes) {
   // RemoveThread takes a thread out of the run queue mid-run; the registry keeps
-  // the slab binding (slot == id is the registry's contract), and a later pick
-  // must not return the removed thread. 96 threads: enough for the pick index.
+  // the slab binding (slot == id for the thread's life), and a later pick must not
+  // return the removed thread. 96 threads: enough for the pick index.
   Simulator sim;
   ThreadRegistry threads;
   RbsScheduler rbs(sim.cpu());
@@ -281,12 +226,51 @@ TEST(ThreadSlabsTest, SchedulerRemoveMidRunKeepsSlabBindingAndReindexes) {
   ASSERT_NE(victim, nullptr);
   rbs.RemoveThread(victim);
   EXPECT_TRUE(rbs.indexing_active());  // 95 enqueued: above the switch-off point.
-  EXPECT_EQ(victim->slab_slot(), static_cast<int32_t>(victim->id()));
+  EXPECT_EQ(victim->bound_slabs(), threads.slabs());
+  EXPECT_TRUE(threads.slabs()->MatchesObject(*victim));
   for (int i = 0; i < 8; ++i) {
     SimThread* pick = rbs.PickNext(sim.Now());
     ASSERT_NE(pick, nullptr);
     EXPECT_NE(pick, victim);
   }
+}
+
+TEST(ThreadSlabsDeathTest, SchedulerRejectsASecondSlabLayout) {
+  // One RbsScheduler reads one set of slab columns: its first thread fixes which.
+  Simulator sim;
+  ThreadRegistry mine;
+  ThreadRegistry other;
+  ThreadRegistry slabless(/*use_slabs=*/false);
+  for (int i = 0; i < 2; ++i) {
+    mine.Create("m", std::make_unique<CpuHogWork>());
+    other.Create("o", std::make_unique<CpuHogWork>());
+    slabless.Create("s", std::make_unique<CpuHogWork>());
+  }
+  // Ids 0 and 1 in each registry: id 0 enqueued, the other layouts' id 1 offered,
+  // so the layout check fires, not the duplicate-id one.
+  RbsScheduler rbs(sim.cpu());
+  rbs.AddThread(mine.All()[0]);
+  EXPECT_DEATH(rbs.AddThread(other.All()[1]), "Precondition failed: thread->bound_slabs");
+  EXPECT_DEATH(rbs.AddThread(slabless.All()[1]), "Precondition failed: thread->bound_slabs");
+
+  RbsScheduler aos(sim.cpu());  // A slab-less first thread: bound ones are foreign.
+  aos.AddThread(slabless.All()[0]);
+  EXPECT_DEATH(aos.AddThread(mine.All()[1]), "Precondition failed: thread->bound_slabs");
+}
+
+TEST(ThreadSlabsDeathTest, SchedulerRejectsADuplicateId) {
+  // Ids key the pick-generation table, so one scheduler holds one thread per id —
+  // a stronger check than rejecting the same pointer twice.
+  Simulator sim;
+  ThreadRegistry left(/*use_slabs=*/false);
+  ThreadRegistry right(/*use_slabs=*/false);
+  SimThread* a = left.Create("a", std::make_unique<CpuHogWork>());
+  SimThread* twin = right.Create("twin", std::make_unique<CpuHogWork>());
+  ASSERT_EQ(a->id(), twin->id());
+  RbsScheduler rbs(sim.cpu());
+  rbs.AddThread(a);
+  EXPECT_DEATH(rbs.AddThread(a), "Precondition failed: std::find\\(ids_");
+  EXPECT_DEATH(rbs.AddThread(twin), "Precondition failed: std::find\\(ids_");
 }
 
 TEST(ThreadSlabsTest, PickIndexActivatesAndDeactivatesWithHysteresis) {

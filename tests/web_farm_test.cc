@@ -140,8 +140,22 @@ TEST(RequestLogTest, SerializeParseRoundTripsExactly) {
   ASSERT_FALSE(records.empty());
   std::vector<RequestRecord> reparsed;
   std::string error;
-  ASSERT_TRUE(ParseRequestLog(SerializeRequestLog(records), &reparsed, &error)) << error;
+  const std::string text = SerializeRequestLog(records);
+  ASSERT_TRUE(ParseRequestLog(text, &reparsed, &error)) << error;
   EXPECT_EQ(records, reparsed);
+
+  // The same log with CRLF line endings (as saved by Windows tools) parses to the
+  // same records.
+  std::string crlf;
+  for (const char ch : text) {
+    if (ch == '\n') {
+      crlf += '\r';
+    }
+    crlf += ch;
+  }
+  std::vector<RequestRecord> from_crlf;
+  ASSERT_TRUE(ParseRequestLog(crlf, &from_crlf, &error)) << error;
+  EXPECT_EQ(records, from_crlf);
 }
 
 TEST(RequestLogTest, CommentsAndBlankLinesAreIgnored) {
@@ -168,6 +182,7 @@ TEST(RequestLogTest, MalformedLinesFailWithLineNumbers) {
       {"100 0 5000\n", "line 1"},                   // Zero bytes.
       {"100 256 0\n", "line 1"},                    // Zero service.
       {"200 256 5000\n100 256 5000\n", "line 2"},   // Arrivals went backwards.
+      {"100 256 5000\r\r\n", "line 1"},            // Only one CR ends a line.
   };
   for (const auto& c : cases) {
     std::vector<RequestRecord> records;

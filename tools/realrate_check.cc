@@ -14,13 +14,14 @@
 // Every numeric flag is validated strictly: negative values, garbage, overflow, and
 // out-of-range widths (--host-threads needs >= 2; omit the flag for the hardware
 // default) are usage errors with a non-zero exit, never silently reinterpreted.
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
+#include "cli_number.h"
 #include "harness/differential.h"
 #include "harness/workload_gen.h"
 
@@ -50,35 +51,23 @@ void Usage(const char* argv0) {
 bool Parse(int argc, char** argv, Args& args) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    // A malformed number must fail loudly: silently running seed 0 instead of the
-    // one pasted from a CI log would "reproduce" the wrong scenario. strtoull alone
-    // is not enough — it wraps negative input ("-5" becomes 2^64-5) and clamps
-    // overflow with errno, so both are rejected explicitly.
-    auto next = [&](uint64_t& out) {
+    // One strict unsigned decimal no larger than `max` (cli_number.h).
+    auto next = [&](uint64_t& out, uint64_t max = std::numeric_limits<uint64_t>::max()) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s: missing value for %s\n", argv[0], arg.c_str());
         return false;
       }
       const char* text = argv[++i];
-      auto invalid = [&] {
-        std::fprintf(stderr, "%s: invalid number '%s' for %s\n", argv[0], text,
-                     arg.c_str());
+      if (!realrate::cli::ParseUnsigned(text, max, out)) {
+        std::fprintf(stderr, "%s: invalid number '%s' for %s (expected 0..%llu)\n", argv[0],
+                     text, arg.c_str(), static_cast<unsigned long long>(max));
         return false;
-      };
-      if (text[0] < '0' || text[0] > '9') {
-        return invalid();  // Signs, whitespace, empty: the flags take unsigned decimal.
-      }
-      errno = 0;
-      char* end = nullptr;
-      out = std::strtoull(text, &end, 10);
-      if (end == text || *end != '\0' || errno == ERANGE) {
-        return invalid();
       }
       return true;
     };
     uint64_t value = 0;
     if (arg == "--iterations") {
-      if (!next(value)) {
+      if (!next(value, std::numeric_limits<int64_t>::max())) {
         return false;
       }
       args.iterations = static_cast<int64_t>(value);
@@ -94,7 +83,7 @@ bool Parse(int argc, char** argv, Args& args) {
       args.single_seed = value;
       args.single = true;
     } else if (arg == "--host-threads") {
-      if (!next(value)) {
+      if (!next(value, std::numeric_limits<int>::max())) {
         return false;
       }
       args.host_threads = static_cast<int64_t>(value);

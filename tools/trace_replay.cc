@@ -20,14 +20,19 @@
 //
 // Log format: see workloads/request_log.h (one `arrival_ns bytes service_cycles`
 // line per request; `#` comments).
-#include <cerrno>
+//
+// Malformed flags — a non-decimal or out-of-range number, a ratio that is not a
+// finite positive number — are usage errors (exit 2 with a diagnostic), never
+// wrapped, clamped or replaced by a default.
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "cli_number.h"
 #include "workloads/arrivals.h"
 #include "workloads/request_log.h"
 #include "workloads/web_farm.h"
@@ -45,12 +50,19 @@ using realrate::WebFarmCapacityRps;
 using realrate::WebFarmParams;
 using realrate::WebFarmResult;
 
+// Flag ranges. The horizon must stay representable as a Duration in nanoseconds,
+// and a ratio beyond kMaxRatio x capacity is far past anything the farm models
+// while keeping the arrival rate finite.
+constexpr uint64_t kMaxHorizonMs = std::numeric_limits<int64_t>::max() / 1'000'000;
+constexpr uint64_t kMaxHostThreads = std::numeric_limits<int>::max();
+constexpr double kMaxRatio = 1e6;
+
 struct Args {
   enum class Mode { kNone, kGenerate, kReplay, kSelfcheck };
   Mode mode = Mode::kNone;
   std::string file;
   uint64_t seed = 1;
-  int64_t horizon_ms = 0;  // 0 = mode-specific default.
+  int64_t horizon_ms = 0;  // 0 (flag omitted) = mode-specific default.
   double ratio = 1.2;
   ArrivalConfig::Kind kind = ArrivalConfig::Kind::kPoisson;
   int64_t cpus = 4;
@@ -79,24 +91,16 @@ bool Parse(int argc, char** argv, Args& args) {
       out = argv[++i];
       return true;
     };
-    // Strict unsigned decimal, like realrate_check: signs, garbage, and overflow
-    // are usage errors, never wrapped or clamped.
-    auto next_u64 = [&](uint64_t& out) {
+    // One strict unsigned decimal in [lo, hi] (cli_number.h).
+    auto next_u64 = [&](uint64_t lo, uint64_t hi, uint64_t& out) {
       std::string text;
       if (!next_text(text)) {
         return false;
       }
-      if (text.empty() || text[0] < '0' || text[0] > '9') {
-        std::fprintf(stderr, "%s: invalid number '%s' for %s\n", argv[0], text.c_str(),
-                     arg.c_str());
-        return false;
-      }
-      errno = 0;
-      char* end = nullptr;
-      out = std::strtoull(text.c_str(), &end, 10);
-      if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
-        std::fprintf(stderr, "%s: invalid number '%s' for %s\n", argv[0], text.c_str(),
-                     arg.c_str());
+      if (!realrate::cli::ParseUnsigned(text.c_str(), hi, out) || out < lo) {
+        std::fprintf(stderr, "%s: invalid number '%s' for %s (expected %llu..%llu)\n",
+                     argv[0], text.c_str(), arg.c_str(), static_cast<unsigned long long>(lo),
+                     static_cast<unsigned long long>(hi));
         return false;
       }
       return true;
@@ -115,12 +119,12 @@ bool Parse(int argc, char** argv, Args& args) {
     } else if (arg == "--selfcheck") {
       args.mode = Args::Mode::kSelfcheck;
     } else if (arg == "--seed") {
-      if (!next_u64(value)) {
+      if (!next_u64(0, std::numeric_limits<uint64_t>::max(), value)) {
         return false;
       }
       args.seed = value;
     } else if (arg == "--horizon-ms") {
-      if (!next_u64(value)) {
+      if (!next_u64(1, kMaxHorizonMs, value)) {
         return false;
       }
       args.horizon_ms = static_cast<int64_t>(value);
@@ -131,8 +135,10 @@ bool Parse(int argc, char** argv, Args& args) {
       }
       char* end = nullptr;
       args.ratio = std::strtod(text.c_str(), &end);
-      if (end == text.c_str() || *end != '\0' || args.ratio <= 0.0) {
-        std::fprintf(stderr, "%s: invalid ratio '%s'\n", argv[0], text.c_str());
+      // Written as the accepting range so NaN fails too; inf fails the bound.
+      if (end == text.c_str() || *end != '\0' || !(args.ratio > 0.0 && args.ratio <= kMaxRatio)) {
+        std::fprintf(stderr, "%s: invalid ratio '%s' (expected a number in (0, %g])\n",
+                     argv[0], text.c_str(), kMaxRatio);
         return false;
       }
     } else if (arg == "--kind") {
@@ -149,20 +155,17 @@ bool Parse(int argc, char** argv, Args& args) {
         return false;
       }
     } else if (arg == "--cpus") {
-      if (!next_u64(value) || value < 1 || value > 64) {
-        std::fprintf(stderr, "%s: --cpus must be in [1, 64]\n", argv[0]);
+      if (!next_u64(1, 64, value)) {
         return false;
       }
       args.cpus = static_cast<int64_t>(value);
     } else if (arg == "--workers") {
-      if (!next_u64(value) || value < 1 || value > 1024) {
-        std::fprintf(stderr, "%s: --workers must be in [1, 1024]\n", argv[0]);
+      if (!next_u64(1, 1024, value)) {
         return false;
       }
       args.workers = static_cast<int64_t>(value);
     } else if (arg == "--host-threads") {
-      if (!next_u64(value) || value < 1) {
-        std::fprintf(stderr, "%s: --host-threads must be >= 1\n", argv[0]);
+      if (!next_u64(1, kMaxHostThreads, value)) {
         return false;
       }
       args.host_threads = static_cast<int64_t>(value);
