@@ -51,8 +51,9 @@ RbsScheduler& FeedbackAllocator::SchedulerFor(const SimThread* thread) {
 }
 
 RbsScheduler& FeedbackAllocator::SchedulerForCore(CpuId core) {
-  const auto index = static_cast<size_t>(core);
-  return index < schedulers_.size() ? *schedulers_[index] : rbs_;
+  const auto index = static_cast<size_t>(core);  // A negative core wraps and fails too.
+  RR_EXPECTS(index < schedulers_.size());  // Every core is wired (WireScheduler).
+  return *schedulers_[index];
 }
 
 void FeedbackAllocator::Start() {

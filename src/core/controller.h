@@ -227,9 +227,9 @@ class FeedbackAllocator {
   }
 
   void ScheduleNext();
-  // The scheduler owning `thread`'s run queue (by core affinity). Falls back to the
-  // primary scheduler when the thread's core was never wired — the single-scheduler
-  // rigs some unit tests build.
+  // The scheduler owning `thread`'s run queue (by core affinity). Every core of the
+  // machine must have been wired (the constructor wires core 0, WireScheduler the
+  // rest); an unwired core fails here rather than later inside SetReservation.
   RbsScheduler& SchedulerFor(const SimThread* thread);
   RbsScheduler& SchedulerForCore(CpuId core);
   // The paper's admission test against the thread's core's fixed budget; if that

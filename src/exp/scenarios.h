@@ -230,8 +230,8 @@ struct ServerFarmResult {
   int64_t idle_suspensions = 0;
   // Tick rounds the parallel engine actually fanned out (0 at host_threads = 1).
   int64_t parallel_rounds = 0;
-  // The subset of parallel_rounds admitted through the mailbox gate (rounds whose
-  // queue operations ran against pre-reserved stakes rather than hog-only work).
+  // The subset of parallel_rounds that staked queue operations against
+  // pre-reserved mailbox stakes (all-hog rounds do not count).
   int64_t mailbox_rounds = 0;
   double aggregate_user_fraction = 0.0;
   int64_t total_consumed_bytes = 0;

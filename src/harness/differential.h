@@ -118,10 +118,11 @@ struct SeedReport {
   std::vector<std::string> failures;  // Empty <=> the seed passed everything.
   std::string trace_dump;             // First violating run's trace (may be empty).
   // Rounds the host-thread equivalence pass fanned out, summed over its parallel
-  // runs — and the subset that staked queue ops through the per-core epoch
-  // mailboxes. realrate_check aggregates these across the battery and fails if
-  // mailbox-regime seeds were generated but no round ever staked: that would mean
-  // the 1-vs-N comparison quietly stopped exercising parallel queue rounds.
+  // runs — and the subset that were mailbox rounds that staked queue ops (all-hog
+  // rounds do not count). realrate_check aggregates these across the battery and
+  // fails if mailbox-regime seeds were generated but no round ever staked: that
+  // would mean the 1-vs-N comparison quietly stopped exercising parallel queue
+  // rounds.
   int64_t equivalence_parallel_rounds = 0;
   int64_t equivalence_mailbox_rounds = 0;
   // Picks the oracle checked while the core's pick index was active, in the

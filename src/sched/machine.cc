@@ -341,21 +341,19 @@ void Machine::PushSleeper(const SleepEntry& entry) {
     sleep_wheel_cursor_ = sim_.Now().nanos() / interval;
   }
   // The cursor never exceeds floor(now / interval) and wake_at >= now, so due_tick
-  // is always inside or past the window — never behind it.
-  if (due_tick - sleep_wheel_cursor_ < kSleepWheelTicks) {
-    sleep_wheel_[static_cast<size_t>(due_tick % kSleepWheelTicks)].push_back(entry);
-    ++sleep_wheel_count_;
-  } else {
-    sleepers_.push(entry);
-  }
+  // is never behind the cursor; a sleep past the window waits out its laps in its
+  // bucket.
+  sleep_wheel_[static_cast<size_t>(due_tick % kSleepWheelTicks)].push_back(entry);
+  ++sleep_wheel_count_;
 }
 
 void Machine::WakeExpiredSleepers(TimePoint now) {
   // The global timer interrupt is serviced by the boot core; its cost lands there
   // (StealCycles' default core).
   bool any_expired = false;
-  // Gather this tick's due sleepers from both levels, then sort the batch into the
-  // (wake_at, generation) order the single heap used to pop in — stale entries are
+  // Gather the due sleepers from every bucket the cursor passed since the last drain
+  // (all of them after a long idle span), then sort the batch into (wake_at,
+  // generation) order — the order a single heap would pop them in. Stale entries are
   // filtered below and have no effects, so only the live ordering matters.
   wake_batch_.clear();
   if (sleep_wheel_count_ > 0) {
@@ -364,24 +362,17 @@ void Machine::WakeExpiredSleepers(TimePoint now) {
     const int64_t last =
         std::min(now_tick, sleep_wheel_cursor_ + kSleepWheelTicks - 1);
     for (int64_t t = sleep_wheel_cursor_; t <= last; ++t) {
+      // Only entries at or before `now`: the rest belong to a later lap (or, in the
+      // current tick's bucket, to later in this tick).
       auto& bucket = sleep_wheel_[static_cast<size_t>(t % kSleepWheelTicks)];
-      if (bucket.empty()) {
-        continue;
-      }
-      if (t < now_tick) {  // Whole bucket is due.
-        wake_batch_.insert(wake_batch_.end(), bucket.begin(), bucket.end());
-        sleep_wheel_count_ -= static_cast<int64_t>(bucket.size());
-        bucket.clear();
-      } else {  // The current tick's bucket: only entries at or before `now`.
-        for (size_t i = 0; i < bucket.size();) {
-          if (bucket[i].wake_at <= now) {
-            wake_batch_.push_back(bucket[i]);
-            bucket[i] = bucket.back();
-            bucket.pop_back();
-            --sleep_wheel_count_;
-          } else {
-            ++i;
-          }
+      for (size_t i = 0; i < bucket.size();) {
+        if (bucket[i].wake_at <= now) {
+          wake_batch_.push_back(bucket[i]);
+          bucket[i] = bucket.back();
+          bucket.pop_back();
+          --sleep_wheel_count_;
+        } else {
+          ++i;
         }
       }
     }
@@ -389,10 +380,6 @@ void Machine::WakeExpiredSleepers(TimePoint now) {
   if (sleep_wheel_cursor_ != kNoTick) {
     sleep_wheel_cursor_ =
         std::max(sleep_wheel_cursor_, now.nanos() / config_.dispatch_interval.nanos());
-  }
-  while (!sleepers_.empty() && sleepers_.top().wake_at <= now) {
-    wake_batch_.push_back(sleepers_.top());
-    sleepers_.pop();
   }
   std::sort(wake_batch_.begin(), wake_batch_.end(),
             [](const SleepEntry& a, const SleepEntry& b) {
@@ -447,16 +434,7 @@ void Machine::TickBody(CpuId core_id, TimePoint now) {
 void Machine::TickRest(CpuId core_id, TimePoint now) {
   Core& core = CoreAt(core_id);
   core.scheduler->OnTick(now);
-
-  // Capacity of this tick, minus overhead backlog carried over (controller runs,
-  // timer/dispatch costs that exceeded a previous tick).
-  Cycles cycles_left = cycles_per_tick_;
-  const Cycles absorbed = std::min(core.stolen_backlog, cycles_left);
-  cycles_left -= absorbed;
-  core.stolen_backlog -= absorbed;
-
-  DispatchLoop(core, core_id, now, cycles_left);
-
+  RoundDispatch(core_id, now);
   if (checker_ != nullptr) {
     checker_->OnTickComplete(*this, core_id, now);
   }
@@ -468,37 +446,6 @@ void Machine::TickRest(CpuId core_id, TimePoint now) {
   }
   core.next_tick_event =
       sim_.ScheduleAfter(config_.dispatch_interval, TickCallback(core_id));
-}
-
-bool Machine::RoundIsLocal(TimePoint now) {
-  if (gate_cached_epoch_ == gate_epoch_) {
-    return gate_cached_;
-  }
-  // Every runnable thread must be able to absorb a full tick with no side effects
-  // outside its own record (WorkModel::RoundLocalCycles' contract). Sweeping the
-  // state column (slot order) keeps the scan cache-friendly; the verdict is cached
-  // until the runnable set changes, so steady farm phases pay it once.
-  bool local = true;
-  if (slabs_ != nullptr) {
-    const int32_t n = slabs_->slot_count();
-    for (int32_t s = 0; s < n && local; ++s) {
-      if (slabs_->state(s) == ThreadState::kRunnable) {
-        SimThread* t = registry_.All()[static_cast<size_t>(s)];
-        local = t->work().RoundLocalCycles(now) >= cycles_per_tick_;
-      }
-    }
-  } else {
-    for (SimThread* t : registry_.All()) {
-      if (!t->HasExited() && t->state() == ThreadState::kRunnable &&
-          t->work().RoundLocalCycles(now) < cycles_per_tick_) {
-        local = false;
-        break;
-      }
-    }
-  }
-  gate_cached_epoch_ = gate_epoch_;
-  gate_cached_ = local;
-  return local;
 }
 
 void Machine::RecordPlanFailure() {
@@ -520,6 +467,14 @@ void Machine::RecordPlanFailure() {
 }
 
 bool Machine::RoundPlanIsFeasible(TimePoint now) {
+  round_claims_.clear();
+  round_staged_.clear();
+  // An all-hog admission stands until the runnable set changes: nothing in a round
+  // can turn a hog into a queue-bound thread, and in-round throttles only shrink the
+  // set.
+  if (hogs_admitted_epoch_ == gate_epoch_) {
+    return true;
+  }
   // Fail-fast: the last failure stands while the runnable set and every consulted
   // queue's change epoch are unchanged — nothing that could flip the verdict has
   // moved. (A plan's byte bounds also depend on `now`, so a stale failure can in
@@ -539,8 +494,6 @@ bool Machine::RoundPlanIsFeasible(TimePoint now) {
     }
   }
   plan_fail_valid_ = false;
-  round_claims_.clear();
-  round_staged_.clear();
   const uint64_t stamp = ++plan_stamp_;
 
   // Classification sweep: every runnable thread must be a hog (full-tick
@@ -623,6 +576,9 @@ bool Machine::RoundPlanIsFeasible(TimePoint now) {
       return false;
     }
   }
+  if (round_staged_.empty()) {
+    hogs_admitted_epoch_ = gate_epoch_;
+  }
   return true;
 }
 
@@ -671,33 +627,24 @@ void Machine::RoundTick() {
   accounted_through_ = now;
   WakeExpiredSleepers(now);
 
-  bool staked = false;
-  if (!RoundIsLocal(now)) {
-    // Not all hogs: try the mailbox gate — pre-claimed queue stakes extend the
-    // parallel path to pipeline- and farm-shaped rounds.
-    staked = RoundPlanIsFeasible(now);
-    if (!staked) {
-      for (CpuId c = 0; c < n; ++c) {
-        TickRest(c, now);
-      }
-      return;
+  if (!RoundPlanIsFeasible(now)) {
+    for (CpuId c = 0; c < n; ++c) {
+      TickRest(c, now);
     }
+    return;
   }
-
-  if (staked) {
-    // Install the pre-claimed stakes (the claim table is final — stake pointers
-    // stay put) and switch the planned models' cross-thread side effects (side-band
-    // FIFO appends, shared sample sets) into staging mode, core-major flush order.
-    for (QueueClaim& claim : round_claims_) {
-      claim.queue->InstallRoundStakes(
-          claim.pusher != kInvalidThreadId ? &claim.push : nullptr,
-          claim.popper != kInvalidThreadId ? &claim.pop : nullptr);
-    }
-    std::stable_sort(round_staged_.begin(), round_staged_.end(),
-                     [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [core, model] : round_staged_) {
-      model->BeginRoundStaging();
-    }
+  // Install the pre-claimed stakes (none in an all-hog round; the claim table is
+  // final — stake pointers stay put) and switch the planned models' cross-thread
+  // side effects (side-band FIFO appends, shared sample sets) into staging mode,
+  // core-major flush order.
+  for (QueueClaim& claim : round_claims_) {
+    claim.queue->InstallRoundStakes(claim.pusher != kInvalidThreadId ? &claim.push : nullptr,
+                                    claim.popper != kInvalidThreadId ? &claim.pop : nullptr);
+  }
+  std::stable_sort(round_staged_.begin(), round_staged_.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [core, model] : round_staged_) {
+    model->BeginRoundStaging();
   }
 
   // Parallel epoch. The schedulers' tick work stays on the coordinator — it is the
@@ -740,19 +687,18 @@ void Machine::RoundTick() {
     }
   }
 
-  if (staked) {
-    // Merge the round's queue effects: per-queue fill deltas (flowing through the
-    // registry's fill aggregate), totals, and change-epoch bumps settle to exactly
-    // the sequential end-of-round state; staged side-band effects flush in core
-    // order. Nothing observes queue state mid-round (the controller, the cluster
-    // fence, and the checker all run between rounds), so settle order is free.
-    ++mailbox_rounds_;
-    for (QueueClaim& claim : round_claims_) {
-      claim.queue->SettleRoundStakes();
-    }
-    for (const auto& [core, model] : round_staged_) {
-      model->FlushRoundEffects();
-    }
+  // Merge the round's queue effects: per-queue fill deltas (flowing through the
+  // registry's fill aggregate), totals, and change-epoch bumps settle to exactly the
+  // sequential end-of-round state; staged side-band effects flush in core order.
+  // Nothing observes queue state mid-round (the controller, the cluster fence, and
+  // the checker all run between rounds), so settle order is free. Only a round that
+  // staked a model counts as a mailbox round.
+  mailbox_rounds_ += round_staged_.empty() ? 0 : 1;
+  for (QueueClaim& claim : round_claims_) {
+    claim.queue->SettleRoundStakes();
+  }
+  for (const auto& [core, model] : round_staged_) {
+    model->FlushRoundEffects();
   }
 
   // Re-arm / suspend in the sequential engine's event-id order: cores 0..n-2 re-arm
@@ -771,6 +717,8 @@ void Machine::RoundTick() {
 }
 
 void Machine::RoundDispatch(CpuId core_id, TimePoint now) {
+  // Capacity of this tick, minus overhead backlog carried over (controller runs,
+  // timer/dispatch costs that exceeded a previous tick).
   Core& core = CoreAt(core_id);
   Cycles cycles_left = cycles_per_tick_;
   const Cycles absorbed = std::min(core.stolen_backlog, cycles_left);
@@ -818,22 +766,10 @@ void Machine::Suspend() {
 }
 
 void Machine::ArmHorizon() {
-  // Drop stale far-heap entries so the horizon tracks the earliest *live* sleeper.
-  while (!sleepers_.empty()) {
-    const SleepEntry& top = sleepers_.top();
-    if (SleepGenOf(top.thread) == top.generation) {
-      break;
-    }
-    sleepers_.pop();
-  }
-  // Earliest live wake time across both sleeper levels. The wheel scan is bounded
-  // by the window size and only runs at suspension, never on the tick path.
+  // Earliest live wake time in the wheel (stale entries skipped). The scan only runs
+  // at suspension, never on the tick path.
   bool have_wake = false;
   TimePoint earliest_wake;
-  if (!sleepers_.empty()) {
-    have_wake = true;
-    earliest_wake = sleepers_.top().wake_at;
-  }
   if (sleep_wheel_count_ > 0) {
     for (const auto& bucket : sleep_wheel_) {
       for (const SleepEntry& entry : bucket) {

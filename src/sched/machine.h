@@ -1,7 +1,7 @@
 // Machine: the simulated kernel's dispatch engine, generalized to N CPUs. Each core
 // owns a dispatch clock (the paper's 1 ms dispatch interval), a scheduler instance
 // (its run queue), and its own overhead/backlog accounting; the Machine additionally
-// owns the global timer subsystem (sleep list, serviced by core 0 — the boot core),
+// owns the global timer subsystem (sleeper wheel, serviced by core 0 — the boot core),
 // the least-loaded placement policy for new threads, and the periodic rebalancer that
 // migrates threads off proportion-over-subscribed cores.
 //
@@ -36,11 +36,11 @@
 // Thread-safety: the public API is single-(host-)threaded — like everything above the
 // Simulator, it runs inside simulator events on the event-loop thread. With
 // config.host_threads > 1 the Machine additionally runs *gated* dispatch rounds
-// across a ParallelEngine: when every core's tick event is at the queue head and
-// every runnable thread's work model is provably round-local (WorkModel::
-// RoundLocalCycles covers the whole tick), the per-core dispatch loops run
-// concurrently, one host thread per simulated core, staging trace records and
-// throttle-sleeps into per-core lanes that the coordinator merges at the epoch
+// across a ParallelEngine: when every core's tick event is at the queue head and the
+// round gate (RoundPlanIsFeasible) admits every runnable thread — as a hog, or as a
+// queue plan that fits pre-claimed BoundedBuffer stakes — the per-core dispatch
+// loops run concurrently, one host thread per simulated core, staging trace records
+// and throttle-sleeps into per-core lanes that the coordinator merges at the epoch
 // barrier in ascending core order. Anything else — an installed checker, an
 // interleaved event, a thread that might block/wake/migrate — falls back to the
 // sequential reference path, so the schedule, the event-id sequence, and the trace
@@ -58,7 +58,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "queue/bounded_buffer.h"
@@ -234,11 +233,10 @@ class Machine {
   // Tick rounds that actually ran the per-core dispatch loops across host threads
   // (0 when host_threads == 1 or no round ever passed the independence gate).
   int64_t parallel_rounds() const { return parallel_rounds_; }
-  // The subset of parallel_rounds() admitted through the mailbox gate — rounds whose
-  // queue operations ran against pre-claimed BoundedBuffer stakes rather than the
-  // hog-only RoundLocalCycles gate. The vacuity signal for the queue-round
-  // equivalence passes: a pipeline/farm config that claims to exercise the parallel
-  // path must show this > 0.
+  // The subset of parallel_rounds() that staked a work model's queue plan against
+  // pre-claimed BoundedBuffer stakes (all-hog rounds do not count). The vacuity
+  // signal for the queue-round equivalence passes: a pipeline/farm config that
+  // claims to exercise the parallel path must show this > 0.
   int64_t mailbox_rounds() const { return mailbox_rounds_; }
   // Host threads the machine will use (config.host_threads clamped to the core
   // count; 1 when no ParallelEngine was created).
@@ -249,12 +247,6 @@ class Machine {
     TimePoint wake_at;
     uint64_t generation;
     ThreadId thread;
-    bool operator>(const SleepEntry& other) const {
-      if (wake_at != other.wake_at) {
-        return wake_at > other.wake_at;
-      }
-      return generation > other.generation;
-    }
   };
 
   // Column-path census helpers (require slabs_): does the census count `t` on
@@ -301,49 +293,47 @@ class Machine {
   // plus TickRest. The sequential engine's whole tick; the parallel engine's
   // fallback unit.
   void TickBody(CpuId core, TimePoint now);
-  // Everything in a tick after the prologue: scheduler OnTick, backlog absorption,
-  // the dispatch loop, checker hook, and the re-arm / suspend decision.
+  // Everything in a tick after the prologue: scheduler OnTick, RoundDispatch,
+  // checker hook, and the re-arm / suspend decision.
   void TickRest(CpuId core, TimePoint now);
   // host_threads > 1: core 0's dispatch-clock callback. Pops the sibling cores'
   // same-timestamp tick events off the queue head and runs the whole round — in
   // parallel when the independence gate passes, else as the exact sequential
   // interleave.
   void RoundTick();
-  // The per-core body RunRound fans out: backlog absorption + dispatch loop only.
+  // Backlog absorption + dispatch loop: the per-core body RunRound fans out, and the
+  // middle of every sequential tick.
   void RoundDispatch(CpuId core, TimePoint now);
   // The dispatch clock callback for `core` under the current engine mode.
   EventQueue::Callback TickCallback(CpuId core);
-  // True when every runnable thread's work model is round-local for a full tick
-  // starting at `now` — the precondition for running dispatch loops concurrently.
-  // The verdict is cached and invalidated by runnable-set changes (gate_epoch_).
-  bool RoundIsLocal(TimePoint now);
-  // The mailbox gate: when RoundIsLocal fails because runnable threads carry queue
-  // work, collect every such thread's round queue plan (WorkModel::PlanRoundQueueOps,
-  // budgeted by Scheduler::RoundCycleBound) into a per-queue claim table and admit
-  // the round iff, for every planned queue: no thread is blocked on it, at most one
+  // The round gate — the precondition for running dispatch loops concurrently. Every
+  // runnable thread must be a hog (WorkModel::RoundLocalCycles covers a full tick
+  // from `now`) or plan its round's queue ops (WorkModel::PlanRoundQueueOps, budgeted
+  // by Scheduler::RoundCycleBound) into a per-queue claim table; the round is
+  // admitted iff, for every planned queue: no thread is blocked on it, at most one
   // thread pushes and one pops (so side-band FIFOs keep sequential order), the push
-  // bounds fit the current headroom, and the pop bounds fit the current fill. Under
-  // those conditions no full/empty edge is reachable in ANY interleaving — every op
-  // succeeds with its full request in both engines, no wake can fire — so the round
-  // fans out with bit-identical results. On success round_claims_/round_staged_ hold
-  // the table; on failure the verdict is cached at per-queue epoch granularity
-  // (plan_fail_*): re-evaluation waits for a runnable-set change or a consulted
-  // queue's change_epoch to move, keeping steady-state gate work O(runnable).
+  // bounds fit the current headroom, and the pop bounds fit the current fill. Then
+  // no full/empty edge is reachable in ANY interleaving — every op succeeds with its
+  // full request in both engines, no wake can fire — so the round fans out with
+  // bit-identical results. On success round_claims_/round_staged_ hold the table
+  // (both empty for an all-hog round, an admission cached until the runnable set
+  // changes); a failure is cached at per-queue epoch granularity (plan_fail_*):
+  // re-evaluation waits for a runnable-set change or a consulted queue's
+  // change_epoch to move, keeping steady-state gate work O(runnable).
   bool RoundPlanIsFeasible(TimePoint now);
   // Remembers why the mailbox gate failed: the consulted queues' change epochs
   // (empty = runnable-set-keyed only), so the fail-fast path above stays sound.
   void RecordPlanFailure();
-  // Invalidates the cached gate verdict. Called on every runnable-set change made
+  // Invalidates the cached gate verdicts. Called on every runnable-set change made
   // outside a parallel round; in-round transitions can only shrink the runnable set
-  // (gated work never wakes anyone), which cannot falsify a true verdict.
+  // (gated work never wakes anyone), which cannot falsify an all-hog admission.
   void InvalidateRoundGate() { ++gate_epoch_; }
   // Records a trace event from the dispatch path: directly when sequential, into
   // `core`'s lane when inside a parallel round (merged in core order at the barrier).
   void Emit(CpuId core, TimePoint t, TraceKind kind, ThreadId thread, int64_t arg0 = 0,
             int64_t arg1 = 0);
   void WakeExpiredSleepers(TimePoint now);
-  // Files a sleeper into the timing wheel (short sleeps, the common case) or the
-  // far heap (wakes beyond the wheel window).
+  // Files a sleeper into the timing wheel bucket of its wake tick.
   void PushSleeper(const SleepEntry& entry);
   // Runs work for up to `cycles_left` on `core`; one iteration of the intra-tick
   // dispatch loop.
@@ -385,21 +375,17 @@ class Machine {
   // walk, preserving even floating-point summation order.
   const ThreadSlabs* slabs_ = nullptr;
 
-  // Sleeper bookkeeping is a two-level structure. Short sleeps — the overwhelmingly
-  // common case: one reservation period, a few dispatch ticks — go into a timing
-  // wheel of per-tick buckets (O(1) push_back, one bucket append/clear per tick)
-  // instead of sifting through a machine-wide binary heap on every block and wake.
-  // Sleeps past the wheel window land in the far heap, which works exactly like the
-  // original single heap. WakeExpiredSleepers merges both sources and sorts the due
-  // batch by (wake_at, generation) — the order the single heap popped in — so wake
-  // processing, and therefore the trace, is bit-identical to the one-heap machine.
+  // Sleepers live in a hashed timing wheel (Varghese & Lauck, SOSP 1987): one bucket
+  // per tick modulo kSleepWheelTicks, an O(1) push_back per sleep. A drain takes only
+  // entries with wake_at <= now, so a sleep longer than the wheel waits in its bucket
+  // for its lap. WakeExpiredSleepers sorts the due batch by (wake_at, generation) —
+  // the order a single heap pops in — so the trace is bit-identical to a heap's.
   static constexpr int64_t kSleepWheelTicks = 128;
   static constexpr int64_t kNoTick = INT64_MIN;
   std::vector<std::vector<SleepEntry>> sleep_wheel_;  // Ring of kSleepWheelTicks buckets.
   int64_t sleep_wheel_cursor_ = kNoTick;  // First undrained tick index.
   int64_t sleep_wheel_count_ = 0;         // Entries currently in the wheel.
   std::vector<SleepEntry> wake_batch_;    // WakeExpiredSleepers's reused scratch.
-  std::priority_queue<SleepEntry, std::vector<SleepEntry>, std::greater<SleepEntry>> sleepers_;
   std::vector<uint64_t> sleep_gen_dense_;  // Indexed by ThreadId.
   uint64_t next_generation_ = 1;
 
@@ -435,11 +421,10 @@ class Machine {
   std::vector<Lane> lanes_;                 // One per core; empty when engine_ is null.
   bool in_round_ = false;  // Dispatch loops currently fanned out across host threads.
   int64_t parallel_rounds_ = 0;
-  // Independence-gate verdict cache: RoundIsLocal's scan only reruns after a
-  // runnable-set change (wake, sleep, block, exit, attach, migrate) bumps the epoch.
+  // Runnable-set epoch: bumped by every change outside a round (wake, sleep, block,
+  // exit, attach, migrate). An all-hog admission holds while it is unchanged.
   uint64_t gate_epoch_ = 1;
-  uint64_t gate_cached_epoch_ = 0;
-  bool gate_cached_ = false;
+  uint64_t hogs_admitted_epoch_ = 0;
 
   // --- Mailbox (staked-queue) rounds ---
   // One planned queue's aggregated claim for the current round: the stake structs

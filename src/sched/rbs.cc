@@ -102,26 +102,14 @@ void RbsScheduler::CompactPickIndex() {
   RR_CHECK(pick_index_.size() == static_cast<size_t>(pick_live_));
 }
 
-void RbsScheduler::RearmReplenish(SimThread* thread, Node& node) {
-  node.replenish_gen = next_gen_++;  // Any older due-heap entry is now stale.
-  // With slab columns OnTick replenishes off the deadline column instead of
-  // the due-heap (see OnTick), so feeding the heap would only grow garbage.
-  if (indexing_on_ && !UseColumns() && HasReservation(thread)) {
-    due_.push(DueEntry{thread->period_start() + thread->period(), node.seq,
-                       node.replenish_gen, thread});
-  }
-}
-
 void RbsScheduler::ActivateIndexing() {
-  // Rebuild the pick index, occupancy counts, and due-heap from the thread vector.
-  // Reads only; no thread state changes, so the schedule is unaffected. The counts
-  // are zero here: they are only maintained while indexing is on, and Deactivate
-  // (or construction) zeroed them.
+  // Rebuild the pick index and occupancy counts from the thread vector. Reads only;
+  // no thread state changes, so the schedule is unaffected. The counts are zero here:
+  // they are only maintained while indexing is on, and Deactivate (or construction)
+  // zeroed them.
   indexing_on_ = true;
   for (SimThread* t : threads_) {
-    Node* node = FindNode(t);
-    RR_CHECK(node != nullptr);
-    RearmReplenish(t, *node);
+    RR_CHECK(FindNode(t) != nullptr);
     Reindex(t);
   }
 }
@@ -131,7 +119,6 @@ void RbsScheduler::DeactivateIndexing() {
   pick_index_.clear();
   pick_live_ = 0;
   std::fill(pick_gen_by_id_.begin(), pick_gen_by_id_.end(), 0);
-  due_ = {};  // Entries would die by generation anyway; drop them wholesale.
   runnable_unreserved_ = 0;
   runnable_reserved_ = 0;
   for (auto& [thread, node] : nodes_) {
@@ -163,7 +150,6 @@ void RbsScheduler::AddThread(SimThread* thread) {
   node.owner = this;
   node.seq = next_seq_++;
   thread->set_sched_slot(&node);
-  RearmReplenish(thread, node);
   Reindex(thread);
   MaybeSwitchIndexing();
 }
@@ -187,7 +173,7 @@ void RbsScheduler::RemoveThread(SimThread* thread) {
     --(node->counted_reserved ? runnable_reserved_ : runnable_unreserved_);
   }
   thread->set_sched_slot(nullptr);
-  nodes_.erase(thread);  // Orphaned due-heap entries die by generation mismatch.
+  nodes_.erase(thread);
   MaybeSwitchIndexing();
 }
 
@@ -223,22 +209,17 @@ void RbsScheduler::Replenish(SimThread* thread, TimePoint now) {
   thread->set_budget_remaining(budget);
   thread->set_period_entitlement(budget);
   thread->ResetPeriodCycles();
-  if (Node* node = FindNode(thread)) {
-    RearmReplenish(thread, *node);
-  }
   Reindex(thread);
 }
 
 void RbsScheduler::OnTick(TimePoint now) {
+  // One replenish sweep in admission (seq) order, in both pick modes: `threads_` is
+  // that order — RemoveThread erases and AddThread appends with a fresh seq — and the
+  // deadline-miss callbacks can observe it. With slabs the scan pre-filters on the
+  // deadline column — Replenish's own early-out condition (now < period_start +
+  // period, i.e. now_ns < deadline_nanos) — so the common not-due tick streams three
+  // small columns and touches no thread object.
   if (UseColumns()) {
-    // Slab-column sweep, in both modes: the scan pre-filters on the deadline column
-    // — Replenish's own early-out condition (now < period_start + period, i.e.
-    // now_ns < deadline_nanos) — so the common not-due tick streams three small
-    // columns and touches no thread object. In indexed mode it replaces the
-    // due-heap: one streaming pass per tick instead of two O(log n) heap sifts per
-    // thread-period. `threads_` order is admission (seq) order — RemoveThread
-    // erases and AddThread appends with a fresh seq — so the replenish order
-    // matches the due-heap path's seq sort exactly.
     const int64_t now_ns = now.nanos();
     const size_t n = ids_.size();
     for (size_t i = 0; i < n; ++i) {
@@ -250,39 +231,16 @@ void RbsScheduler::OnTick(TimePoint now) {
     }
     return;
   }
-  if (!indexing_on_) {
-    // Scanning without slabs: the per-tick O(n) replenish sweep over the objects.
-    for (SimThread* t : threads_) {
-      if (HasReservation(t)) {
-        Replenish(t, now);
-      }
+  for (SimThread* t : threads_) {
+    if (HasReservation(t)) {
+      Replenish(t, now);
     }
-    return;
-  }
-  // Pop every due (and still-current) replenishment, then apply them in admission
-  // order — the order the original per-tick scan over `threads_` replenished in, which
-  // the deadline-miss callbacks can observe. `due_now_` is a reused member buffer so
-  // the common tick allocates nothing.
-  due_now_.clear();
-  while (!due_.empty() && due_.top().due <= now) {
-    const DueEntry entry = due_.top();
-    due_.pop();
-    const Node* node = FindNode(entry.thread);
-    if (node == nullptr || node->replenish_gen != entry.gen) {
-      continue;  // Stale: reservation changed or thread left since this was armed.
-    }
-    due_now_.push_back(entry);
-  }
-  std::sort(due_now_.begin(), due_now_.end(),
-            [](const DueEntry& a, const DueEntry& b) { return a.seq < b.seq; });
-  for (const DueEntry& entry : due_now_) {
-    Replenish(entry.thread, now);
   }
 }
 
 void RbsScheduler::OnTicksSkipped(int64_t /*count*/, TimePoint now) {
   // Replenish is written to catch up across any number of elapsed periods, and the
-  // deadline-miss check cannot fire while nothing is runnable, so one due-driven pass
+  // deadline-miss check cannot fire while nothing is runnable, so one sweep
   // at the final skipped tick reproduces `count` per-tick passes exactly.
   OnTick(now);
 }
@@ -514,7 +472,6 @@ void RbsScheduler::SetReservation(SimThread* thread, Proportion proportion, Dura
   // FeedbackAllocator::SchedulerFor does). A thread enqueued nowhere may be actuated
   // by any instance (reservation state lives on the thread).
   RR_EXPECTS(thread->sched_slot() == nullptr || FindNode(thread) != nullptr);
-  const bool was_reserved = HasReservation(thread);
   const bool fresh =
       thread->policy() != SchedPolicy::kReservation || thread->period() != period;
   thread->set_policy(SchedPolicy::kReservation);
@@ -534,16 +491,7 @@ void RbsScheduler::SetReservation(SimThread* thread, Proportion proportion, Dura
     thread->set_budget_remaining(
         std::max<Cycles>(0, PeriodBudget(thread) - thread->cycles_this_period()));
   }
-  if (Node* node = FindNode(thread)) {
-    // The due time (period_start + period) only moves on the fresh path; rearming on
-    // proportion-only actuations would churn the due-heap once per controller run per
-    // thread for nothing. A reservation appearing or vanishing (proportion zero <->
-    // nonzero) changes whether a due entry should exist at all, so it rearms too.
-    if (fresh || was_reserved != HasReservation(thread)) {
-      RearmReplenish(thread, *node);
-    }
-    Reindex(thread);
-  }
+  Reindex(thread);
 }
 
 void RbsScheduler::ApplyReservations(const std::vector<ReservationUpdate>& batch,

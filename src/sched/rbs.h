@@ -17,14 +17,15 @@
 //     with lazy deletion (generation-stamped entries), so the block/wake storm of a
 //     dense farm costs O(1) per eligibility exit and an allocation-free O(log n)
 //     push per entry, with no tree nodes to chase.
-//   - Period replenishment is driven by a due-heap keyed by period end, so OnTick
-//     touches only the threads whose period actually closed instead of all n.
+//   - Period replenishment is one OnTick sweep over the run queue in admission
+//     order, in both pick modes; with slabs it streams the deadline column and
+//     touches only the threads whose period actually closed.
 //   - Best-effort (and, in work-conserving mode, budget-exhausted) threads are
 //     summarized by a secondary occupancy index — runnable counts that let PickNext
 //     skip the round-robin fallback scan entirely in the common all-blocked case; the
 //     scan itself stays because its cursor semantics are positional.
-// Occupancy switch: the index's maintenance (Reindex on every state/budget mutation,
-// due-heap churn) is pure overhead at a handful of threads per core, where the scan
+// Occupancy switch: the index's maintenance (Reindex on every state/budget mutation)
+// is pure overhead at a handful of threads per core, where the scan
 // fits in a few cachelines. The scheduler therefore scans while fewer than
 // kIndexOnThreads threads are enqueued and switches the index on (rebuilding it from
 // the thread vector, O(n log n) once) when the run queue reaches that size, with 2x
@@ -43,7 +44,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -135,8 +135,8 @@ class RbsScheduler : public Scheduler {
 
  private:
   // Per-thread bookkeeping owned by this scheduler (not the thread): the admission
-  // sequence number that reproduces the scan's tie order, the pick-index
-  // membership/key snapshot, and the replenish-heap generation stamp.
+  // sequence number that reproduces the scan's tie order and the pick-index
+  // membership/key snapshot.
   struct Node {
     RbsScheduler* owner = nullptr;  // Guards the SimThread::sched_slot cache.
     uint64_t seq = 0;
@@ -144,7 +144,6 @@ class RbsScheduler : public Scheduler {
     int64_t pick_primary = 0;       // Key snapshot while in the pick index.
     bool counted_runnable = false;  // Contributes to the occupancy counts below.
     bool counted_reserved = false;  // Which count it contributes to.
-    uint64_t replenish_gen = 0;     // Current generation; stale heap entries mismatch.
   };
 
   // Pick-index element. Ordering is (rank desc | deadline asc, seq asc): the heap
@@ -166,20 +165,6 @@ class RbsScheduler : public Scheduler {
     }
   };
 
-  // Replenish due-heap entry: period end of one reservation incarnation.
-  struct DueEntry {
-    TimePoint due;
-    uint64_t seq = 0;
-    uint64_t gen = 0;
-    SimThread* thread = nullptr;
-    bool operator>(const DueEntry& other) const {
-      if (due != other.due) {
-        return due > other.due;
-      }
-      return seq > other.seq;
-    }
-  };
-
   bool HasReservation(const SimThread* t) const {
     return t->policy() == SchedPolicy::kReservation && !t->proportion().IsZero();
   }
@@ -188,16 +173,13 @@ class RbsScheduler : public Scheduler {
   // current state. Idempotent; every mutation hook funnels through it.
   void Reindex(SimThread* thread);
   Node* FindNode(SimThread* thread);
-  // Pushes a fresh due-heap entry for `thread`'s current period (bumping the
-  // generation so older entries die), or just invalidates when unreserved.
-  void RearmReplenish(SimThread* thread, Node& node);
   // PickNext's parts: the best reserved thread by scan (index off) or from the index
   // (index on), both side-effect-free, then the shared cursor-mutating fallback.
   SimThread* PickReservedScan();
   SimThread* PickReservedIndexed();
   SimThread* PickFallbackRoundRobin();
-  // Occupancy-switch transitions. Activation rebuilds the pick index, occupancy
-  // counts, and due-heap from the thread vector; deactivation tears them down.
+  // Occupancy-switch transitions. Activation rebuilds the pick index and occupancy
+  // counts from the thread vector; deactivation tears them down.
   // Neither changes any thread's state, so the schedule is unaffected.
   void ActivateIndexing();
   void DeactivateIndexing();
@@ -245,8 +227,6 @@ class RbsScheduler : public Scheduler {
   // stale-entry test read one dense word instead of chasing the (cold) thread
   // record's sched_slot on every pick.
   std::vector<uint64_t> pick_gen_by_id_;
-  std::priority_queue<DueEntry, std::vector<DueEntry>, std::greater<DueEntry>> due_;
-  std::vector<DueEntry> due_now_;  // OnTick's reused due-batch buffer.
   // Secondary occupancy index for the round-robin fallback: how many runnable
   // threads are non-reserved, and how many are reserved at all. Runnable reserved
   // threads with exhausted budgets = counted_reserved_runnable - |pick_index_|,

@@ -2,6 +2,7 @@
 // charging, context-switch accounting.
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -134,34 +135,75 @@ TEST(MachineTest, ConsumerBlocksOnEmptyQueue) {
   EXPECT_GT(consumer->total_cycles(), 0);
 }
 
+// The times (ns) at which `id` was woken with wake argument `arg0` (-1: timer
+// expiry, -2: CancelSleep).
+std::vector<int64_t> WakeTimes(const Simulator& sim, ThreadId id, int64_t arg0) {
+  std::vector<int64_t> times;
+  for (const TraceEvent& e : sim.trace().events()) {
+    if (e.kind == TraceKind::kWake && e.thread == id && e.arg0 == arg0) {
+      times.push_back(e.t.nanos());
+    }
+  }
+  return times;
+}
+
 TEST(MachineTest, SleepUntilWakesAtRequestedTick) {
-  MachineRig rig;
-  SimThread* t = rig.threads.Create("sleeper", std::make_unique<CpuHogWork>());
-  rig.machine->Attach(t);
-  rig.machine->Start();
-  rig.sim.RunFor(Duration::Millis(2));
-  t->set_state(ThreadState::kRunnable);
-  rig.machine->SleepUntil(t, rig.sim.Now() + Duration::Millis(10));
-  EXPECT_EQ(t->state(), ThreadState::kSleeping);
-  const Cycles before = t->total_cycles();
-  rig.sim.RunFor(Duration::Millis(5));
-  EXPECT_EQ(t->total_cycles(), before);  // Still asleep.
-  rig.sim.RunFor(Duration::Millis(10));
-  EXPECT_GT(t->total_cycles(), before);  // Woke and ran.
+  // Sleep lengths inside the 128-tick sleeper wheel, at its edge, just past it, and
+  // two laps past it: each must wake on exactly its own tick, whether the machine
+  // ticks through the sleep or fast-forwards over it.
+  for (const int64_t sleep_ms : {10, 127, 128, 129, 300}) {
+    for (const bool ff : {true, false}) {
+      SCOPED_TRACE(testing::Message() << sleep_ms << " ms, fast-forward " << ff);
+      MachineRig rig;
+      rig.machine = std::make_unique<Machine>(
+          rig.sim, rig.rbs, rig.threads,
+          MachineConfig{.dispatch_interval = Duration::Millis(1),
+                        .charge_overheads = false,
+                        .idle_fast_forward = ff});
+      rig.sim.trace().SetEnabled(true);
+      SimThread* t = rig.threads.Create("sleeper", std::make_unique<CpuHogWork>());
+      rig.machine->Attach(t);
+      rig.machine->Start();
+      rig.machine->RunFor(Duration::Millis(2));
+      t->set_state(ThreadState::kRunnable);
+      const TimePoint wake_at = rig.sim.Now() + Duration::Millis(sleep_ms);
+      rig.machine->SleepUntil(t, wake_at);
+      EXPECT_EQ(t->state(), ThreadState::kSleeping);
+      const Cycles before = t->total_cycles();
+      rig.machine->RunFor(Duration::Millis(sleep_ms - 1));
+      EXPECT_EQ(t->total_cycles(), before);  // Still asleep one tick short.
+      rig.machine->RunFor(Duration::Millis(5));
+      EXPECT_GT(t->total_cycles(), before);  // Woke and ran.
+      EXPECT_EQ(WakeTimes(rig.sim, t->id(), -1), std::vector<int64_t>{wake_at.nanos()});
+    }
+  }
 }
 
 TEST(MachineTest, CancelSleepWakesEarly) {
   MachineRig rig;
+  rig.sim.trace().SetEnabled(true);
   SimThread* t = rig.threads.Create("sleeper", std::make_unique<CpuHogWork>());
   rig.machine->Attach(t);
   rig.machine->Start();
   rig.sim.RunFor(Duration::Millis(1));
   t->set_state(ThreadState::kRunnable);
-  rig.machine->SleepUntil(t, rig.sim.Now() + Duration::Seconds(100));
+  const TimePoint cancelled_wake = rig.sim.Now() + Duration::Millis(300);
+  rig.machine->SleepUntil(t, cancelled_wake);
   rig.machine->CancelSleep(t);
   EXPECT_EQ(t->state(), ThreadState::kRunnable);
   rig.sim.RunFor(Duration::Millis(5));
   EXPECT_GT(t->total_cycles(), 0);
+  // Asleep again across the cancelled entry's tick: the stale wheel entry, two laps
+  // out, must not wake the new incarnation when its bucket comes round.
+  rig.sim.RunFor(Duration::Millis(200));
+  const TimePoint wake_at = cancelled_wake + Duration::Millis(100);
+  rig.machine->SleepUntil(t, wake_at);
+  rig.sim.RunFor(Duration::Millis(150));
+  EXPECT_EQ(t->state(), ThreadState::kSleeping);
+  rig.sim.RunFor(Duration::Millis(50));
+  EXPECT_EQ(t->state(), ThreadState::kRunnable);
+  EXPECT_EQ(WakeTimes(rig.sim, t->id(), -2).size(), 1u);
+  EXPECT_EQ(WakeTimes(rig.sim, t->id(), -1), std::vector<int64_t>{wake_at.nanos()});
 }
 
 TEST(MachineTest, CancelSleepOnRunnableIsNoOp) {

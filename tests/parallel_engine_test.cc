@@ -163,6 +163,7 @@ TEST(ParallelRoundTest, EventStreamIsIdenticalNotJustTheHash) {
   const RigOutcome par = RunHogRig(4);
   EXPECT_EQ(seq.parallel_rounds, 0);
   EXPECT_GT(par.parallel_rounds, 0);
+  EXPECT_EQ(par.mailbox_rounds, 0);  // All hogs: nothing to stake.
   EXPECT_EQ(seq.dispatches, par.dispatches);
   ASSERT_EQ(seq.events.size(), par.events.size());
   for (size_t i = 0; i < seq.events.size(); ++i) {
@@ -200,6 +201,7 @@ TEST(ParallelRoundTest, ThrottledReservationsStageTheirSleepsDeterministically) 
   const RigOutcome par = run(2);
   EXPECT_GT(seq.budget_exhaustions, 0);  // The scenario actually throttles.
   EXPECT_GT(par.parallel_rounds, 0);     // ...and the throttling rounds fanned out.
+  EXPECT_EQ(par.mailbox_rounds, 0);
   EXPECT_EQ(seq.trace_hash, par.trace_hash);
   EXPECT_EQ(seq.budget_exhaustions, par.budget_exhaustions);
   EXPECT_EQ(seq.dispatches, par.dispatches);
@@ -230,6 +232,7 @@ TEST(ParallelRoundTest, RebalancerMigrationsAreHostThreadInvariant) {
   const RigOutcome par = run(2);
   EXPECT_GT(seq.migrations, 0);  // The rebalancer actually moved something.
   EXPECT_GT(par.parallel_rounds, 0);
+  EXPECT_EQ(par.mailbox_rounds, 0);
   EXPECT_EQ(seq.migrations, par.migrations);
   EXPECT_EQ(seq.trace_hash, par.trace_hash);
   EXPECT_EQ(seq.dispatches, par.dispatches);
@@ -259,6 +262,7 @@ TEST(ParallelRoundTest, HorizonWakeupsAndIdleFastForwardAreHostThreadInvariant) 
   const RigOutcome par = run(4);
   EXPECT_GT(seq.idle_suspensions, 0);  // The machine actually went idle.
   EXPECT_GT(par.parallel_rounds, 0);   // ...and ran parallel once the hogs started.
+  EXPECT_EQ(par.mailbox_rounds, 0);
   EXPECT_EQ(seq.idle_suspensions, par.idle_suspensions);
   EXPECT_EQ(seq.trace_hash, par.trace_hash);
   EXPECT_EQ(seq.dispatches, par.dispatches);
@@ -269,6 +273,7 @@ TEST(ParallelRoundTest, TwentyRerunsAreBitIdentical) {
   // not a deterministic one. Twenty fresh engines, same workload, one hash.
   const RigOutcome first = RunHogRig(4, Duration::Millis(40));
   EXPECT_GT(first.parallel_rounds, 0);
+  EXPECT_EQ(first.mailbox_rounds, 0);
   for (int rerun = 1; rerun < 20; ++rerun) {
     const RigOutcome again = RunHogRig(4, Duration::Millis(40));
     ASSERT_EQ(again.trace_hash, first.trace_hash) << "rerun " << rerun;
@@ -298,6 +303,7 @@ TEST(ParallelRoundTest, HogFarmTraceIsHostThreadInvariant) {
     fanned.host_threads = host_threads;
     const ServerFarmResult par = RunServerFarmScenario(fanned);
     EXPECT_GT(par.parallel_rounds, 0) << host_threads << " host threads";
+    EXPECT_EQ(par.mailbox_rounds, 0) << host_threads << " host threads";
     EXPECT_EQ(par.trace_hash, seq.trace_hash) << host_threads << " host threads";
     EXPECT_EQ(par.total_dispatches, seq.total_dispatches)
         << host_threads << " host threads";
@@ -436,6 +442,23 @@ TEST(MailboxRoundTest, PipelineFarmFansOutThroughTheMailboxGate) {
   }
 }
 
+TEST(MailboxRoundTest, OnlyRoundsThatStakedCountAsMailboxRounds) {
+  // A small mixed farm: two pipelines beside two hogs. When a staked pipeline
+  // thread throttles inside a round, the runnable set shrinks to the hogs without a
+  // gate-epoch bump; the rounds that follow fan out with nothing staked and must not
+  // count as mailbox rounds. (Counting them gave 184 mailbox rounds here.)
+  ServerFarmParams params;
+  params.num_cpus = 2;
+  params.num_pipelines = 2;
+  params.num_hogs = 2;
+  params.host_threads = 2;
+  params.run_for = Duration::Seconds(2);
+  const ServerFarmResult par = RunServerFarmScenario(params);
+  EXPECT_EQ(par.trace_hash, 0xdd205844d1a53030ULL);
+  EXPECT_EQ(par.parallel_rounds, 999);
+  EXPECT_EQ(par.mailbox_rounds, 70);
+}
+
 TEST(ParallelRoundTest, HostThreadsBeyondCoresAreClampedAndStillEquivalent) {
   ParallelRig rig(2, /*host_threads=*/16);
   EXPECT_EQ(rig.machine->host_threads(), 2);  // Clamped to the core count.
@@ -446,6 +469,7 @@ TEST(ParallelRoundTest, HostThreadsBeyondCoresAreClampedAndStillEquivalent) {
   rig.machine->RunFor(Duration::Millis(40));
   const RigOutcome clamped = Finish(rig);
   EXPECT_GT(clamped.parallel_rounds, 0);
+  EXPECT_EQ(clamped.mailbox_rounds, 0);
 
   ParallelRig reference(2, /*host_threads=*/1);
   for (int i = 0; i < 4; ++i) {

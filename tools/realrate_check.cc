@@ -173,8 +173,8 @@ int main(int argc, char** argv) {
   }
 
   // Vacuity accounting for the host-thread equivalence pass: across the battery,
-  // how many rounds actually fanned out, how many staked queue ops through the
-  // per-core epoch mailboxes, and how many seeds came from the generator's
+  // how many rounds actually fanned out, how many of them were mailbox rounds that
+  // staked queue ops, and how many seeds came from the generator's
   // mailbox-regime bucket. If bucket seeds were generated but not one round
   // staked, the 1-vs-N equality quietly stopped testing parallel queue rounds —
   // that is a harness regression, failed as loudly as a trace divergence. The same
@@ -207,8 +207,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(args.seed_base),
                 static_cast<unsigned long long>(args.seed_base +
                                                 static_cast<uint64_t>(args.iterations) - 1));
-    std::printf("host-thread equivalence: %lld rounds fanned out, %lld staked queue "
-                "ops via mailboxes (%lld mailbox-regime seeds)\n",
+    std::printf("host-thread equivalence: %lld rounds fanned out, %lld mailbox rounds "
+                "that staked queue ops (%lld mailbox-regime seeds)\n",
                 static_cast<long long>(total_parallel_rounds),
                 static_cast<long long>(total_mailbox_rounds),
                 static_cast<long long>(mailbox_regime_seeds));
@@ -218,9 +218,9 @@ int main(int argc, char** argv) {
   if (mailbox_regime_seeds > 0 && total_mailbox_rounds == 0) {
     std::fprintf(stderr,
                  "FAIL vacuity: %lld mailbox-regime seeds ran the host-thread "
-                 "equivalence pass but zero rounds staked queue ops through the "
-                 "mailboxes — the 1-vs-N comparison no longer exercises parallel "
-                 "queue rounds\n",
+                 "equivalence pass but zero mailbox rounds that staked queue ops "
+                 "— the 1-vs-N comparison no longer exercises parallel queue "
+                 "rounds\n",
                  static_cast<long long>(mailbox_regime_seeds));
     return 1;
   }
