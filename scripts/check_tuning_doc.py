@@ -19,11 +19,18 @@ STRUCTS = {
     "RbsConfig": "src/sched/rbs.h",
     "ControllerConfig": "src/core/controller.h",
     "ProportionEstimatorConfig": "src/core/proportion_estimator.h",
+    "ArrivalConfig": "src/workloads/arrivals.h",
+    "WebFarmParams": "src/workloads/web_farm.h",
+    "RouterConfig": "src/cluster/router.h",
+    "ClusterFarmParams": "src/cluster/cluster_farm.h",
 }
 
 
 def struct_fields(source, name):
-    """Data member names of `struct name { ... };` in `source`."""
+    """Data member names of `struct name { ... };` in `source`.
+
+    Nested type declarations (`enum class Kind { ... };`) are not members.
+    """
     source = re.sub(r"//[^\n]*", "", source)
     match = re.search(r"\bstruct\s+%s\s*\{" % re.escape(name), source)
     if match is None:
@@ -37,7 +44,7 @@ def struct_fields(source, name):
         if depth == 0 and ch == ";":
             declarator = re.split(r"[={]", statement, maxsplit=1)[0].strip()
             if declarator and "(" not in declarator and not declarator.startswith(
-                    ("static", "using", "friend")):
+                    ("static", "using", "friend", "enum")):
                 fields.append(re.findall(r"\w+", declarator)[-1])
             statement = ""
         else:

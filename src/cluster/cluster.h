@@ -4,14 +4,15 @@
 // Each node is an independent share-nothing System: its own Simulator (virtual
 // clock), thread/queue registries, per-core RBS schedulers, Machine, and feedback
 // controller. The cluster never reaches into a node mid-epoch; all cross-machine
-// observation and mutation (the router's signal reads, request injection, the
-// cross-machine rebalancer's migrations) happen at epoch boundaries, after every
-// node's `Machine::EpochFence` has asserted quiescence and settled idle
-// fast-forward. This is the parallel engine's round contract applied one level
-// up: within an epoch a machine is alone in the world, so each node's trace is
-// exactly the trace a standalone machine with the same inputs would produce —
-// bit-identical at any `host_threads`, and (for M = 1) bit-identical to a bare
-// Machine run of the same workload.
+// observation and mutation (the router's signal reads, appending each node's
+// routed arrivals to its one injector, the cross-machine rebalancer's migrations)
+// happen at epoch boundaries, after every node's `Machine::EpochFence` has
+// asserted quiescence and settled idle fast-forward. This is the parallel
+// engine's round contract applied one level up: within an epoch a machine is
+// alone in the world, so each node's trace is exactly the trace a standalone
+// machine with the same inputs would produce — bit-identical at any
+// `host_threads`, and (for M = 1) bit-identical to a bare Machine run of the
+// same workload.
 //
 // The node clocks stay aligned by construction: every node starts at the origin
 // and every node steps by the same epoch quantum.
@@ -65,13 +66,19 @@ class Cluster {
   // when `d` is not a multiple).
   void RunFor(Duration d);
 
-  // --- Cluster-level feedback signals (O(1) reads; epoch-boundary fresh) ---
-  // Clamped spare head-room of node `m` in ppt, summed over its cores: the
-  // machine's progress signal for the cluster controller (the ledger maintains
-  // it incrementally against the post-backoff admission threshold).
-  int64_t SpareSignal(int m) { return node(m).controller().ledger().spare_ppt_total(); }
+  // --- Cluster-level feedback signals (computed on read at the epoch fence) ---
+  // The router only ever sees the fence snapshot, so nothing below is maintained
+  // per event; each read sweeps state the node keeps anyway.
+  // Clamped spare head-room of node `m` in ppt, summed over its cores against the
+  // controller's post-backoff admission threshold: the machine's progress signal
+  // (routing new load at a machine that is shedding admissions would fight the
+  // backoff). O(cores).
+  int64_t SpareSignal(int m) {
+    const FeedbackAllocator& c = node(m).controller();
+    return c.ledger().SparePpt(Proportion::FromFraction(c.overload_threshold()).ppt());
+  }
   // Aggregate queue fill fraction of node `m` in [0, 1]: the machine's pressure
-  // signal (delta-maintained by every BoundedBuffer the node owns).
+  // signal. O(queues).
   double PressureSignal(int m) { return node(m).queues().AggregateFillFraction(); }
 
   // All node clocks are equal; node 0's is the cluster's.

@@ -41,28 +41,22 @@ ClusterFarmResult RunClusterFarmScenario(const ClusterFarmParams& params) {
   cluster_config.epoch = params.epoch;
   Cluster cluster(cluster_config);
 
-  // Oversized records clamp to the smallest queue, mirroring BuildWebFarm's
-  // injector, so the router's epoch injection obeys the TryPush contract too.
-  const int64_t clamp_bytes =
-      std::min(params.farm.listen_queue_bytes, params.farm.worker_queue_bytes);
-
   std::vector<std::unique_ptr<WebFarmInstance>> farms;
   for (int m = 0; m < machines; ++m) {
     System& node = cluster.node(m);
     node.sim().trace().SetEnabled(true);
     node.sim().trace().SetHashOnly(true);
-    // The degenerate cluster routes everything to its one machine, so the whole
-    // stream goes to the node's own injector up front — the arrival events then
-    // chain through the simulator exactly as a bare RunWebFarmScenario's do,
-    // which is what keeps the M = 1 trace pin bit-exact. M > 1 injects
-    // epoch-by-epoch from the router below.
+    // Each node has one injector. The degenerate cluster routes everything to its
+    // one machine, so the whole stream goes to it up front — the arrival events
+    // then chain through the simulator exactly as a bare RunWebFarmScenario's do,
+    // which is what keeps the M = 1 trace pin bit-exact. M > 1 appends each
+    // epoch's routed batch at the fence below.
     farms.push_back(BuildWebFarm(
         WebFarmBuildOf(params.farm, machines == 1 ? records : std::vector<RequestRecord>{}),
         node.sim(), node.threads(), node.queues(), node.machine(), &node.controller()));
   }
 
   FrontEndRouter router(params.router, machines);
-  std::vector<std::unique_ptr<RequestInjector>> epoch_injectors;
   int64_t rebalanced = 0;
   size_t next_record = 0;
   int64_t epoch_index = 0;
@@ -131,26 +125,11 @@ ClusterFarmResult RunClusterFarmScenario(const ClusterFarmParams& params) {
       batches[static_cast<size_t>(router.Route())].push_back(records[next_record]);
       ++next_record;
     }
+    // Every batch arrives before the next fence, so each node's chain is drained
+    // here and Append restarts it at the fence.
     for (int m = 0; m < machines; ++m) {
-      auto& batch = batches[static_cast<size_t>(m)];
-      if (batch.empty()) {
-        continue;
-      }
-      WebFarmInstance* farm = farms[static_cast<size_t>(m)].get();
-      epoch_injectors.push_back(std::make_unique<RequestInjector>(
-          cluster.node(m).sim(), std::move(batch),
-          [farm, clamp_bytes](const RequestRecord& rec) {
-            PendingRequest p;
-            p.arrival = rec.arrival;
-            p.bytes = std::clamp<int64_t>(rec.bytes, 1, clamp_bytes);
-            p.service_cycles = rec.service_cycles;
-            if (farm->listen.buffer->TryPush(p.bytes)) {
-              farm->listen.meta.push_back(p);
-            } else {
-              ++farm->listen_drops;
-            }
-          }));
-      epoch_injectors.back()->Start();
+      farms[static_cast<size_t>(m)]->injector->Append(
+          std::move(batches[static_cast<size_t>(m)]));
     }
     ++epoch_index;
   });
@@ -183,9 +162,6 @@ ClusterFarmResult RunClusterFarmScenario(const ClusterFarmParams& params) {
     System& node = cluster.node(m);
     result.epoch_fences += node.machine().epoch_fences();
     result.machine_trace_hashes.push_back(node.sim().trace().Hash());
-  }
-  for (const auto& injector : epoch_injectors) {
-    result.injected += injector->injected();
   }
   result.routed_per_machine = router.routed();
   result.cluster_hash = FoldHashes(result.machine_trace_hashes);

@@ -3,7 +3,9 @@
 // progress pressure within one machine; the router applies the same idea one
 // level up: each machine's clamped BudgetLedger spare-sum is its progress
 // signal, its aggregate queue fill is its pressure signal, and new load flows
-// toward head-room.
+// toward head-room. Both signals are computed once per epoch fence from state the
+// machine keeps anyway (Cluster::SpareSignal / PressureSignal); nothing is
+// maintained per event for the router.
 //
 // Assignment is stride-style deficit apportionment: every machine accrues
 // credit in proportion to its normalized weight, and each request goes to the
@@ -37,8 +39,8 @@ struct RouterConfig {
 
 // One machine's signal snapshot, read at an epoch fence.
 struct MachineSignals {
-  int64_t spare_ppt = 0;      // BudgetLedger::spare_ppt_total() (clamped, >= 0).
-  double fill_fraction = 0.0;  // QueueRegistry::AggregateFillFraction(), [0, 1].
+  int64_t spare_ppt = 0;      // Cluster::SpareSignal() (clamped, >= 0).
+  double fill_fraction = 0.0;  // Cluster::PressureSignal(), [0, 1].
 };
 
 class FrontEndRouter {

@@ -6,10 +6,8 @@ namespace realrate {
 
 BudgetLedger::BudgetLedger(int num_cores)
     : fixed_ppt_(static_cast<size_t>(num_cores), 0),
-      granted_(static_cast<size_t>(num_cores), 0.0),
-      granted_ppt_(static_cast<size_t>(num_cores), 0) {
+      granted_(static_cast<size_t>(num_cores), 0.0) {
   RR_EXPECTS(num_cores >= 1);
-  RecomputeSpareTotal();
 }
 
 size_t BudgetLedger::Index(CpuId core) const {
@@ -17,35 +15,18 @@ size_t BudgetLedger::Index(CpuId core) const {
   return static_cast<size_t>(core);
 }
 
-void BudgetLedger::SetThresholdPpt(int32_t ppt) {
-  RR_EXPECTS(ppt >= 0 && ppt <= Proportion::kFull);
-  threshold_ppt_ = ppt;
-  RecomputeSpareTotal();
-}
-
-void BudgetLedger::RecomputeSpareTotal() {
-  spare_ppt_total_ = 0;
-  for (size_t i = 0; i < fixed_ppt_.size(); ++i) {
-    spare_ppt_total_ += SpareContribution(i);
-  }
-}
-
 void BudgetLedger::AddFixed(CpuId core, int32_t ppt) {
   RR_EXPECTS(ppt >= 0);
   const size_t i = Index(core);
-  spare_ppt_total_ -= SpareContribution(i);
   fixed_ppt_[i] += ppt;
   fixed_ppt_total_ += ppt;
-  spare_ppt_total_ += SpareContribution(i);
 }
 
 void BudgetLedger::RemoveFixed(CpuId core, int32_t ppt) {
   RR_EXPECTS(ppt >= 0);
   const size_t i = Index(core);
-  spare_ppt_total_ -= SpareContribution(i);
   fixed_ppt_[i] -= ppt;
   fixed_ppt_total_ -= ppt;
-  spare_ppt_total_ += SpareContribution(i);
   RR_ENSURES(fixed_ppt_[i] >= 0);
 }
 
@@ -57,12 +38,16 @@ void BudgetLedger::MoveFixed(CpuId from, CpuId to, int32_t ppt) {
   AddFixed(to, ppt);
 }
 
-void BudgetLedger::SetGranted(CpuId core, double fraction) {
-  const size_t i = Index(core);
-  spare_ppt_total_ -= SpareContribution(i);
-  granted_[i] = fraction;
-  granted_ppt_[i] = Proportion::FromFraction(fraction).ppt();
-  spare_ppt_total_ += SpareContribution(i);
+void BudgetLedger::SetGranted(CpuId core, double fraction) { granted_[Index(core)] = fraction; }
+
+int64_t BudgetLedger::SparePpt(int32_t threshold_ppt) const {
+  int64_t total = 0;
+  for (size_t i = 0; i < fixed_ppt_.size(); ++i) {
+    const int64_t granted = Proportion::FromFraction(granted_[i]).ppt();
+    const int64_t spare = threshold_ppt - fixed_ppt_[i] - granted;
+    total += spare > 0 ? spare : 0;
+  }
+  return total;
 }
 
 }  // namespace realrate

@@ -12,8 +12,10 @@
 // representation of Proportion), so the sums are order-independent and bit-identical
 // between the incremental ledger and a fresh scan — the property the invariant
 // oracle (harness/invariants.h) checks after every controller iteration. Fractions
-// are derived on read as ppt / 1000.0. Granted sums (the adaptive classes' post-squish grants) are per-tick
-// aggregates refreshed by the Resolve stage, kept as doubles for introspection only.
+// are derived on read as ppt / 1000.0. Granted sums (the adaptive classes'
+// post-squish grants) are per-tick aggregates refreshed by the Resolve stage, kept as
+// doubles. The cluster router's head-room signal (SparePpt) is derived from both on
+// read: it is read once per epoch fence, so nothing is maintained for it per event.
 //
 // The oracle's scan reads each fixed-class thread's core from the thread itself and
 // checks the thread's slab columns (task/thread_slabs.h) against it, so ledger and
@@ -42,13 +44,6 @@ class BudgetLedger {
 
   int num_cores() const { return static_cast<int>(fixed_ppt_.size()); }
 
-  // --- Admission threshold (mirrors the controller's current threshold) ---
-  // The spare aggregates below are defined against this ceiling. The owning
-  // controller re-mirrors it whenever adaptive admission backoff moves the
-  // threshold, so cluster-level readers always see post-backoff head-room.
-  void SetThresholdPpt(int32_t ppt);
-  int32_t threshold_ppt() const { return threshold_ppt_; }
-
   // --- Fixed reservations (event-maintained; exact integer ppt) ---
   void AddFixed(CpuId core, int32_t ppt);
   void RemoveFixed(CpuId core, int32_t ppt);
@@ -66,40 +61,23 @@ class BudgetLedger {
   // --- Granted sums (per-tick aggregates written by the Resolve stage) ---
   void SetGranted(CpuId core, double fraction);
   double GrantedFractionOn(CpuId core) const { return granted_[Index(core)]; }
-  // Budget head-room left on `core` under `threshold` after fixed reservations and
-  // the adaptive grants of the last resolved tick. Clamped at zero: mid-squish (or
-  // after an admission-threshold backoff) fixed + granted can transiently exceed
-  // the threshold, and "negative spare" is not a meaningful routing signal — an
-  // over-subscribed core simply has nothing to give. Callers that need the signed
-  // overshoot can compute it from FixedFractionOn/GrantedFractionOn directly.
-  double SpareFractionOn(CpuId core, double threshold) const {
-    const double spare = threshold - FixedFractionOn(core) - GrantedFractionOn(core);
-    return spare > 0.0 ? spare : 0.0;
-  }
 
-  // --- Spare aggregate (the cluster router's progress signal) ---
-  // Exact integer ppt, clamped at zero per core, maintained incrementally on every
-  // mutation so the cluster-level reader is O(1) regardless of core count. Grants
-  // are quantized through Proportion's rounding (the same quantization actuation
-  // applies), keeping the sum order-independent and bit-identical across replays.
-  int64_t spare_ppt_on(CpuId core) const { return SpareContribution(Index(core)); }
-  int64_t spare_ppt_total() const { return spare_ppt_total_; }
+  // --- Spare head-room (the cluster router's progress signal) ---
+  // Budget head-room under `threshold_ppt` summed over the cores, each core's share
+  // being threshold - fixed - granted clamped at zero: mid-squish (or after an
+  // admission-threshold backoff) fixed + granted can transiently exceed the
+  // threshold, and "negative spare" is not a meaningful routing signal — an
+  // over-subscribed core simply has nothing to give. Each core's granted sum is
+  // quantized through Proportion's rounding (the quantization actuation applies),
+  // so the result is exact integer ppt and bit-identical across replays. O(cores).
+  int64_t SparePpt(int32_t threshold_ppt) const;
 
  private:
   size_t Index(CpuId core) const;
-  // Clamped head-room of one core in ppt under the stored threshold.
-  int64_t SpareContribution(size_t i) const {
-    const int64_t spare = threshold_ppt_ - fixed_ppt_[i] - granted_ppt_[i];
-    return spare > 0 ? spare : 0;
-  }
-  void RecomputeSpareTotal();
 
   std::vector<int64_t> fixed_ppt_;
   std::vector<double> granted_;
-  std::vector<int64_t> granted_ppt_;
   int64_t fixed_ppt_total_ = 0;
-  int32_t threshold_ppt_ = Proportion::FromFraction(kOverloadThreshold).ppt();
-  int64_t spare_ppt_total_ = 0;
 };
 
 }  // namespace realrate

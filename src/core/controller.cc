@@ -23,7 +23,6 @@ FeedbackAllocator::FeedbackAllocator(Machine& machine, RbsScheduler& rbs, QueueR
   RR_EXPECTS(config.interval.IsPositive());
   static_assert(kOverloadThreshold > 0 && kOverloadThreshold <= 1.0);
   static_assert(kMinOverloadThreshold > 0 && kMinOverloadThreshold <= kOverloadThreshold);
-  ledger_.SetThresholdPpt(Proportion::FromFraction(overload_threshold_).ppt());
   slabs_ = machine_.registry().slabs();
   WireScheduler(rbs_);
   // Keep the ledger registered with where each fixed reservation's proportion is
@@ -126,12 +125,6 @@ CpuId FeedbackAllocator::CpuOf(const Controlled& c) const {
 
 double FeedbackAllocator::ImportanceOf(const Controlled& c) const {
   return slabs_ != nullptr ? slabs_->importance(c.id) : c.thread->importance();
-}
-
-void FeedbackAllocator::MirrorPressure(const Controlled& c) {
-  if (slabs_ != nullptr) {
-    slabs_->set_pressure(c.id, c.last_pressure);
-  }
 }
 
 // Order-preserving, unlike Remove's last-slot swap: within one run the surviving
@@ -370,7 +363,6 @@ void FeedbackAllocator::EstimateStage(double dt, TimePoint now) {
         // and period to the specified amount and does not modify them in practice."
         c.desired = c.FixedFraction();
         c.last_pressure = 0.0;
-        MirrorPressure(c);
         continue;
       case ThreadClass::kRealRate:
         break;  // Pressure sampled by SampleStage.
@@ -399,12 +391,10 @@ void FeedbackAllocator::EstimateStage(double dt, TimePoint now) {
         c.desired = std::clamp(need, ProportionEstimator::kMinFraction,
                                ProportionEstimator::kMaxFraction);
         c.last_pressure = 0.0;
-        MirrorPressure(c);
         continue;
       }
     }
     c.desired = c.estimator->Step(c.last_pressure, c.tick_used_fraction, c.granted, dt);
-    MirrorPressure(c);
 
     if (c.cls == ThreadClass::kRealRate && config_.enable_period_estimation) {
       // SampleStage validated (or refreshed) the cache this tick; no need to
@@ -649,10 +639,6 @@ void FeedbackAllocator::OnDeadlineMiss(SimThread* thread, Cycles shortfall, Time
   // "If the RBS is missing deadlines, it notifies the controller which can increase
   // the amount of spare capacity by reducing the admission threshold."
   overload_threshold_ = std::max(kMinOverloadThreshold, overload_threshold_ - kAdmissionBackoff);
-  // Keep the ledger's spare aggregate defined against the post-backoff ceiling:
-  // the cluster router reads head-room through the ledger, and routing new load
-  // at a machine that is shedding admissions would fight the backoff.
-  ledger_.SetThresholdPpt(Proportion::FromFraction(overload_threshold_).ppt());
 }
 
 }  // namespace realrate

@@ -21,8 +21,9 @@
 //     tick (per-update index maintenance unchanged);
 //   - per-thread hot fields (exit state, cpu, importance) are read from the
 //     registry's SoA slab columns (task/thread_slabs.h) instead of chasing each
-//     SimThread pointer, and each tick's progress pressure is published back into
-//     the slab's pressure column (this controller is that column's sole writer).
+//     SimThread pointer; the controller never writes a column directly.
+// Nothing is maintained for the cluster router: its head-room signal is
+// BudgetLedger::SparePpt against overload_threshold(), computed at the epoch fence.
 // The pipeline is the only controller. The invariant oracle (harness/invariants.h)
 // re-derives its incremental state from scratch after every iteration of a fuzzed
 // run — per-core fixed sums against the ledger, each real-rate thread's pressure
@@ -165,6 +166,8 @@ class FeedbackAllocator {
   double LastPressure(ThreadId id) const;
   Duration PeriodOf(ThreadId id) const;
   std::optional<ThreadClass> ClassOf(ThreadId id) const;
+  // The post-backoff admission threshold (the cluster's SpareSignal reads the
+  // ledger's head-room against it).
   double overload_threshold() const { return overload_threshold_; }
   // Fixed (real-time / aperiodic real-time) reservations: machine-wide sum, and the
   // sum drawn from one core's budget. O(1), served from the budget ledger.
@@ -255,9 +258,6 @@ class FeedbackAllocator {
   bool ExitedOf(const Controlled& c) const;
   CpuId CpuOf(const Controlled& c) const;
   double ImportanceOf(const Controlled& c) const;
-  // Publishes the tick's progress pressure into the slab's pressure column — this
-  // controller is that column's sole writer.
-  void MirrorPressure(const Controlled& c);
 
   // --- The staged pipeline ---
   // Sample: drain usage windows and refresh progress pressure, skipping linkage
@@ -303,8 +303,9 @@ class FeedbackAllocator {
   std::unordered_map<ThreadId, size_t> slot_of_;
   BudgetLedger ledger_;
   // The registry's hot-field slabs (null when the registry runs slab-less); the
-  // source the column helpers above read and the pressure column's write target.
-  ThreadSlabs* slabs_ = nullptr;
+  // source the column helpers above read. Read-only: the controller writes thread
+  // state through the SimThread setters, which mirror into the columns.
+  const ThreadSlabs* slabs_ = nullptr;
   // Per-core scratch reused across ticks by Resolve/Actuate.
   std::vector<std::vector<SquishRequest>> core_requests_;
   std::vector<std::vector<size_t>> core_slots_;

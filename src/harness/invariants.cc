@@ -187,10 +187,6 @@ void InvariantOracle::CheckController(TimePoint now) {
       if (!slabs->MatchesObject(*t)) {
         Report(now, who() + " has slab columns that disagree with its object state");
       }
-      if (slabs->pressure(t->id()) != pressure) {
-        Report(now,
-               who() + " has a slab pressure column that disagrees with the controller");
-      }
     }
   }
   for (CpuId core = 0; core < system_->num_cpus(); ++core) {

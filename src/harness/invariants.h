@@ -22,9 +22,8 @@
 //     must match its object state.
 //   - controller state (every iteration): each core's ledger fixed sum equals a scan
 //     over the controlled fixed-class threads; each real-rate thread's cached
-//     pressure equals a fresh RawPressure over its queues; the slab pressure column
-//     equals the controller's pressure and every controlled thread's slab columns
-//     match its object state.
+//     pressure equals a fresh RawPressure over its queues; every controlled
+//     thread's slab columns match its object state.
 //
 // The oracle is a pure observer (see MachineChecker): attaching one leaves the
 // schedule bit-identical, so a trace hash taken with the oracle installed pins the

@@ -98,9 +98,9 @@ void BoundedBuffer::InstallRoundStakes(RoundStake* push, RoundStake* pop) {
 
 void BoundedBuffer::SettleRoundStakes() {
   // Applied pushes before pops so the transient fill never exceeds reality; the
-  // settled state — fill (and the registry aggregate, via ApplyFillDelta), totals,
-  // change epoch — equals the sequential engine's end-of-round state exactly. No
-  // wakes: nothing was waiting (install-time invariant) and staked ops cannot block.
+  // settled state — fill, totals, change epoch — equals the sequential engine's
+  // end-of-round state exactly. No wakes: nothing was waiting (install-time
+  // invariant) and staked ops cannot block.
   if (round_push_ != nullptr && round_push_->staged_ops > 0) {
     ApplyFillDelta(round_push_->staged_bytes);
     total_pushed_ += round_push_->staged_bytes;

@@ -39,16 +39,6 @@ class BoundedBuffer {
   // Installed by the machine so queue state changes can wake blocked threads.
   void SetWakeFn(WakeFn fn) { wake_fn_ = std::move(fn); }
 
-  // Installed by the owning registry: every fill-level change is mirrored into
-  // *aggregate as a delta, giving the registry a machine-wide fill sum that is O(1)
-  // to read (the cluster router's queue-pressure signal) without a per-read sweep.
-  void SetFillAggregate(int64_t* aggregate) {
-    fill_aggregate_ = aggregate;
-    if (fill_aggregate_ != nullptr) {
-      *fill_aggregate_ += fill_;
-    }
-  }
-
   // Attempts to append `bytes` (0 < bytes <= capacity; an item that exceeds the whole
   // queue could never fit and would livelock a producer waiting for space, so it is a
   // contract violation). Returns false (and changes nothing) if it doesn't fit right
@@ -103,8 +93,8 @@ class BoundedBuffer {
 
   // Installs the per-round stakes (either may be null: endpoint not planned).
   // Coordinator-only, outside the forked region; stake storage must not move while
-  // installed. SettleRoundStakes applies the staged deltas — fill (through the
-  // registry aggregate), totals, and the change epoch — and clears the pointers.
+  // installed. SettleRoundStakes applies the staged deltas — fill, totals, and the
+  // change epoch — and clears the pointers.
   // The settled state is bit-identical to the sequential engine's end-of-round state.
   void InstallRoundStakes(RoundStake* push, RoundStake* pop);
   void SettleRoundStakes();
@@ -130,19 +120,14 @@ class BoundedBuffer {
  private:
   void WakeAll(std::vector<ThreadId>& waiters);
   // Plain (non-atomic) by design, unlike ThreadSlabs::runnable_count_, which must
-  // take relaxed RMWs while a parallel round is in flight: fill_ and the registry
-  // aggregate are never written during a staked round. The staked TryPush/TryPop
-  // fast paths touch only their per-thread RoundStake (one writer each, by the
-  // gate's single-pusher/single-popper rule), and SettleRoundStakes runs on the
-  // coordinator after the round barrier — so every ApplyFillDelta call is in a
-  // single-threaded phase. The TSan leg (web_farm_test, cluster_test, the
-  // host-threads-4 fuzz smoke) enforces this mechanically.
-  void ApplyFillDelta(int64_t delta) {
-    fill_ += delta;
-    if (fill_aggregate_ != nullptr) {
-      *fill_aggregate_ += delta;
-    }
-  }
+  // take relaxed RMWs while a parallel round is in flight: fill_ is never written
+  // during a staked round. The staked TryPush/TryPop fast paths touch only their
+  // per-thread RoundStake (one writer each, by the gate's single-pusher/single-popper
+  // rule), and SettleRoundStakes runs on the coordinator after the round barrier —
+  // so every ApplyFillDelta call is in a single-threaded phase. The TSan leg
+  // (web_farm_test, cluster_test, the host-threads-4 fuzz smoke) enforces this
+  // mechanically.
+  void ApplyFillDelta(int64_t delta) { fill_ += delta; }
 
   const QueueId id_;
   const std::string name_;
@@ -153,7 +138,6 @@ class BoundedBuffer {
   int64_t full_hits_ = 0;
   int64_t empty_hits_ = 0;
   uint64_t change_epoch_ = 0;
-  int64_t* fill_aggregate_ = nullptr;
   RoundStake* round_push_ = nullptr;  // Non-null only inside a staked parallel round.
   RoundStake* round_pop_ = nullptr;
   uint64_t plan_stamp_ = 0;  // Gate-evaluation scratch (see PlanMark).

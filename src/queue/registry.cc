@@ -10,8 +10,6 @@ BoundedBuffer* QueueRegistry::CreateQueue(std::string name, int64_t capacity_byt
   const auto id = static_cast<QueueId>(queues_.size());
   queues_.push_back(std::make_unique<BoundedBuffer>(id, std::move(name), capacity_bytes));
   raw_queues_.push_back(queues_.back().get());
-  total_capacity_bytes_ += capacity_bytes;
-  queues_.back()->SetFillAggregate(&total_fill_bytes_);
   return queues_.back().get();
 }
 
@@ -50,5 +48,14 @@ BoundedBuffer* QueueRegistry::Find(QueueId id) {
   return queues_[id].get();
 }
 
+double QueueRegistry::AggregateFillFraction() const {
+  int64_t fill = 0;
+  int64_t capacity = 0;
+  for (const BoundedBuffer* q : raw_queues_) {
+    fill += q->fill();
+    capacity += q->capacity();
+  }
+  return capacity == 0 ? 0.0 : static_cast<double>(fill) / static_cast<double>(capacity);
+}
 
 }  // namespace realrate

@@ -25,13 +25,6 @@ struct QueueLinkage {
 
 class QueueRegistry {
  public:
-  QueueRegistry() = default;
-  // Not movable: every owned buffer mirrors its fill into this object's aggregate
-  // counter by address (SetFillAggregate), so a moved-from registry would leave
-  // the buffers writing through a dangling pointer.
-  QueueRegistry(QueueRegistry&&) = delete;
-  QueueRegistry& operator=(QueueRegistry&&) = delete;
-
   // Creates a buffer owned by the registry.
   BoundedBuffer* CreateQueue(std::string name, int64_t capacity_bytes);
 
@@ -59,18 +52,11 @@ class QueueRegistry {
   BoundedBuffer* Find(QueueId id);
   size_t queue_count() const { return queues_.size(); }
 
-  // --- Machine-wide pressure aggregate (the cluster router's queue signal) ---
-  // Maintained as fill deltas mirrored by every owned buffer (SetFillAggregate,
-  // installed at CreateQueue), so both reads are O(1) regardless of queue count.
-  int64_t total_fill_bytes() const { return total_fill_bytes_; }
-  int64_t total_capacity_bytes() const { return total_capacity_bytes_; }
-  // Aggregate fill fraction in [0, 1]; 0 when the machine has no queues yet (a
-  // queueless machine exerts no pressure either way on the cluster router).
-  double AggregateFillFraction() const {
-    return total_capacity_bytes_ == 0
-               ? 0.0
-               : static_cast<double>(total_fill_bytes_) / static_cast<double>(total_capacity_bytes_);
-  }
+  // Machine-wide fill fraction in [0, 1] (the cluster router's queue signal): the
+  // byte sums of fill() and capacity() over AllQueues(), taken on read — O(queues),
+  // paid once per epoch fence. 0 when the machine has no queues yet (a queueless
+  // machine exerts no pressure either way on the cluster router).
+  double AggregateFillFraction() const;
   // O(1) reference to the registry's own pointer index (the invariant oracle sweeps
   // every queue once per tick round). Invalidated by CreateQueue().
   const std::vector<BoundedBuffer*>& AllQueues() const { return raw_queues_; }
@@ -78,8 +64,6 @@ class QueueRegistry {
  private:
   std::vector<std::unique_ptr<BoundedBuffer>> queues_;
   std::vector<BoundedBuffer*> raw_queues_;  // queues_[i].get(), kept by CreateQueue().
-  int64_t total_fill_bytes_ = 0;      // Delta-maintained by every owned buffer.
-  int64_t total_capacity_bytes_ = 0;  // Summed at CreateQueue (capacities are const).
   // The linkage store, indexed the way every reader reads it: per thread, in
   // registration order within a thread.
   std::unordered_map<ThreadId, std::vector<QueueLinkage>> linkages_by_thread_;

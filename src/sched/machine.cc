@@ -687,12 +687,11 @@ void Machine::RoundTick() {
     }
   }
 
-  // Merge the round's queue effects: per-queue fill deltas (flowing through the
-  // registry's fill aggregate), totals, and change-epoch bumps settle to exactly the
-  // sequential end-of-round state; staged side-band effects flush in core order.
-  // Nothing observes queue state mid-round (the controller, the cluster fence, and
-  // the checker all run between rounds), so settle order is free. Only a round that
-  // staked a model counts as a mailbox round.
+  // Merge the round's queue effects: per-queue fill deltas, totals, and
+  // change-epoch bumps settle to exactly the sequential end-of-round state; staged
+  // side-band effects flush in core order. Nothing observes queue state mid-round
+  // (the controller, the cluster fence, and the checker all run between rounds), so
+  // settle order is free. Only a round that staked a model counts as a mailbox round.
   mailbox_rounds_ += round_staged_.empty() ? 0 : 1;
   for (QueueClaim& claim : round_claims_) {
     claim.queue->SettleRoundStakes();

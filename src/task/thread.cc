@@ -52,13 +52,6 @@ void SimThread::set_state(ThreadState s) {
   }
 }
 
-void SimThread::set_thread_class(ThreadClass c) {
-  class_ = c;
-  if (slabs_ != nullptr) {
-    slabs_->MirrorClass(id_, c);
-  }
-}
-
 void SimThread::set_policy(SchedPolicy p) {
   policy_ = p;
   if (slabs_ != nullptr) {

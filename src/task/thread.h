@@ -54,8 +54,8 @@ class SimThread {
   const std::string& name() const { return name_; }
   WorkModel& work() { return *work_; }
 
-  // Hot-field setters (state, class, policy, importance, affinity, reservation,
-  // budget, period phase) write through to the bound slab columns, so they are
+  // Hot-field setters (state, policy, importance, affinity, reservation, budget,
+  // period phase) write through to the bound slab columns, so they are
   // defined out of line in thread.cc — every other accessor stays inline.
 
   ThreadState state() const { return state_; }
@@ -70,7 +70,7 @@ class SimThread {
 
   // --- Classification / controller inputs ---
   ThreadClass thread_class() const { return class_; }
-  void set_thread_class(ThreadClass c);
+  void set_thread_class(ThreadClass c) { class_ = c; }
   SchedPolicy policy() const { return policy_; }
   void set_policy(SchedPolicy p);
   double importance() const { return importance_; }

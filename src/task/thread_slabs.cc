@@ -11,7 +11,6 @@ void ThreadSlabs::Bind(SimThread* thread) {
   RR_EXPECTS(thread->id() == slot_count());  // Append-only: slot == ThreadId.
   const SimThread& t = *thread;
   state_.push_back(t.state());
-  class_.push_back(t.thread_class());
   policy_.push_back(t.policy());
   cpu_.push_back(t.cpu());
   granted_ppt_.push_back(t.proportion().ppt());
@@ -19,7 +18,6 @@ void ThreadSlabs::Bind(SimThread* thread) {
   deadline_nanos_.push_back((t.period_start() + t.period()).nanos());
   budget_.push_back(t.budget_remaining());
   importance_.push_back(t.importance());
-  pressure_.push_back(0.0);
   const auto i = static_cast<size_t>(t.id());
   CountSlot(i, +1);
   if (state_[i] == ThreadState::kRunnable) {
@@ -33,8 +31,7 @@ bool ThreadSlabs::MatchesObject(const SimThread& t) const {
     return false;
   }
   const size_t i = static_cast<size_t>(t.id());
-  return state_[i] == t.state() && class_[i] == t.thread_class() &&
-         policy_[i] == t.policy() && cpu_[i] == t.cpu() &&
+  return state_[i] == t.state() && policy_[i] == t.policy() && cpu_[i] == t.cpu() &&
          granted_ppt_[i] == t.proportion().ppt() && rm_rank_[i] == PeriodRank(t.period()) &&
          deadline_nanos_[i] == (t.period_start() + t.period()).nanos() &&
          budget_[i] == t.budget_remaining() && importance_[i] == t.importance();

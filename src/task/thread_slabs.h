@@ -1,8 +1,8 @@
 // Cache-conscious thread state: the hot fields the dispatch pick and the controller
-// tick touch for *every* thread — run state, core affinity, reservation (granted ppt,
-// period rank, period deadline), remaining budget, progress pressure — mirrored out
-// of the SimThread heap objects into structure-of-arrays slabs, plus the arena the
-// thread records themselves are allocated from.
+// tick touch for *every* thread — run state, policy, core affinity, reservation
+// (granted ppt, period rank, period deadline), remaining budget, importance —
+// mirrored out of the SimThread heap objects into structure-of-arrays slabs, plus
+// the arena the thread records themselves are allocated from.
 //
 // Why: at 4k threads/core the per-thread sweeps (goodness scan, replenish sweep,
 // placement census, idle-suspension check, controller stages) chase one heap object
@@ -18,8 +18,9 @@
 //     scans, Machine census/rebalance/idle checks, controller stages) never observe
 //     staleness; the invariant oracle (harness/invariants.h) checks
 //     slab == object at every pick and controller tick of a fuzzed run.
-//   - `pressure` is the one controller-owned column: the control pipeline's
-//     Sample/Estimate stages write it (there is no SimThread field behind it).
+//   - Every column has a production reader (a scheduler, Machine or controller
+//     sweep); a field only the oracle would read stays on the object alone. The
+//     slabs are read-only to everything but the SimThread setters.
 //   - The columns are append-only and indexed by ThreadId: the registry binds each
 //     thread as it creates it, so slot == id, and a thread keeps its slot for the
 //     life of the slabs. An exited thread stays bound with state kExited, which every
@@ -95,7 +96,6 @@ class ThreadSlabs {
   // --- Column reads, by slot (== ThreadId) ---
   ThreadState state(int32_t slot) const { return state_[static_cast<size_t>(slot)]; }
   SchedPolicy policy(int32_t slot) const { return policy_[static_cast<size_t>(slot)]; }
-  ThreadClass cls(int32_t slot) const { return class_[static_cast<size_t>(slot)]; }
   CpuId cpu(int32_t slot) const { return cpu_[static_cast<size_t>(slot)]; }
   // The granted reservation, as the scheduler/controller actuated it.
   int32_t granted_ppt(int32_t slot) const { return granted_ppt_[static_cast<size_t>(slot)]; }
@@ -108,13 +108,7 @@ class ThreadSlabs {
   Cycles budget(int32_t slot) const { return budget_[static_cast<size_t>(slot)]; }
   double importance(int32_t slot) const { return importance_[static_cast<size_t>(slot)]; }
 
-  // --- The controller-owned progress-pressure column ---
-  double pressure(int32_t slot) const { return pressure_[static_cast<size_t>(slot)]; }
-  void set_pressure(int32_t slot, double p) { pressure_[static_cast<size_t>(slot)] = p; }
-
-  // Do `t`'s columns equal the object's canonical fields? (Excludes `pressure`,
-  // which has no object-side field — the invariant oracle checks it against the
-  // controller's per-thread state.)
+  // Do `t`'s columns equal the object's canonical fields?
   bool MatchesObject(const SimThread& t) const;
 
  private:
@@ -135,7 +129,6 @@ class ThreadSlabs {
     }
     state_[i] = s;
   }
-  void MirrorClass(int32_t slot, ThreadClass c) { class_[static_cast<size_t>(slot)] = c; }
   void MirrorPolicy(int32_t slot, SchedPolicy p) {
     const size_t i = static_cast<size_t>(slot);
     CountSlot(i, -1);
@@ -202,7 +195,6 @@ class ThreadSlabs {
   // One entry per slot. Parallel vectors rather than a struct so each sweep streams
   // only the bytes it reads.
   std::vector<ThreadState> state_;
-  std::vector<ThreadClass> class_;
   std::vector<SchedPolicy> policy_;
   std::vector<CpuId> cpu_;
   std::vector<int32_t> granted_ppt_;
@@ -210,7 +202,6 @@ class ThreadSlabs {
   std::vector<int64_t> deadline_nanos_;
   std::vector<Cycles> budget_;
   std::vector<double> importance_;
-  std::vector<double> pressure_;
 
   std::atomic<int64_t> runnable_count_{0};
   std::vector<CoreCensus> census_;  // Indexed by core; grows to the largest cpu seen.

@@ -27,12 +27,13 @@ Duration NextBoundaryAfter(const std::vector<LoadSegment>& curve, Duration t,
 // the rate is constant so exponential gaps are exact, and at each segment boundary
 // the in-flight gap is discarded and redrawn at the new rate — valid because the
 // exponential is memoryless, deterministic because the draw sequence is a pure
-// function of (seed, curve, horizon).
+// function of (seed, curve, horizon). More than `max_count` arrivals before the
+// horizon fails the stream's cap (see ArrivalConfig::max_requests).
 void AppendPoissonTimes(Rng& rng, double per_sec, const std::vector<LoadSegment>& curve,
                         Duration horizon, int64_t max_count, std::vector<Duration>& out) {
   RR_EXPECTS(per_sec > 0);
   Duration t = Duration::Zero();
-  while (static_cast<int64_t>(out.size()) < max_count) {
+  while (true) {
     const double rate = per_sec * LoadMultiplierAt(curve, t);
     if (rate <= 0.0) {
       // Dead zone (multiplier 0): skip to the next boundary, if any remains.
@@ -55,6 +56,8 @@ void AppendPoissonTimes(Rng& rng, double per_sec, const std::vector<LoadSegment>
       continue;
     }
     t = t + gap;
+    RR_CHECK(static_cast<int64_t>(out.size()) < max_count &&
+             "stream exceeds ArrivalConfig::max_requests before the horizon");
     out.push_back(t);
   }
 }
@@ -118,18 +121,14 @@ std::vector<RequestRecord> GenerateRequests(const ArrivalConfig& config, Duratio
       AppendPoissonTimes(rng, config.sessions_per_sec, config.load_curve, horizon,
                          config.max_requests, starts);
       for (const Duration start : starts) {
-        if (static_cast<int64_t>(records.size()) >= config.max_requests) {
-          break;
-        }
         const double drawn =
             rng.NextPareto(config.session_min_requests, config.session_alpha);
         const auto count = static_cast<int64_t>(
             std::floor(std::min(drawn, config.session_max_requests)));
         Duration at = start;
         for (int64_t i = 0; i < count && at < horizon; ++i) {
-          if (static_cast<int64_t>(records.size()) >= config.max_requests) {
-            break;
-          }
+          RR_CHECK(static_cast<int64_t>(records.size()) < config.max_requests &&
+                   "stream exceeds ArrivalConfig::max_requests before the horizon");
           emit(at);
           const double think_s = rng.NextExponential(config.mean_think.ToSeconds());
           at += Duration::Nanos(std::max<int64_t>(
@@ -164,16 +163,25 @@ double MeanServiceCycles(const ArrivalConfig& config) {
 
 RequestInjector::RequestInjector(Simulator& sim, std::vector<RequestRecord> records,
                                  Sink sink)
-    : sim_(sim), records_(std::move(records)), sink_(std::move(sink)) {
+    : sim_(sim), sink_(std::move(sink)) {
   RR_EXPECTS(sink_ != nullptr);
-  for (size_t i = 1; i < records_.size(); ++i) {
-    RR_EXPECTS(records_[i - 1].arrival <= records_[i].arrival);
-  }
+  Append(std::move(records));
 }
 
-void RequestInjector::Start() {
-  RR_EXPECTS(!running_);
-  running_ = true;
+void RequestInjector::Append(std::vector<RequestRecord> records) {
+  if (records.empty()) {
+    return;
+  }
+  RR_EXPECTS(records_.empty() || records_.back().arrival <= records.front().arrival);
+  for (size_t i = 1; i < records.size(); ++i) {
+    RR_EXPECTS(records[i - 1].arrival <= records[i].arrival);
+  }
+  if (next_ < records_.size()) {
+    records_.insert(records_.end(), records.begin(), records.end());
+    return;  // The pending arrival's event carries the chain into the new records.
+  }
+  records_ = std::move(records);
+  next_ = 0;
   ScheduleNext();
 }
 
@@ -181,12 +189,7 @@ void RequestInjector::ScheduleNext() {
   if (next_ >= records_.size()) {
     return;
   }
-  // Call Start() before the run begins: arrivals are offsets from Origin and must
-  // not land in the simulator's past.
   sim_.ScheduleAt(TimePoint::Origin() + records_[next_].arrival, [this] {
-    if (!running_) {
-      return;
-    }
     const RequestRecord& r = records_[next_];
     ++next_;
     ++injected_;

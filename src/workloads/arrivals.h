@@ -83,15 +83,17 @@ struct ArrivalConfig {
   // Piecewise-constant multiplier over the arrival (or session-arrival) rate.
   std::vector<LoadSegment> load_curve;
 
-  // Hard cap on the materialized stream (a runaway config is a bug; the generator
-  // never comes close).
+  // Hard cap on the materialized stream. A config whose stream would exceed it
+  // before the horizon is a bug, not a truncation: GenerateRequests fails an
+  // RR_CHECK rather than silently ending the run's arrivals early.
   int64_t max_requests = 2'000'000;
 };
 
 // Materializes the stream for [0, horizon): arrivals sorted non-decreasing,
 // deterministic for a given (config, horizon). Piecewise-constant rate modulation is
 // exact (the exponential gap is redrawn at each segment boundary, valid by
-// memorylessness), not thinned.
+// memorylessness), not thinned. Dies (RR_CHECK) if the stream for [0, horizon) holds
+// more than config.max_requests records.
 std::vector<RequestRecord> GenerateRequests(const ArrivalConfig& config, Duration horizon);
 
 // The mean of the per-request service demand implied by `config` (accounting for the
@@ -103,20 +105,32 @@ double MeanServiceCycles(const ArrivalConfig& config);
 // simulator (kernel) context — the analogue of ArrivalProcess for explicit records.
 // The sink typically pushes into a listen queue and counts drops; it must not assume
 // a thread context.
+//
+// The stream is one event chain: each arrival schedules the next. It may be given
+// whole at construction (a standalone farm) or grow batch by batch through Append
+// (a cluster node, fed its routed share at every epoch fence); either way the
+// events chain through the simulator identically.
 class RequestInjector {
  public:
   using Sink = std::function<void(const RequestRecord&)>;
 
-  // `records` must be sorted non-decreasing by arrival (GenerateRequests and
-  // ParseRequestLog both guarantee it).
+  // Schedules the first arrival, so construct before the run begins (arrivals are
+  // offsets from Origin and must not land in the simulator's past). `records` must
+  // be sorted non-decreasing by arrival (GenerateRequests and ParseRequestLog both
+  // guarantee it).
   RequestInjector(Simulator& sim, std::vector<RequestRecord> records, Sink sink);
+  RequestInjector(const RequestInjector&) = delete;
+  RequestInjector& operator=(const RequestInjector&) = delete;
 
-  // Begins injecting; runs until the stream or the simulation ends (or Stop()).
-  void Start();
-  void Stop() { running_ = false; }
+  // Extends the stream. `records` must be sorted and arrive no earlier than the
+  // stream's last record, and — if the chain has drained — no earlier than now.
+  // A drained chain resumes here by scheduling the first appended arrival (and
+  // drops the records it has delivered, so a node fed batch by batch holds one
+  // batch at a time); with an arrival still pending, the chain simply runs on
+  // into the new records.
+  void Append(std::vector<RequestRecord> records);
 
   int64_t injected() const { return injected_; }
-  int64_t total() const { return static_cast<int64_t>(records_.size()); }
 
  private:
   void ScheduleNext();
@@ -124,8 +138,7 @@ class RequestInjector {
   Simulator& sim_;
   std::vector<RequestRecord> records_;
   Sink sink_;
-  size_t next_ = 0;
-  bool running_ = false;
+  size_t next_ = 0;  // records_[next_] is the pending arrival, if any.
   int64_t injected_ = 0;
 };
 

@@ -200,6 +200,21 @@ void WebWorkerWork::FlushRoundEffects() {
   staged_latencies_.clear();
 }
 
+void WebFarmInstance::Admit(const RequestRecord& rec) {
+  // Every worker queue has the same capacity, so the front one stands for all.
+  const int64_t clamp_bytes =
+      std::min(listen.buffer->capacity(), worker_streams.front()->buffer->capacity());
+  PendingRequest p;
+  p.arrival = rec.arrival;
+  p.bytes = std::clamp<int64_t>(rec.bytes, 1, clamp_bytes);
+  p.service_cycles = rec.service_cycles;
+  if (listen.buffer->TryPush(p.bytes)) {
+    listen.meta.push_back(p);
+  } else {
+    ++listen_drops;
+  }
+}
+
 int64_t WebFarmInstance::accepted() const {
   int64_t total = 0;
   for (const AcceptorWork* a : acceptors) {
@@ -299,23 +314,9 @@ std::unique_ptr<WebFarmInstance> BuildWebFarm(const WebFarmBuild& build, Simulat
     farm->worker_threads.push_back(t);
   }
 
-  // The injector clamps oversized records to the smallest queue so a hand-written
-  // replay log can never violate the TryPush size contract.
-  const int64_t clamp_bytes = std::min(build.listen_queue_bytes, build.worker_queue_bytes);
   WebFarmInstance* raw = farm.get();
   farm->injector = std::make_unique<RequestInjector>(
-      sim, build.records, [raw, clamp_bytes](const RequestRecord& rec) {
-        PendingRequest p;
-        p.arrival = rec.arrival;
-        p.bytes = std::clamp<int64_t>(rec.bytes, 1, clamp_bytes);
-        p.service_cycles = rec.service_cycles;
-        if (raw->listen.buffer->TryPush(p.bytes)) {
-          raw->listen.meta.push_back(p);
-        } else {
-          ++raw->listen_drops;
-        }
-      });
-  farm->injector->Start();
+      sim, build.records, [raw](const RequestRecord& rec) { raw->Admit(rec); });
   return farm;
 }
 

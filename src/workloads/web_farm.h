@@ -156,6 +156,11 @@ struct WebFarmBuild {
 // run. Threads and buffers are owned by the registries as usual.
 class WebFarmInstance {
  public:
+  // The injector's sink: one arrival into the listen queue, or a listen drop when
+  // it is full. Oversized records are clamped to the smallest queue capacity so a
+  // hand-written replay log can never violate the TryPush size contract.
+  void Admit(const RequestRecord& rec);
+
   int64_t listen_drops = 0;  // Arrivals that found the listen queue full.
 
   RequestStream listen;
@@ -176,9 +181,8 @@ class WebFarmInstance {
 // Wires one farm into the machine: creates the listen and per-worker queues,
 // spawns acceptors and workers (registered AddRealRate when `controller` is
 // non-null, prioritized/ticketed for the baselines either way), registers every
-// queue endpoint, and starts the injector. Oversized log records are clamped to
-// the smallest queue capacity so hand-written logs can't violate the TryPush
-// contract. Call before the machine starts.
+// queue endpoint, and starts the injector (sink: WebFarmInstance::Admit). Call
+// before the machine starts.
 std::unique_ptr<WebFarmInstance> BuildWebFarm(const WebFarmBuild& build, Simulator& sim,
                                               ThreadRegistry& threads,
                                               QueueRegistry& queues, Machine& machine,

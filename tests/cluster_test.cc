@@ -238,6 +238,25 @@ TEST(ClusterFarmTest, AllDropRunServesNothingWithoutAborting) {
   EXPECT_DOUBLE_EQ(result.imbalance_ratio, 1.0);
 }
 
+TEST(ClusterFarmTest, OversizedReplayRecordsAreClampedOnEveryNode) {
+  // The routed path admits through the same WebFarmInstance::Admit as the bare
+  // farm: a record larger than both queues is clamped, not a TryPush violation.
+  ClusterFarmParams p = SmallCluster(2);
+  p.farm.worker_queue_bytes = 1024;
+  p.farm.listen_queue_bytes = 2048;
+  p.router.policy = RouterPolicy::kRoundRobin;  // Giants land on both nodes.
+  p.farm.replay = {{Duration::Millis(1), 1 << 20, 100'000},
+                   {Duration::Millis(2), 1 << 20, 100'000},
+                   {Duration::Millis(15), 256, 100'000},
+                   {Duration::Millis(25), 4096, 100'000}};
+  const ClusterFarmResult result = RunClusterFarmScenario(p);
+  EXPECT_EQ(result.routed_per_machine, (std::vector<int64_t>{2, 2}));
+  EXPECT_EQ(result.offered, 4);
+  EXPECT_EQ(result.injected, 4);
+  EXPECT_EQ(result.listen_drops, 0);
+  EXPECT_EQ(result.served, 4);
+}
+
 TEST(ClusterFarmTest, RebalancerMovesQueuedBacklog) {
   ClusterFarmParams p = SmallCluster(2);
   // Signal-blind routing + a heavy Pareto service tail: random giant requests

@@ -43,48 +43,43 @@ TEST(BudgetLedgerTest, MoveReHomesOneReservation) {
   EXPECT_EQ(ledger.fixed_ppt_on(1), 200);
 }
 
-TEST(BudgetLedgerTest, GrantedAndSpareSumsPerTick) {
-  BudgetLedger ledger(2);
-  ledger.AddFixed(0, 400);
-  ledger.SetGranted(0, 0.3);
-  EXPECT_DOUBLE_EQ(ledger.GrantedFractionOn(0), 0.3);
-  EXPECT_NEAR(ledger.SpareFractionOn(0, 0.95), 0.95 - 0.4 - 0.3, 1e-12);
-  ledger.SetGranted(0, 0.1);
-  EXPECT_NEAR(ledger.SpareFractionOn(0, 0.95), 0.45, 1e-12);
-}
-
-TEST(BudgetLedgerTest, SpareClampsAtZeroWhenOverSubscribed) {
+TEST(BudgetLedgerTest, SparePptClampsEachCoreAtZero) {
   // Mid-squish (or after an admission backoff) fixed + granted can transiently
   // exceed the threshold. "Negative spare" is not a routing signal: the clamped
   // contract says an over-subscribed core simply has nothing to give.
   BudgetLedger ledger(2);
   ledger.AddFixed(0, 800);
   ledger.SetGranted(0, 0.3);  // 0.8 + 0.3 = 1.1 > any threshold.
-  EXPECT_DOUBLE_EQ(ledger.SpareFractionOn(0, 0.95), 0.0);
-  EXPECT_DOUBLE_EQ(ledger.SpareFractionOn(0, 0.5), 0.0);
-  EXPECT_EQ(ledger.spare_ppt_on(0), 0);
-  // The untouched core keeps its full head-room, and the machine-wide aggregate
-  // is the clamped per-core sum — the over-subscription does not bleed into it.
-  EXPECT_EQ(ledger.spare_ppt_on(1), 950);
-  EXPECT_EQ(ledger.spare_ppt_total(), 950);
+  EXPECT_DOUBLE_EQ(ledger.GrantedFractionOn(0), 0.3);
+  // The untouched core keeps its full head-room, and the machine-wide sum is the
+  // clamped per-core sum — the over-subscription does not bleed into it.
+  EXPECT_EQ(ledger.SparePpt(950), 950);
   // Draining the over-subscription restores spare continuously from zero.
+  ledger.SetGranted(0, 0.1);
+  EXPECT_EQ(ledger.SparePpt(950), 50 + 950);
   ledger.SetGranted(0, 0.0);
-  EXPECT_EQ(ledger.spare_ppt_on(0), 150);
-  EXPECT_EQ(ledger.spare_ppt_total(), 1100);
+  EXPECT_EQ(ledger.SparePpt(950), 150 + 950);
 }
 
-TEST(BudgetLedgerTest, SpareAggregateFollowsTheAdmissionThreshold) {
+TEST(BudgetLedgerTest, SparePptIsMeasuredAgainstTheGivenThreshold) {
   BudgetLedger ledger(2);
-  EXPECT_EQ(ledger.threshold_ppt(), 950);  // ControllerConfig default mirrored.
-  EXPECT_EQ(ledger.spare_ppt_total(), 2 * 950);
+  EXPECT_EQ(ledger.SparePpt(950), 2 * 950);
   ledger.AddFixed(0, 600);
-  EXPECT_EQ(ledger.spare_ppt_total(), 350 + 950);
-  // Adaptive admission backoff lowers the ceiling; the aggregate re-levels
-  // (and core 0's contribution re-clamps at the new threshold).
-  ledger.SetThresholdPpt(500);
-  EXPECT_EQ(ledger.spare_ppt_on(0), 0);
-  EXPECT_EQ(ledger.spare_ppt_on(1), 500);
-  EXPECT_EQ(ledger.spare_ppt_total(), 500);
+  ledger.SetGranted(1, 0.2);
+  EXPECT_EQ(ledger.SparePpt(950), 350 + 750);
+  // A backed-off admission threshold re-levels every core (and core 0 clamps
+  // at the lower ceiling).
+  EXPECT_EQ(ledger.SparePpt(500), 0 + 300);
+}
+
+TEST(BudgetLedgerTest, SparePptQuantizesEachCoresGrantedSum) {
+  // The granted sum of a core is rounded to ppt once, as actuation rounds one
+  // grant: two 0.6 ppt grants summed on a core are 1.2 ppt -> 1, not 1 + 1.
+  BudgetLedger ledger(1);
+  ledger.SetGranted(0, 0.0006 + 0.0006);
+  EXPECT_EQ(ledger.SparePpt(950), 949);
+  ledger.SetGranted(0, 0.0018);  // Rounded to the nearest ppt.
+  EXPECT_EQ(ledger.SparePpt(950), 948);
 }
 
 TEST(BudgetLedgerTest, ZeroPptRoundTripsAndSameCoreMovesAreNoOps) {
@@ -93,7 +88,7 @@ TEST(BudgetLedgerTest, ZeroPptRoundTripsAndSameCoreMovesAreNoOps) {
   ledger.SetGranted(1, 0.2);
   const int64_t fixed = ledger.fixed_ppt_on(1);
   const int64_t total = ledger.fixed_ppt_total();
-  const int64_t spare = ledger.spare_ppt_total();
+  const int64_t spare = ledger.SparePpt(950);
   // Zero-ppt add/remove round trips (a zero-proportion reservation's lifecycle).
   ledger.AddFixed(1, 0);
   ledger.RemoveFixed(1, 0);
@@ -104,13 +99,13 @@ TEST(BudgetLedgerTest, ZeroPptRoundTripsAndSameCoreMovesAreNoOps) {
   ledger.MoveFixed(0, 0, 0);
   EXPECT_EQ(ledger.fixed_ppt_on(1), fixed);
   EXPECT_EQ(ledger.fixed_ppt_total(), total);
-  EXPECT_EQ(ledger.spare_ppt_total(), spare);
+  EXPECT_EQ(ledger.SparePpt(950), spare);
 }
 
 TEST(BudgetLedgerTest, MigrationStormAgreesWithReferenceScan) {
   // A deterministic storm of add/remove/move/grant ops, mirrored into a naive
-  // per-core model. The incremental ledger (including the clamped spare
-  // aggregate) must agree with the reference recompute after every op — the
+  // per-core model. The incremental fixed sums, and the clamped spare head-room
+  // under a moving threshold, must agree with the reference after every op — the
   // same property the controller's shadow mode asserts against
   // FixedPptOnCoreScan on live machines, here across every mutation kind.
   constexpr int kCores = 8;
@@ -160,7 +155,6 @@ TEST(BudgetLedgerTest, MigrationStormAgreesWithReferenceScan) {
       }
       case 4: {  // Adaptive admission backoff / recovery.
         threshold = static_cast<int32_t>(500 + next() % 501);
-        ledger.SetThresholdPpt(threshold);
         break;
       }
     }
@@ -172,10 +166,9 @@ TEST(BudgetLedgerTest, MigrationStormAgreesWithReferenceScan) {
       const int64_t spare = threshold - fixed[c] -
                             Proportion::FromFraction(granted[c]).ppt();
       want_spare_total += spare > 0 ? spare : 0;
-      ASSERT_EQ(ledger.spare_ppt_on(c), spare > 0 ? spare : 0) << "op " << op;
     }
     ASSERT_EQ(ledger.fixed_ppt_total(), want_fixed_total) << "op " << op;
-    ASSERT_EQ(ledger.spare_ppt_total(), want_spare_total) << "op " << op;
+    ASSERT_EQ(ledger.SparePpt(threshold), want_spare_total) << "op " << op;
   }
 }
 

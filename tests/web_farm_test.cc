@@ -128,6 +128,75 @@ TEST(ArrivalsTest, MeanServiceCyclesMatchesConfiguredTail) {
   EXPECT_DOUBLE_EQ(MeanServiceCycles(tailed), 2.0 * static_cast<double>(tailed.service_cycles));
 }
 
+TEST(ArrivalsTest, StreamPastTheRequestCapDiesInsteadOfTruncating) {
+  // ~1000 arrivals in the horizon against a cap of 10: a silently truncated
+  // stream would end the run's load early, so the generator refuses it.
+  ArrivalConfig poisson;
+  poisson.max_requests = 10;
+  EXPECT_DEATH(GenerateRequests(poisson, Duration::Seconds(1)), "max_requests");
+  ArrivalConfig sessions = poisson;
+  sessions.kind = ArrivalConfig::Kind::kParetoSessions;
+  EXPECT_DEATH(GenerateRequests(sessions, Duration::Seconds(1)), "max_requests");
+  // A stream that fits the cap is untouched by it.
+  poisson.max_requests = 2'000'000;
+  const auto fits = GenerateRequests(poisson, Duration::Seconds(1));
+  poisson.max_requests = static_cast<int64_t>(fits.size());
+  EXPECT_EQ(GenerateRequests(poisson, Duration::Seconds(1)), fits);
+}
+
+// ---------------------------------------------------------------------------
+// RequestInjector: one event chain, extended by Append.
+
+RequestRecord At(int64_t ms) { return {Duration::Millis(ms), 64, 1'000}; }
+
+struct InjectorRig {
+  Simulator sim;
+  std::vector<Duration> seen;  // Sim time at each delivery.
+  RequestInjector injector{sim, {At(1), At(2)},
+                           [this](const RequestRecord& r) {
+                             EXPECT_EQ(sim.Now(), TimePoint::Origin() + r.arrival);
+                             seen.push_back(sim.Now() - TimePoint::Origin());
+                           }};
+};
+
+TEST(RequestInjectorTest, DrainedChainResumesAtAppendTime) {
+  InjectorRig rig;
+  rig.sim.RunUntil(TimePoint::Origin() + Duration::Millis(5));
+  EXPECT_EQ(rig.injector.injected(), 2);
+  EXPECT_EQ(rig.sim.pending_events(), 0u);  // Drained: nothing carries the chain.
+  rig.injector.Append({At(6), At(7)});
+  EXPECT_EQ(rig.sim.pending_events(), 1u);  // Append scheduled the next arrival.
+  rig.injector.Append({});                  // An empty batch changes nothing.
+  EXPECT_EQ(rig.sim.pending_events(), 1u);
+  rig.sim.RunUntil(TimePoint::Origin() + Duration::Millis(10));
+  EXPECT_EQ(rig.seen, (std::vector<Duration>{Duration::Millis(1), Duration::Millis(2),
+                                             Duration::Millis(6), Duration::Millis(7)}));
+  EXPECT_EQ(rig.injector.injected(), 4);
+}
+
+TEST(RequestInjectorTest, AppendWhilePendingContinuesTheChain) {
+  InjectorRig rig;
+  rig.sim.RunUntil(TimePoint::Origin() + Duration::Millis(1));
+  EXPECT_EQ(rig.injector.injected(), 1);
+  EXPECT_EQ(rig.sim.pending_events(), 1u);  // The 2 ms arrival.
+  rig.injector.Append({At(2), At(3)});
+  EXPECT_EQ(rig.sim.pending_events(), 1u);  // No second chain.
+  rig.sim.RunUntil(TimePoint::Origin() + Duration::Millis(10));
+  EXPECT_EQ(rig.seen, (std::vector<Duration>{Duration::Millis(1), Duration::Millis(2),
+                                             Duration::Millis(2), Duration::Millis(3)}));
+  EXPECT_EQ(rig.injector.injected(), 4);
+}
+
+TEST(RequestInjectorTest, OutOfOrderAppendDies) {
+  InjectorRig rig;
+  // Earlier than the stream's last record, pending or not.
+  EXPECT_DEATH(rig.injector.Append({At(1)}), "Precondition failed");
+  rig.sim.RunUntil(TimePoint::Origin() + Duration::Millis(5));
+  EXPECT_DEATH(rig.injector.Append({At(1)}), "Precondition failed");
+  // An unsorted batch.
+  EXPECT_DEATH(rig.injector.Append({At(7), At(6)}), "Precondition failed");
+}
+
 // ---------------------------------------------------------------------------
 // Request-log round trip.
 
