@@ -31,9 +31,10 @@ ClusterFarmResult RunClusterFarmScenario(const ClusterFarmParams& params) {
 
   const int machines = params.num_machines;
   const Duration horizon = params.farm.run_for;
-  const std::vector<RequestRecord> records =
+  std::vector<RequestRecord> records =
       params.farm.replay.empty() ? GenerateRequests(params.farm.arrivals, horizon)
                                  : params.farm.replay;
+  const auto offered = static_cast<int64_t>(records.size());
 
   ClusterConfig cluster_config;
   cluster_config.num_machines = machines;
@@ -47,12 +48,13 @@ ClusterFarmResult RunClusterFarmScenario(const ClusterFarmParams& params) {
     node.sim().trace().SetEnabled(true);
     node.sim().trace().SetHashOnly(true);
     // Each node has one injector. The degenerate cluster routes everything to its
-    // one machine, so the whole stream goes to it up front — the arrival events
-    // then chain through the simulator exactly as a bare RunWebFarmScenario's do,
-    // which is what keeps the M = 1 trace pin bit-exact. M > 1 appends each
-    // epoch's routed batch at the fence below.
+    // one machine, so the whole stream moves to it up front — the arrivals then
+    // take their places in the simulator's event order exactly as a bare
+    // RunWebFarmScenario's do, which is what keeps the M = 1 trace pin bit-exact.
+    // M > 1 appends each epoch's routed batch at the fence below.
     farms.push_back(BuildWebFarm(
-        WebFarmBuildOf(params.farm, machines == 1 ? records : std::vector<RequestRecord>{}),
+        WebFarmBuildOf(params.farm,
+                       machines == 1 ? std::move(records) : std::vector<RequestRecord>{}),
         node.sim(), node.threads(), node.queues(), node.machine(), &node.controller()));
   }
 
@@ -125,8 +127,8 @@ ClusterFarmResult RunClusterFarmScenario(const ClusterFarmParams& params) {
       batches[static_cast<size_t>(router.Route())].push_back(records[next_record]);
       ++next_record;
     }
-    // Every batch arrives before the next fence, so each node's chain is drained
-    // here and Append restarts it at the fence.
+    // Every batch arrives before the next fence, so each node's stream is drained
+    // here and Append re-arms it at the fence.
     for (int m = 0; m < machines; ++m) {
       farms[static_cast<size_t>(m)]->injector->Append(
           std::move(batches[static_cast<size_t>(m)]));
@@ -141,7 +143,7 @@ ClusterFarmResult RunClusterFarmScenario(const ClusterFarmParams& params) {
   result.num_machines = machines;
   result.total_threads =
       static_cast<int64_t>(machines) * (params.farm.num_acceptors + params.farm.num_workers);
-  result.offered = static_cast<int64_t>(records.size());
+  result.offered = offered;
   result.rebalanced = rebalanced;
 
   SampleSet all_latencies;

@@ -177,14 +177,15 @@ void BuildWorkload(const WorkloadSpec& spec, ThreadRegistry& threads, QueueRegis
     // Always the spec's own horizon, never a per-run override: every metamorphic
     // variant must replay the identical request stream.
     build.records = GenerateRequests(ol.arrivals, spec.run_for);
-    runtime.farms.push_back(BuildWebFarm(build, machine.sim(), threads, queues, machine,
-                                         controller));
+    runtime.farms.push_back(BuildWebFarm(std::move(build), machine.sim(), threads, queues,
+                                         machine, controller));
   }
 }
 
 void FillOutcome(RunOutcome& outcome, const Simulator& sim, const Machine& machine,
-                 const ThreadRegistry& threads, const InvariantOracle& oracle,
-                 const WorkloadSpec& spec, const RunOptions& options) {
+                 const ThreadRegistry& threads, const WorkloadRuntime& runtime,
+                 const InvariantOracle& oracle, const WorkloadSpec& spec,
+                 const RunOptions& options) {
   outcome.num_cpus = sim.num_cpus();
   outcome.trace_hash = sim.trace().Hash();
   outcome.user_cycles = sim.UsedAllCpus(CpuUse::kUser);
@@ -192,6 +193,9 @@ void FillOutcome(RunOutcome& outcome, const Simulator& sim, const Machine& machi
   outcome.dispatches = machine.dispatches();
   outcome.parallel_rounds = machine.parallel_rounds();
   outcome.mailbox_rounds = machine.mailbox_rounds();
+  for (const auto& farm : runtime.farms) {
+    outcome.arrivals += farm->injector->injected();
+  }
   for (const SimThread* t : threads.All()) {
     outcome.total_progress += t->progress_units();
   }
@@ -240,8 +244,8 @@ RunOutcome RunWorkload(const WorkloadSpec& spec, const RunOptions& options) {
     if (options.attach_oracle) {
       oracle.FinishRun(system.machine(), system.sim().Now());
     }
-    FillOutcome(outcome, system.sim(), system.machine(), system.threads(), oracle, spec,
-                options);
+    FillOutcome(outcome, system.sim(), system.machine(), system.threads(), runtime, oracle,
+                spec, options);
     outcome.pick_checks = oracle.pick_checks();
     outcome.indexed_pick_checks = oracle.indexed_pick_checks();
     outcome.controller_checks = oracle.controller_checks();
@@ -280,7 +284,7 @@ RunOutcome RunWorkload(const WorkloadSpec& spec, const RunOptions& options) {
   if (options.attach_oracle) {
     oracle.FinishRun(machine, sim.Now());
   }
-  FillOutcome(outcome, sim, machine, threads, oracle, spec, options);
+  FillOutcome(outcome, sim, machine, threads, runtime, oracle, spec, options);
   return outcome;
 }
 
@@ -469,6 +473,7 @@ SeedReport CheckSeed(uint64_t seed, const SeedCheckOptions& options) {
       const RunOutcome many = RunWorkload(spec, fanned);
       report.equivalence_parallel_rounds += many.parallel_rounds;
       report.equivalence_mailbox_rounds += many.mailbox_rounds;
+      report.equivalence_arrivals += many.arrivals;
       if (many.trace_hash != one.trace_hash || many.total_progress != one.total_progress ||
           many.dispatches != one.dispatches) {
         report.failures.push_back(

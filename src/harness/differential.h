@@ -84,6 +84,8 @@ struct RunOutcome {
   // zero at host_threads == 1 (the sequential engine never fans out).
   int64_t parallel_rounds = 0;
   int64_t mailbox_rounds = 0;
+  // Open-loop arrivals the farms' injectors delivered, summed over every farm.
+  int64_t arrivals = 0;
   // Feedback runs with the oracle attached: picks checked against the oracle's
   // re-derived reserved best, the subset made while that core's pick index was
   // active, and controlled threads whose controller state the oracle re-derived.
@@ -125,6 +127,10 @@ struct SeedReport {
   // rounds.
   int64_t equivalence_parallel_rounds = 0;
   int64_t equivalence_mailbox_rounds = 0;
+  // Open-loop arrivals the same parallel runs delivered through their injectors'
+  // simulator cursors. realrate_check fails a battery whose open-loop seeds
+  // delivered none: the 1-vs-N comparison would no longer cover the cursor.
+  int64_t equivalence_arrivals = 0;
   // Picks the oracle checked while the core's pick index was active, in the
   // feedback machine's invariant run. realrate_check fails a 100-seed battery that
   // records none: the index would then go unchecked.

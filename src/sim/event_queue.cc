@@ -113,16 +113,16 @@ EventId EventQueue::PeekId() {
 EventQueue::Popped EventQueue::Pop() {
   RR_EXPECTS(!Empty());
   Popped out;
-  PopDue(TimePoint::Max(), &out);
+  PopBefore({TimePoint::Max(), kLastSeq}, &out);
   return out;
 }
 
-bool EventQueue::PopDue(TimePoint limit, Popped* out) {
+bool EventQueue::PopBefore(Position bound, Popped* out) {
   if (!SkimDead()) {
     return false;
   }
   const Key top = heap_.front();
-  if (top.when_ns > limit.nanos()) {
+  if (!Before(top, bound)) {
     return false;
   }
   out->id = IdOf(top);
@@ -133,12 +133,12 @@ bool EventQueue::PopDue(TimePoint limit, Popped* out) {
   return true;
 }
 
-bool EventQueue::DropHeadIf(EventId id, TimePoint when) {
+bool EventQueue::DropHeadIf(EventId id, TimePoint when, Position bound) {
   if (!SkimDead()) {
     return false;
   }
   const Key top = heap_.front();
-  if (top.when_ns != when.nanos() || IdOf(top) != id) {
+  if (top.when_ns != when.nanos() || IdOf(top) != id || !Before(top, bound)) {
     return false;
   }
   ReleaseSlot(top.slot);

@@ -22,6 +22,11 @@
 //
 // Resched() is the decrease-key-free path for periodic clocks (e.g. the Machine's
 // per-core dispatch ticks): it cancels the old event by id and pushes a fresh one.
+//
+// Positions: an event's place in the order is its (when, seq). DrawSeq() hands out
+// the next seq without pushing anything, so a source outside the heap (the
+// Simulator's cursors) can take a place in the same total order, and PopBefore /
+// DropHeadIf take such a position as an exclusive bound on what they may remove.
 #ifndef REALRATE_SIM_EVENT_QUEUE_H_
 #define REALRATE_SIM_EVENT_QUEUE_H_
 
@@ -40,6 +45,18 @@ inline constexpr EventId kInvalidEventId = 0;
 class EventQueue {
  public:
   using Callback = std::function<void()>;
+
+  // A place in the event order. Positions compare by when, then by seq.
+  struct Position {
+    TimePoint when;
+    uint64_t seq = 0;
+
+    friend bool operator<(const Position& a, const Position& b) {
+      return a.when < b.when || (a.when == b.when && a.seq < b.seq);
+    }
+  };
+  // The seq of a bound that admits every event at its `when`: no event gets it.
+  static constexpr uint64_t kLastSeq = ~uint64_t{0};
 
   // Enqueues `fn` to run at `when`. Events with equal `when` run in insertion order.
   EventId Push(TimePoint when, Callback fn);
@@ -67,13 +84,19 @@ class EventQueue {
   };
   // Removes and returns the earliest pending event. Requires !Empty().
   Popped Pop();
-  // Pops the earliest pending event into `*out` if its time is <= `limit`; otherwise
-  // leaves the queue untouched and returns false. One skim per call: the run loop's
-  // "is there an event due, and if so take it" in a single pass.
-  bool PopDue(TimePoint limit, Popped* out);
+  // Pops the earliest pending event into `*out` if it comes before `bound`;
+  // otherwise leaves the queue untouched and returns false. One skim per call: the
+  // run loop's "is there an event due, and if so take it" in a single pass. A bound
+  // of {limit, kLastSeq} admits every event at or before `limit`.
+  bool PopBefore(Position bound, Popped* out);
   // Removes the earliest pending event without returning its callback if it is
-  // exactly {id, when}; otherwise leaves the queue untouched and returns false.
-  bool DropHeadIf(EventId id, TimePoint when);
+  // exactly {id, when} and comes before `bound`; otherwise leaves the queue
+  // untouched and returns false.
+  bool DropHeadIf(EventId id, TimePoint when, Position bound);
+
+  // Takes the next seq from the counter Push uses, without pushing: whatever holds
+  // it sits in the order exactly where an event pushed now would.
+  uint64_t DrawSeq() { return next_seq_++; }
 
   // Number of pending (pushed, not yet fired or cancelled) events. O(1) and exact:
   // cancelled keys still buried in the heap are not counted.
@@ -96,6 +119,9 @@ class EventQueue {
 
   static bool Before(const Key& a, const Key& b) {
     return a.when_ns < b.when_ns || (a.when_ns == b.when_ns && a.seq < b.seq);
+  }
+  static bool Before(const Key& a, Position b) {
+    return a.when_ns < b.when.nanos() || (a.when_ns == b.when.nanos() && a.seq < b.seq);
   }
   static EventId IdOf(const Key& k) {
     return (k.seq << 32) | (static_cast<uint64_t>(k.slot) + 1);

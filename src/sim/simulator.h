@@ -9,6 +9,15 @@
 // nothing in the simulator reads wall-clock time. Cycles are converted to virtual
 // time through Cpu::CyclesToDuration at the configured clock rate.
 //
+// Cursors: an owner that holds a sorted stream of its own (the open-loop request
+// injector) registers one cursor with a single delivery callback for its whole life
+// and arms it at the stream's next time. Arm draws a seq from the event queue's own
+// counter, so the delivery takes exactly the (when, seq) place a ScheduleAt at that
+// moment would have taken, and the run loop runs whichever comes first: the earliest
+// armed cursor or the heap head. A delivery is not an event: it allocates nothing,
+// disarms the cursor (the callback re-arms it), and is not counted by
+// events_processed(). With no cursor armed the run loop pays one check per event.
+//
 // Thread-safety: none — the whole simulation is single-(host-)threaded by design,
 // which is what makes runs bit-for-bit deterministic. Multi-core machines are
 // simulated by interleaving per-core dispatch events on this one event queue, not by
@@ -65,27 +74,56 @@ class Simulator {
     return events_.Resched(id, t, std::move(fn));
   }
 
-  // Runs a single event; returns false if none pending.
+  // Registers a cursor that calls `deliver` each time it comes due. It starts
+  // disarmed. Not callable from inside a delivery.
+  using CursorId = uint32_t;
+  CursorId AddCursor(EventQueue::Callback deliver);
+  // Disarms and releases `id`; its callback never runs again. The owner calls this
+  // before it dies. Not callable from inside a delivery.
+  void RemoveCursor(CursorId id);
+  // Schedules the next delivery of the disarmed cursor `id` at `when` (not in the
+  // past), in the order a ScheduleAt(when, ...) made now would run.
+  void Arm(CursorId id, TimePoint when);
+
+  // Runs the next event or cursor delivery; returns false if neither is pending.
   bool Step();
-  // If the earliest pending event is exactly {id, t}, consumes it WITHOUT running its
-  // callback (the caller runs the equivalent work itself) and returns true; otherwise
-  // leaves the queue untouched and returns false. events_processed() counts a
-  // consumed event like a stepped one, so the parallel engine's batched tick rounds
-  // keep the same event accounting as the one-at-a-time reference engine.
+  // If the earliest pending event is exactly {id, t} and no armed cursor comes
+  // before it, consumes it WITHOUT running its callback (the caller runs the
+  // equivalent work itself) and returns true; otherwise leaves the queue untouched
+  // and returns false. events_processed() counts a consumed event like a stepped
+  // one, so the parallel engine's batched tick rounds keep the same event
+  // accounting as the one-at-a-time reference engine.
   bool PopExpected(EventId id, TimePoint t);
-  // Runs all events with timestamps <= t, then sets the clock to t.
+  // Runs all events and deliveries with timestamps <= t, then sets the clock to t.
   void RunUntil(TimePoint t);
   void RunFor(Duration d) { RunUntil(now_ + d); }
 
+  // Heap events run or consumed; cursor deliveries are not events.
   uint64_t events_processed() const { return events_processed_; }
-  size_t pending_events() { return events_.PendingCount(); }
+  // Pending heap events plus armed cursors.
+  size_t pending_events() const;
 
  private:
-  // Runs the earliest pending event if its time is <= `limit`; false otherwise.
+  struct Cursor {
+    EventQueue::Callback deliver;  // Null once removed.
+    EventQueue::Position at;       // The pending delivery, while armed.
+    bool armed = false;
+  };
+  static constexpr size_t kNoCursor = ~size_t{0};
+
+  // Runs the earliest event or delivery if its time is <= `limit`; false otherwise.
   bool RunNext(TimePoint limit);
+  // The bound a heap event must come before to run ahead of the cursors: the
+  // earliest armed cursor's position if it is due by `limit`, else all of `limit`.
+  EventQueue::Position HeapBound(TimePoint limit) const;
+  // Recomputes next_cursor_ over the armed cursors.
+  void FindNextCursor();
 
   TimePoint now_ = TimePoint::Origin();
   EventQueue events_;
+  std::vector<Cursor> cursors_;
+  size_t next_cursor_ = kNoCursor;  // The earliest armed cursor.
+  bool delivering_ = false;         // Inside a cursor's callback.
   std::vector<Cpu> cpus_;
   TraceRecorder trace_;
   uint64_t events_processed_ = 0;

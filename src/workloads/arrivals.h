@@ -106,39 +106,47 @@ double MeanServiceCycles(const ArrivalConfig& config);
 // The sink typically pushes into a listen queue and counts drops; it must not assume
 // a thread context.
 //
-// The stream is one event chain: each arrival schedules the next. It may be given
-// whole at construction (a standalone farm) or grow batch by batch through Append
-// (a cluster node, fed its routed share at every epoch fence); either way the
-// events chain through the simulator identically.
+// The injector owns the stream and reads it through one simulator cursor
+// (sim/simulator.h): each delivery hands the next record to the sink, then arms
+// the cursor at the record after it, so an arrival takes the same place in the
+// event order that a per-arrival ScheduleAt would, without a heap event. The
+// stream may be given whole at construction (a standalone farm) or grow batch by
+// batch through Append (a cluster node, fed its routed share at every epoch fence).
 class RequestInjector {
  public:
   using Sink = std::function<void(const RequestRecord&)>;
 
-  // Schedules the first arrival, so construct before the run begins (arrivals are
+  // Arms the first arrival, so construct before the run begins (arrivals are
   // offsets from Origin and must not land in the simulator's past). `records` must
   // be sorted non-decreasing by arrival (GenerateRequests and ParseRequestLog both
-  // guarantee it).
+  // guarantee it). Must not outlive `sim`.
   RequestInjector(Simulator& sim, std::vector<RequestRecord> records, Sink sink);
+  // Removes the cursor: a destroyed injector never delivers again.
+  ~RequestInjector();
   RequestInjector(const RequestInjector&) = delete;
   RequestInjector& operator=(const RequestInjector&) = delete;
 
   // Extends the stream. `records` must be sorted and arrive no earlier than the
-  // stream's last record, and — if the chain has drained — no earlier than now.
-  // A drained chain resumes here by scheduling the first appended arrival (and
-  // drops the records it has delivered, so a node fed batch by batch holds one
-  // batch at a time); with an arrival still pending, the chain simply runs on
-  // into the new records.
+  // stream's last record, and — if the stream has drained — no earlier than now.
+  // A drained stream resumes here by arming the first appended arrival (and drops
+  // the records it has delivered, so a node fed batch by batch holds one batch at
+  // a time); with an arrival still armed, delivery simply runs on into the new
+  // records.
   void Append(std::vector<RequestRecord> records);
 
   int64_t injected() const { return injected_; }
 
  private:
-  void ScheduleNext();
+  // Arms the cursor at records_[next_], if the stream has one.
+  void Arm();
+  // The cursor's callback: one arrival into the sink.
+  void Deliver();
 
   Simulator& sim_;
   std::vector<RequestRecord> records_;
   Sink sink_;
-  size_t next_ = 0;  // records_[next_] is the pending arrival, if any.
+  Simulator::CursorId cursor_;
+  size_t next_ = 0;  // records_[next_] is the armed arrival, if any.
   int64_t injected_ = 0;
 };
 

@@ -239,7 +239,7 @@ int64_t WebFarmInstance::served() const {
   return total;
 }
 
-std::unique_ptr<WebFarmInstance> BuildWebFarm(const WebFarmBuild& build, Simulator& sim,
+std::unique_ptr<WebFarmInstance> BuildWebFarm(WebFarmBuild build, Simulator& sim,
                                               ThreadRegistry& threads,
                                               QueueRegistry& queues, Machine& machine,
                                               FeedbackAllocator* controller) {
@@ -316,7 +316,7 @@ std::unique_ptr<WebFarmInstance> BuildWebFarm(const WebFarmBuild& build, Simulat
 
   WebFarmInstance* raw = farm.get();
   farm->injector = std::make_unique<RequestInjector>(
-      sim, build.records, [raw](const RequestRecord& rec) { raw->Admit(rec); });
+      sim, std::move(build.records), [raw](const RequestRecord& rec) { raw->Admit(rec); });
   return farm;
 }
 
@@ -354,13 +354,13 @@ WebFarmResult RunWebFarmScenario(const WebFarmParams& params) {
   // Only the hash is read; at overload densities the farm records a lot of events.
   system.sim().trace().SetHashOnly(true);
 
-  const WebFarmBuild build = WebFarmBuildOf(
+  WebFarmBuild build = WebFarmBuildOf(
       params, params.replay.empty() ? GenerateRequests(params.arrivals, params.run_for)
                                     : params.replay);
   const auto offered = static_cast<int64_t>(build.records.size());
 
   std::unique_ptr<WebFarmInstance> farm =
-      BuildWebFarm(build, system.sim(), system.threads(), system.queues(),
+      BuildWebFarm(std::move(build), system.sim(), system.threads(), system.queues(),
                    system.machine(), &system.controller());
 
   system.Start();

@@ -181,9 +181,10 @@ class WebFarmInstance {
 // Wires one farm into the machine: creates the listen and per-worker queues,
 // spawns acceptors and workers (registered AddRealRate when `controller` is
 // non-null, prioritized/ticketed for the baselines either way), registers every
-// queue endpoint, and starts the injector (sink: WebFarmInstance::Admit). Call
-// before the machine starts.
-std::unique_ptr<WebFarmInstance> BuildWebFarm(const WebFarmBuild& build, Simulator& sim,
+// queue endpoint, and starts the injector (sink: WebFarmInstance::Admit). The
+// build is consumed: its records move into the injector, which holds the only copy
+// of the stream. Call before the machine starts.
+std::unique_ptr<WebFarmInstance> BuildWebFarm(WebFarmBuild build, Simulator& sim,
                                               ThreadRegistry& threads,
                                               QueueRegistry& queues, Machine& machine,
                                               FeedbackAllocator* controller);

@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -294,6 +296,178 @@ TEST(SimulatorTest, PopExpectedRejectsStaleId) {
   EXPECT_EQ(sim.Now(), At(5));
   EXPECT_EQ(sim.pending_events(), 0u);
   EXPECT_FALSE(ran);
+}
+
+// ---------------------------------------------------------------------------
+// Cursors: owner-held streams merged into the event order by (when, seq).
+
+TEST(SimulatorCursorTest, EqualTimeTiesGoByArmOrder) {
+  Simulator sim;
+  std::vector<std::string> order;
+  const Simulator::CursorId cursor = sim.AddCursor([&] { order.push_back("cursor"); });
+  sim.ScheduleAt(At(5), [&] { order.push_back("before"); });
+  sim.Arm(cursor, At(5));
+  sim.ScheduleAt(At(5), [&] { order.push_back("after"); });
+  sim.RunUntil(At(5));
+  EXPECT_EQ(order, (std::vector<std::string>{"before", "cursor", "after"}));
+  EXPECT_EQ(sim.events_processed(), 2u);  // A delivery is not an event.
+  EXPECT_EQ(sim.Now(), At(5));
+}
+
+TEST(SimulatorCursorTest, DeliveriesRunWhereScheduledEventsWould) {
+  // The same interleave built twice: once with the stream as a cursor, once as a
+  // chain of ScheduleAt events (each delivery schedules the next). The orders
+  // must match, since Arm draws its seq from the counter ScheduleAt uses.
+  const std::vector<int64_t> stream = {1, 3, 3, 4, 8};
+  std::vector<std::string> via_cursor;
+  std::vector<std::string> via_events;
+  // Heap events at and between the arrivals; each schedules a same-time
+  // follow-up, so seqs keep being drawn mid-run.
+  auto ticks = [](Simulator& sim, std::vector<std::string>& order) {
+    for (int64_t t : {1, 2, 3, 4, 6, 8}) {
+      sim.ScheduleAt(At(t), [&order, &sim, t] {
+        order.push_back("tick" + std::to_string(t));
+        sim.ScheduleAfter(Duration::Zero(), [&order, t] {
+          order.push_back("echo" + std::to_string(t));
+        });
+      });
+    }
+  };
+  {
+    Simulator sim;
+    size_t next = 0;
+    Simulator::CursorId cursor = 0;
+    cursor = sim.AddCursor([&] {
+      via_cursor.push_back("arrival" + std::to_string(stream[next]));
+      if (++next < stream.size()) {
+        sim.Arm(cursor, At(stream[next]));
+      }
+    });
+    sim.Arm(cursor, At(stream[0]));
+    ticks(sim, via_cursor);
+    sim.RunUntil(At(10));
+  }
+  {
+    Simulator sim;
+    size_t next = 0;
+    std::function<void()> deliver = [&] {
+      via_events.push_back("arrival" + std::to_string(stream[next]));
+      if (++next < stream.size()) {
+        sim.ScheduleAt(At(stream[next]), deliver);
+      }
+    };
+    sim.ScheduleAt(At(stream[0]), deliver);
+    ticks(sim, via_events);
+    sim.RunUntil(At(10));
+  }
+  EXPECT_EQ(via_cursor, via_events);
+  EXPECT_EQ(via_cursor.size(), stream.size() + 12);
+}
+
+TEST(SimulatorCursorTest, PopExpectedRefusesToPassAnEarlierCursor) {
+  Simulator sim;
+  int deliveries = 0;
+  const Simulator::CursorId cursor = sim.AddCursor([&] { ++deliveries; });
+  // An earlier time: the tick cannot be claimed past the armed cursor.
+  sim.Arm(cursor, At(4));
+  const EventId tick = sim.ScheduleAt(At(5), [] {});
+  EXPECT_FALSE(sim.PopExpected(tick, At(5)));
+  EXPECT_TRUE(sim.Step());
+  EXPECT_EQ(deliveries, 1);
+  EXPECT_TRUE(sim.PopExpected(tick, At(5)));
+  // The same time, armed before the tick was pushed: the cursor still comes first.
+  sim.Arm(cursor, At(7));
+  const EventId tied_after = sim.ScheduleAt(At(7), [] {});
+  EXPECT_FALSE(sim.PopExpected(tied_after, At(7)));
+  EXPECT_TRUE(sim.Step());
+  EXPECT_EQ(deliveries, 2);
+  EXPECT_TRUE(sim.PopExpected(tied_after, At(7)));
+  // The same time, armed after the tick was pushed: the tick comes first.
+  const EventId tied_before = sim.ScheduleAt(At(8), [] {});
+  sim.Arm(cursor, At(8));
+  EXPECT_TRUE(sim.PopExpected(tied_before, At(8)));
+  EXPECT_EQ(deliveries, 2);
+  EXPECT_TRUE(sim.Step());
+  EXPECT_EQ(deliveries, 3);
+  EXPECT_EQ(sim.events_processed(), 3u);
+  EXPECT_EQ(sim.Now(), At(8));
+}
+
+TEST(SimulatorCursorTest, TwoCursorsInterleaveByWhenThenSeq) {
+  Simulator sim;
+  std::vector<std::string> order;
+  Simulator::CursorId a = 0;
+  Simulator::CursorId b = 0;
+  size_t a_next = 0;
+  size_t b_next = 0;
+  const std::vector<int64_t> a_times = {1, 3, 3, 7};
+  const std::vector<int64_t> b_times = {2, 3, 5};
+  a = sim.AddCursor([&] {
+    order.push_back("a" + std::to_string(a_times[a_next]));
+    if (++a_next < a_times.size()) {
+      sim.Arm(a, At(a_times[a_next]));
+    }
+  });
+  b = sim.AddCursor([&] {
+    order.push_back("b" + std::to_string(b_times[b_next]));
+    if (++b_next < b_times.size()) {
+      sim.Arm(b, At(b_times[b_next]));
+    }
+  });
+  sim.Arm(b, At(b_times[0]));
+  sim.Arm(a, At(a_times[0]));
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.RunUntil(At(10));
+  // At 3: a re-armed for 3 at its 1 ms delivery and b at its 2 ms one, so a's
+  // first 3 goes first; a's second 3 is armed only when that one is delivered,
+  // after b's, so b3 precedes it.
+  EXPECT_EQ(order, (std::vector<std::string>{"a1", "b2", "a3", "b3", "a3", "b5", "a7"}));
+  EXPECT_EQ(sim.events_processed(), 0u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SimulatorCursorTest, CursorPastTheRunUntilLimitDoesNotFire) {
+  Simulator sim;
+  int deliveries = 0;
+  const Simulator::CursorId cursor = sim.AddCursor([&] { ++deliveries; });
+  sim.Arm(cursor, At(50));
+  sim.RunUntil(At(40));
+  EXPECT_EQ(deliveries, 0);
+  EXPECT_EQ(sim.Now(), At(40));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.RunUntil(At(50));
+  EXPECT_EQ(deliveries, 1);
+  EXPECT_EQ(sim.Now(), At(50));
+  EXPECT_FALSE(sim.Step());
+}
+
+TEST(SimulatorCursorTest, PendingEventsCountsArmedCursors) {
+  Simulator sim;
+  const Simulator::CursorId a = sim.AddCursor([] {});
+  const Simulator::CursorId b = sim.AddCursor([] {});
+  sim.ScheduleAt(At(1), [] {});
+  EXPECT_EQ(sim.pending_events(), 1u);  // Registered but disarmed: not pending.
+  sim.Arm(a, At(2));
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.Arm(b, At(3));
+  EXPECT_EQ(sim.pending_events(), 3u);
+  EXPECT_TRUE(sim.Step());
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_TRUE(sim.Step());
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.RemoveCursor(b);  // A removed cursor never delivers.
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_FALSE(sim.Step());
+  EXPECT_EQ(sim.Now(), At(2));
+}
+
+TEST(SimulatorCursorTest, ArmInThePastDies) {
+  Simulator sim;
+  const Simulator::CursorId cursor = sim.AddCursor([] {});
+  sim.RunUntil(At(10));
+  EXPECT_DEATH(sim.Arm(cursor, At(9)), "Precondition failed");
+  sim.Arm(cursor, At(10));  // Now is not the past.
+  EXPECT_DEATH(sim.Arm(cursor, At(11)), "Precondition failed");  // Already armed.
 }
 
 TEST(CpuTest, CycleDurationRoundTrip) {

@@ -3,11 +3,13 @@
 // farm (workloads/web_farm.h) — including the golden schedule pin and the
 // determinism contract tools/trace_replay re-checks from the CLI.
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "exp/system.h"
 #include "workloads/arrivals.h"
 #include "workloads/request_log.h"
 #include "workloads/web_farm.h"
@@ -145,7 +147,7 @@ TEST(ArrivalsTest, StreamPastTheRequestCapDiesInsteadOfTruncating) {
 }
 
 // ---------------------------------------------------------------------------
-// RequestInjector: one event chain, extended by Append.
+// RequestInjector: one cursor over its own stream, extended by Append.
 
 RequestRecord At(int64_t ms) { return {Duration::Millis(ms), 64, 1'000}; }
 
@@ -195,6 +197,36 @@ TEST(RequestInjectorTest, OutOfOrderAppendDies) {
   EXPECT_DEATH(rig.injector.Append({At(1)}), "Precondition failed");
   // An unsorted batch.
   EXPECT_DEATH(rig.injector.Append({At(7), At(6)}), "Precondition failed");
+}
+
+TEST(RequestInjectorTest, DestroyedInjectorNeverDelivers) {
+  // A farm whose injector is torn down mid-run, with arrivals still ahead of it:
+  // the simulator must keep running without ever calling into the dead injector
+  // (under ASan a stale delivery is a use-after-free).
+  WebFarmParams params;
+  params.num_cpus = 2;
+  params.num_workers = 2;
+  params.arrivals.requests_per_sec = 2000.0;
+  params.run_for = Duration::Millis(400);
+  System system(WebFarmSystemConfig(params));
+  std::unique_ptr<WebFarmInstance> farm = BuildWebFarm(
+      WebFarmBuildOf(params, GenerateRequests(params.arrivals, params.run_for)),
+      system.sim(), system.threads(), system.queues(), system.machine(),
+      &system.controller());
+  system.Start();
+  system.RunFor(Duration::Millis(100));
+  ASSERT_GT(farm->injector->injected(), 0);
+  const int64_t pushed_bytes = farm->listen.buffer->total_pushed();
+  const int64_t listen_drops = farm->listen_drops;
+  const size_t pending = system.sim().pending_events();
+  farm->injector.reset();
+  EXPECT_EQ(system.sim().pending_events(), pending - 1);  // Its armed cursor.
+  system.RunFor(Duration::Millis(300));
+  for (int i = 0; i < 100 && system.sim().Step(); ++i) {
+  }
+  EXPECT_EQ(farm->listen.buffer->total_pushed(), pushed_bytes);  // No arrival since.
+  EXPECT_EQ(farm->listen_drops, listen_drops);
+  EXPECT_GT(farm->served(), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -179,10 +179,15 @@ int main(int argc, char** argv) {
   // staked, the 1-vs-N equality quietly stopped testing parallel queue rounds —
   // that is a harness regression, failed as loudly as a trace divergence. The same
   // holds for the pick oracle: a 100-seed battery in which no pick was checked
-  // while a core's pick index was active has stopped testing the index.
+  // while a core's pick index was active has stopped testing the index, and for the
+  // open-loop arrivals: single-machine seeds with web farms that delivered no
+  // arrival through their injectors' cursors in the 1-vs-N runs leave the cursor
+  // out of the comparison. (Cluster seeds take the cluster battery instead.)
   int64_t total_parallel_rounds = 0;
   int64_t total_mailbox_rounds = 0;
   int64_t mailbox_regime_seeds = 0;
+  int64_t total_arrivals = 0;
+  int64_t open_loop_seeds = 0;
   int64_t total_indexed_pick_checks = 0;
   for (int64_t i = 0; i < args.iterations; ++i) {
     const uint64_t seed = args.seed_base + static_cast<uint64_t>(i);
@@ -193,6 +198,9 @@ int main(int argc, char** argv) {
     total_parallel_rounds += report.equivalence_parallel_rounds;
     total_mailbox_rounds += report.equivalence_mailbox_rounds;
     mailbox_regime_seeds += report.spec.mailbox_regime ? 1 : 0;
+    total_arrivals += report.equivalence_arrivals;
+    open_loop_seeds +=
+        !report.spec.open_loops.empty() && report.spec.cluster.num_machines == 0 ? 1 : 0;
     total_indexed_pick_checks += report.indexed_pick_checks;
     if (!args.quiet && (i + 1) % 25 == 0) {
       std::printf("%lld/%lld seeds ok (last: %llu)\n", static_cast<long long>(i + 1),
@@ -208,10 +216,13 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(args.seed_base +
                                                 static_cast<uint64_t>(args.iterations) - 1));
     std::printf("host-thread equivalence: %lld rounds fanned out, %lld mailbox rounds "
-                "that staked queue ops (%lld mailbox-regime seeds)\n",
+                "that staked queue ops (%lld mailbox-regime seeds), %lld open-loop "
+                "arrivals delivered (%lld open-loop seeds)\n",
                 static_cast<long long>(total_parallel_rounds),
                 static_cast<long long>(total_mailbox_rounds),
-                static_cast<long long>(mailbox_regime_seeds));
+                static_cast<long long>(mailbox_regime_seeds),
+                static_cast<long long>(total_arrivals),
+                static_cast<long long>(open_loop_seeds));
     std::printf("pick oracle: %lld picks checked with the pick index active\n",
                 static_cast<long long>(total_indexed_pick_checks));
   }
@@ -222,6 +233,14 @@ int main(int argc, char** argv) {
                  "— the 1-vs-N comparison no longer exercises parallel queue "
                  "rounds\n",
                  static_cast<long long>(mailbox_regime_seeds));
+    return 1;
+  }
+  if (open_loop_seeds > 0 && total_arrivals == 0) {
+    std::fprintf(stderr,
+                 "FAIL vacuity: %lld open-loop seeds ran the host-thread equivalence "
+                 "pass but delivered zero arrivals — the 1-vs-N comparison no longer "
+                 "exercises the injectors' cursors\n",
+                 static_cast<long long>(open_loop_seeds));
     return 1;
   }
   if (args.iterations >= 100 && total_indexed_pick_checks == 0) {
