@@ -2,8 +2,6 @@
 // the controller in order to run it at a higher frequency ... a more responsive system
 // without affecting its stability"). Sweeps the controller interval on the Fig. 6
 // pipeline and reports responsiveness against controller overhead.
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "exp/scenarios.h"
 #include "exp/system.h"
@@ -85,24 +83,11 @@ void PrintInKernelProjection() {
       "  user-level one — the responsiveness headroom the paper anticipated.\n\n");
 }
 
-void BM_ControllerInterval(benchmark::State& state) {
-  const int64_t ms = state.range(0);
-  for (auto _ : state) {
-    PipelineParams params;
-    params.run_for = Duration::Seconds(3);
-    params.controller.interval = Duration::Millis(ms);
-    benchmark::DoNotOptimize(RunPipelineScenario(params).trace_hash);
-  }
-}
-BENCHMARK(BM_ControllerInterval)->Arg(5)->Arg(10)->Arg(50)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace realrate
 
-int main(int argc, char** argv) {
+int main() {
   realrate::PrintAblation();
   realrate::PrintInKernelProjection();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

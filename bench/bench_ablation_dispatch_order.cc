@@ -6,8 +6,6 @@
 // RMS is guaranteed only to the Liu-Layland bound (82.8% for two tasks), EDF to 100%.
 #include <memory>
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "sched/machine.h"
 #include "sched/rbs.h"
@@ -65,19 +63,10 @@ void PrintAblation() {
       "  controller is agnostic to this choice — it only actuates proportion/period.\n\n");
 }
 
-void BM_EdfTaskSet(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RunTaskSet(DispatchOrder::kEarliestDeadlineFirst, 0.95).slow);
-  }
-}
-BENCHMARK(BM_EdfTaskSet)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace realrate
 
-int main(int argc, char** argv) {
+int main() {
   realrate::PrintAblation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

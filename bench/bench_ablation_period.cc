@@ -6,8 +6,6 @@
 //     heuristic should *shrink* the period.
 #include <memory>
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "exp/sampler.h"
 #include "exp/system.h"
@@ -102,19 +100,10 @@ void PrintAblation() {
       "  shrinks toward the 5 ms floor.\n\n");
 }
 
-void BM_TricklePeriodEstimation(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RunTrickle(true).final_period);
-  }
-}
-BENCHMARK(BM_TricklePeriodEstimation)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace realrate
 
-int main(int argc, char** argv) {
+int main() {
   realrate::PrintAblation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,8 +2,6 @@
 // summed progress pressures; §4.3 notes responsiveness/stability trade-offs. This bench
 // sweeps gain settings on the Fig. 6 pipeline and reports response time, steady-state
 // fill deviation, and allocation jitter.
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "exp/scenarios.h"
 
@@ -56,23 +54,10 @@ void PrintAblation() {
       "  allocation); hotter gains respond faster at the cost of allocation jitter.\n\n");
 }
 
-void BM_PidStep(benchmark::State& state) {
-  swift::PidController pid(swift::PidGains{.kp = 0.3, .ki = 2.0, .kd = 0.02,
-                                           .derivative_filter_tau = 0.05});
-  double e = 0.25;
-  for (auto _ : state) {
-    e = -e;
-    benchmark::DoNotOptimize(pid.Step(e, 0.01));
-  }
-}
-BENCHMARK(BM_PidStep);
-
 }  // namespace
 }  // namespace realrate
 
-int main(int argc, char** argv) {
+int main() {
   realrate::PrintAblation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,8 +4,6 @@
 // competing hog is squished for nothing.
 #include <memory>
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "exp/sampler.h"
 #include "exp/system.h"
@@ -77,19 +75,10 @@ void PrintAblation() {
       "  toward its true (tiny) usage.\n\n");
 }
 
-void BM_ReclaimScenario(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RunScenario(0.05).hog_cpu);
-  }
-}
-BENCHMARK(BM_ReclaimScenario)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace realrate
 
-int main(int argc, char** argv) {
+int main() {
   realrate::PrintAblation();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

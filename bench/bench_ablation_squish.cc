@@ -1,8 +1,6 @@
 // Ablation A2: squish policy — plain fair share vs importance-weighted fair share.
 // The paper: "importance determines the likelihood that a thread will get its desired
 // allocation ... a more-important job cannot starve a less important job."
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "core/overload.h"
 #include "exp/scenarios.h"
@@ -48,24 +46,11 @@ void PrintOpenLoop() {
       "  shifts share toward A while B and C keep non-zero floors.\n\n");
 }
 
-void BM_Squish64(benchmark::State& state) {
-  std::vector<SquishRequest> requests;
-  for (int i = 0; i < 64; ++i) {
-    requests.push_back({i, 0.5 + (i % 5) * 0.08, 1.0 + (i % 3), 0.005});
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Squish(requests, 0.9));
-  }
-}
-BENCHMARK(BM_Squish64);
-
 }  // namespace
 }  // namespace realrate
 
-int main(int argc, char** argv) {
+int main() {
   realrate::PrintClosedLoop();
   realrate::PrintOpenLoop();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

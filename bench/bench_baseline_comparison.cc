@@ -4,8 +4,6 @@
 // allocation variance, interactive responsiveness, and absence of starvation.
 #include <memory>
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "exp/scenarios.h"
 #include "exp/system.h"
@@ -191,19 +189,10 @@ void PrintComparison() {
       "  fine-grain control none of the baselines provide.\n\n");
 }
 
-void BM_MixedFeedback(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RunFeedback(Duration::Seconds(3)).rate_error);
-  }
-}
-BENCHMARK(BM_MixedFeedback)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace realrate
 
-int main(int argc, char** argv) {
+int main() {
   realrate::PrintComparison();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

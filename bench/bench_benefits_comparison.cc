@@ -2,8 +2,6 @@
 // scenario from §2), starvation, and the media pipeline whose decoder stage needs far
 // more CPU than its peers. Compares our feedback allocator against fixed priorities,
 // Linux-style MLFQ, and lottery scheduling.
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "exp/scenarios.h"
 
@@ -67,23 +65,12 @@ void PrintMediaPipeline() {
   std::printf("  bytes rendered: %lld\n\n", static_cast<long long>(r.rendered_bytes));
 }
 
-void BM_PathfinderFeedback(benchmark::State& state) {
-  for (auto _ : state) {
-    const PathfinderResult r =
-        RunPathfinderScenario(SchedulerKind::kFeedbackRbs, Duration::Seconds(2));
-    benchmark::DoNotOptimize(r.high_max_wait_s);
-  }
-}
-BENCHMARK(BM_PathfinderFeedback)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace realrate
 
-int main(int argc, char** argv) {
+int main() {
   realrate::PrintPathfinder();
   realrate::PrintStarvation();
   realrate::PrintMediaPipeline();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

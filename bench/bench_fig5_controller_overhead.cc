@@ -3,19 +3,14 @@
 // R^2 = .999 and 2.7% overhead at 40 processes, controller at a 10 ms period on a
 // 400 MHz Pentium II.
 //
-// Part 1 reproduces the figure on the simulator's calibrated cost model.
-// Part 2 measures the wall-clock cost of *our* controller's computation (RunOnce) with
-// google-benchmark, demonstrating the same linear-in-N shape on real hardware.
-#include <memory>
+// This reproduces the figure on the simulator's calibrated cost model. The wall-clock
+// cost of the controller's own computation per controlled thread is benchmark/'s
+// `core.runonce.ns_per_thread` row (2048 threads on `dense_pipelines`).
 #include <vector>
-
-#include <benchmark/benchmark.h>
 
 #include "bench_util.h"
 #include "exp/scenarios.h"
-#include "exp/system.h"
 #include "util/stats.h"
-#include "workloads/misc_work.h"
 
 namespace realrate {
 namespace {
@@ -42,33 +37,10 @@ void PrintFigure5() {
               ys.back() * 100.0);
 }
 
-// Wall-clock cost of one controller iteration as a function of controlled threads.
-void BM_ControllerIteration(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  SystemConfig config;
-  config.controller.charge_overhead = false;
-  config.start_controller = false;
-  System system(config);
-  for (int i = 0; i < n; ++i) {
-    SimThread* t = system.Spawn("dummy" + std::to_string(i), std::make_unique<IdleWork>());
-    system.controller().AddMiscellaneous(t);
-  }
-  TimePoint now = TimePoint::Origin();
-  for (auto _ : state) {
-    now += Duration::Millis(10);
-    system.controller().RunOnce(now);
-    benchmark::DoNotOptimize(system.controller().invocations());
-  }
-  state.counters["threads"] = n;
-}
-BENCHMARK(BM_ControllerIteration)->Arg(0)->Arg(10)->Arg(20)->Arg(40)->Arg(80);
-
 }  // namespace
 }  // namespace realrate
 
-int main(int argc, char** argv) {
+int main() {
   realrate::PrintFigure5();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <fstream>
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "exp/scenarios.h"
 #include "util/csv.h"
@@ -20,7 +18,7 @@ void PrintFigure6() {
       "producer: fixed 50 ppt / 10 ms reservation; rate pulses double bytes/cycle\n"
       "consumer: real-rate, allocation owned by the feedback controller");
 
-  PipelineParams params;  // The canonical Fig. 6 setup (see DESIGN.md).
+  PipelineParams params;  // The canonical Fig. 6 setup (exp/scenarios.h).
   const PipelineResult r = RunPipelineScenario(params);
 
   std::printf("top graph: progress rates (bytes/sec); bottom: queue fill level [0,1]\n\n");
@@ -45,23 +43,10 @@ void PrintFigure6() {
               static_cast<long long>(r.quality_exceptions));
 }
 
-// Wall-clock: full closed-loop simulation throughput (45 simulated seconds per iter).
-void BM_Fig6Scenario(benchmark::State& state) {
-  for (auto _ : state) {
-    PipelineParams params;
-    params.run_for = Duration::Seconds(5);
-    const PipelineResult r = RunPipelineScenario(params);
-    benchmark::DoNotOptimize(r.trace_hash);
-  }
-}
-BENCHMARK(BM_Fig6Scenario)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace realrate
 
-int main(int argc, char** argv) {
+int main() {
   realrate::PrintFigure6();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

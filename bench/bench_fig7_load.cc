@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <fstream>
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "exp/scenarios.h"
 #include "util/csv.h"
@@ -62,23 +60,10 @@ void PrintFigure7() {
               r.response_time_s);
 }
 
-void BM_Fig7Scenario(benchmark::State& state) {
-  for (auto _ : state) {
-    PipelineParams params;
-    params.with_hog = true;
-    params.run_for = Duration::Seconds(5);
-    const PipelineResult r = RunPipelineScenario(params);
-    benchmark::DoNotOptimize(r.trace_hash);
-  }
-}
-BENCHMARK(BM_Fig7Scenario)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace realrate
 
-int main(int argc, char** argv) {
+int main() {
   realrate::PrintFigure7();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

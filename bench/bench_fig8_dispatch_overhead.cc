@@ -3,8 +3,6 @@
 // (100 Hz). The paper reports a knee around 4000 Hz with ~2.7% overhead there.
 #include <vector>
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "exp/scenarios.h"
 
@@ -42,23 +40,10 @@ void PrintFigure8() {
   }
 }
 
-void BM_DispatchSweep(benchmark::State& state) {
-  const double freq = static_cast<double>(state.range(0));
-  for (auto _ : state) {
-    const DispatchOverheadPoint p = MeasureDispatchOverhead(freq, Duration::Seconds(1));
-    benchmark::DoNotOptimize(p.cpu_available);
-  }
-  state.counters["freq_hz"] = freq;
-}
-BENCHMARK(BM_DispatchSweep)->Arg(100)->Arg(1000)->Arg(4000)->Arg(10000)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace realrate
 
-int main(int argc, char** argv) {
+int main() {
   realrate::PrintFigure8();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -19,8 +19,6 @@
 #include <cstdio>
 #include <thread>
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "exp/scenarios.h"
 #include "util/assert.h"
@@ -241,25 +239,11 @@ void PrintMailboxScale() {
   std::printf("\n");
 }
 
-void BM_FarmRoundtrip(benchmark::State& state) {
-  const int host_threads = static_cast<int>(state.range(0));
-  ServerFarmParams params = FarmAt(/*threads_per_core=*/128, host_threads);
-  params.run_for = Duration::Millis(40);
-  for (auto _ : state) {
-    const ServerFarmResult result = RunServerFarmScenario(params);
-    benchmark::DoNotOptimize(result.trace_hash);
-  }
-  state.counters["host_threads"] = static_cast<double>(host_threads);
-}
-BENCHMARK(BM_FarmRoundtrip)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace realrate
 
-int main(int argc, char** argv) {
+int main() {
   realrate::PrintParallelScale();
   realrate::PrintMailboxScale();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

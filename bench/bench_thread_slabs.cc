@@ -19,8 +19,6 @@
 #include <string>
 #include <vector>
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "task/thread.h"
 #include "task/thread_slabs.h"
@@ -84,13 +82,19 @@ int64_t SweepObjects(const std::vector<SimThread*>& threads, CpuId core) {
   return sum;
 }
 
+// Keeps `value` alive and fences memory, so each sweep's result is computed and its
+// column headers are re-read every iteration instead of hoisted out of the loop.
+[[gnu::always_inline]] inline void KeepAlive(const int64_t& value) {
+  asm volatile("" : : "r,m"(value) : "memory");
+}
+
 double MeasureSweep(bool columns, const SlabRig& rig, int64_t iterations) {
   const auto start = std::chrono::steady_clock::now();
   for (int64_t i = 0; i < iterations; ++i) {
     const CpuId core = static_cast<CpuId>(i % kCores);
     const int64_t sum =
         columns ? SweepColumns(rig.slabs, core) : SweepObjects(rig.threads, core);
-    benchmark::DoNotOptimize(sum);
+    KeepAlive(sum);
   }
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
@@ -134,34 +138,10 @@ void PrintSlabScale() {
               slab_sweep_4096, aos_sweep_4096, slab_sweep_4096 / aos_sweep_4096);
 }
 
-void BM_SlabSweep(benchmark::State& state) {
-  SlabRig rig(static_cast<int>(state.range(0)));
-  CpuId core = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SweepColumns(rig.slabs, core));
-    core = (core + 1) % kCores;
-  }
-  state.counters["threads"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_SlabSweep)->Arg(256)->Arg(1024)->Arg(4096)->Unit(benchmark::kNanosecond);
-
-void BM_AosSweep(benchmark::State& state) {
-  SlabRig rig(static_cast<int>(state.range(0)));
-  CpuId core = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SweepObjects(rig.threads, core));
-    core = (core + 1) % kCores;
-  }
-  state.counters["threads"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_AosSweep)->Arg(256)->Arg(1024)->Arg(4096)->Unit(benchmark::kNanosecond);
-
 }  // namespace
 }  // namespace realrate
 
-int main(int argc, char** argv) {
+int main() {
   realrate::PrintSlabScale();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

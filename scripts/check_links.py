@@ -14,7 +14,7 @@ import re
 import sys
 
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
-SKIP_DIRS = {".git", "build", "third_party"}
+SKIP_DIRS = {".git", "build"}
 SKIP_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
 
 

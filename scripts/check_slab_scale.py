@@ -31,8 +31,7 @@ def run_bench(build_dir: pathlib.Path) -> dict:
     bench = build_dir / "bench" / "bench_thread_slabs"
     if not bench.exists():
         sys.exit(f"error: {bench} not found — build bench_thread_slabs first")
-    out = subprocess.run([str(bench), "--benchmark_min_time=0.01"],
-                         check=True, capture_output=True, text=True).stdout
+    out = subprocess.run([str(bench)], check=True, capture_output=True, text=True).stdout
     match = re.search(r"^SLAB_SCALE (.*)$", out, re.M)
     if not match:
         sys.exit("error: bench output has no SLAB_SCALE line")

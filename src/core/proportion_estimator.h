@@ -17,9 +17,9 @@
 namespace realrate {
 
 struct ProportionEstimatorConfig {
-  // PID gains for G in the pressure equation. Tuned (see DESIGN.md) so the canonical
-  // producer/consumer pipeline responds to a rate doubling in roughly 1/3 s, matching
-  // the paper's measured responsiveness.
+  // PID gains for G in the pressure equation. Tuned (docs/TUNING.md, the `gains` row)
+  // so the canonical producer/consumer pipeline responds to a rate doubling in
+  // roughly 1/3 s, matching the paper's measured responsiveness.
   swift::PidGains gains{.kp = 0.3, .ki = 2.0, .kd = 0.0, .integral_limit = 0.5,
                         .derivative_filter_tau = 0.05};
   // The reclaim step: the constant C, as a CPU fraction (50 ppt). It must out-pace

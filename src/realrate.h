@@ -9,7 +9,7 @@
 //   sim       — discrete-event simulator, per-core CPU cost model, trace
 //   task      — threads and work models
 //   queue     — bounded buffers (symbiotic interfaces), meta-interface registry
-//   swift     — feedback-circuit toolkit (PID et al.)
+//   swift     — the PID controller and the filters it is built from
 //   sched     — per-core dispatch machine + placement/rebalance; RBS + baselines
 //   core      — the feedback proportion allocator (the paper's contribution)
 //   workloads — producer/consumer, hogs, servers, interactive jobs
@@ -24,8 +24,11 @@
 // Units: virtual time is integral nanoseconds (util/time.h); work is simulated
 // Cycles; allocations are Proportion (parts-per-thousand of ONE core).
 //
-// Thread-safety: none anywhere — the simulation is single-(host-)threaded and
-// deterministic by construction; simulated SMP cores interleave on one event queue.
+// Thread-safety: the public API is single-(host-)threaded; every call runs on the
+// thread that drives the Simulator. With host_threads > 1 a Machine runs gated
+// dispatch rounds on one host thread per simulated core and merges their staged
+// records at a barrier, so traces are bit-identical at every host_threads value
+// (sched/machine.h states the contract).
 #ifndef REALRATE_REALRATE_H_
 #define REALRATE_REALRATE_H_
 
@@ -36,7 +39,6 @@
 #include "core/overload.h"
 #include "core/period_estimator.h"
 #include "core/pressure.h"
-#include "core/progress_meter.h"
 #include "core/proportion_estimator.h"
 #include "core/quality.h"
 #include "exp/sampler.h"
@@ -46,7 +48,6 @@
 #include "harness/invariants.h"
 #include "harness/workload_gen.h"
 #include "queue/bounded_buffer.h"
-#include "queue/pipe.h"
 #include "queue/registry.h"
 #include "queue/sim_mutex.h"
 #include "queue/tty.h"
@@ -59,8 +60,6 @@
 #include "sim/cpu.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
-#include "swift/analysis.h"
-#include "swift/circuit.h"
 #include "swift/components.h"
 #include "swift/pid.h"
 #include "task/registry.h"
@@ -70,7 +69,6 @@
 #include "util/time.h"
 #include "util/time_series.h"
 #include "util/types.h"
-#include "workloads/adaptive_source.h"
 #include "workloads/misc_work.h"
 #include "workloads/producer_consumer.h"
 #include "workloads/rate_schedule.h"

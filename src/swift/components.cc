@@ -60,20 +60,4 @@ void LowPassFilter::Reset() {
   primed_ = false;
 }
 
-Clamp::Clamp(double lo, double hi) : lo_(lo), hi_(hi) { RR_EXPECTS(lo <= hi); }
-
-double Clamp::Step(double input, double /*dt*/) { return std::clamp(input, lo_, hi_); }
-
-Deadband::Deadband(double width) : width_(width) { RR_EXPECTS(width >= 0); }
-
-double Deadband::Step(double input, double /*dt*/) {
-  if (input > width_) {
-    return input - width_;
-  }
-  if (input < -width_) {
-    return input + width_;
-  }
-  return 0.0;
-}
-
 }  // namespace realrate::swift

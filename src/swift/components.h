@@ -1,32 +1,22 @@
-// Standard SWiFT circuit elements: gain, integrator (with anti-windup), differentiator,
-// first-order low-pass filter, clamp, and deadband.
+// The filters the PID controller is built from: integrator (with anti-windup),
+// differentiator, and first-order low-pass filter. Each is a discrete-time scalar
+// filter; `dt` is the controller sampling interval in seconds and is passed per step
+// so the filters keep working when the controller's period is reconfigured at run time.
 #ifndef REALRATE_SWIFT_COMPONENTS_H_
 #define REALRATE_SWIFT_COMPONENTS_H_
 
-#include "swift/component.h"
 #include "util/assert.h"
 
 namespace realrate::swift {
 
-class Gain : public Component {
- public:
-  explicit Gain(double k) : k_(k) {}
-  double Step(double input, double /*dt*/) override { return k_ * input; }
-  void set_gain(double k) { k_ = k; }
-  double gain() const { return k_; }
-
- private:
-  double k_;
-};
-
 // Trapezoidal integrator with symmetric anti-windup clamping. Anti-windup matters in
 // this system: during overload the actuator (allocation) saturates, and an unclamped
 // integral would keep growing and overshoot massively when load disappears.
-class Integrator : public Component {
+class Integrator {
  public:
   explicit Integrator(double windup_limit);
-  double Step(double input, double dt) override;
-  void Reset() override;
+  double Step(double input, double dt);
+  void Reset();
   double value() const { return value_; }
   // Overrides the accumulated state (clamped to the windup limit). Used for bumpless
   // transfer when an outer policy forces the actuator to a new operating point.
@@ -40,10 +30,10 @@ class Integrator : public Component {
 };
 
 // First difference scaled by 1/dt.
-class Differentiator : public Component {
+class Differentiator {
  public:
-  double Step(double input, double dt) override;
-  void Reset() override;
+  double Step(double input, double dt);
+  void Reset();
 
  private:
   double prev_ = 0.0;
@@ -53,37 +43,16 @@ class Differentiator : public Component {
 // First-order IIR low-pass with time constant tau (seconds). The paper: "Using a
 // suitable low-pass filter, we can schedule jobs with reasonable responsiveness and low
 // overhead while keeping the sampling rate reasonably high."
-class LowPassFilter : public Component {
+class LowPassFilter {
  public:
   explicit LowPassFilter(double tau_seconds);
-  double Step(double input, double dt) override;
-  void Reset() override;
+  double Step(double input, double dt);
+  void Reset();
 
  private:
   const double tau_;
   double value_ = 0.0;
   bool primed_ = false;
-};
-
-class Clamp : public Component {
- public:
-  Clamp(double lo, double hi);
-  double Step(double input, double /*dt*/) override;
-
- private:
-  const double lo_;
-  const double hi_;
-};
-
-// Passes zero for |input| < width; used to ignore progress-pressure noise around the
-// half-full set point.
-class Deadband : public Component {
- public:
-  explicit Deadband(double width);
-  double Step(double input, double /*dt*/) override;
-
- private:
-  const double width_;
 };
 
 }  // namespace realrate::swift

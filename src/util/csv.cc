@@ -1,47 +1,15 @@
 #include "util/csv.h"
 
-#include <algorithm>
 #include <set>
 
 namespace realrate {
 
-void CsvWriter::WriteHeader(const std::vector<std::string>& columns) {
-  for (size_t i = 0; i < columns.size(); ++i) {
-    if (i > 0) {
-      out_ << ',';
-    }
-    out_ << columns[i];
-  }
-  out_ << '\n';
-}
-
-void CsvWriter::WriteRow(const std::vector<double>& values) {
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) {
-      out_ << ',';
-    }
-    out_ << values[i];
-  }
-  out_ << '\n';
-}
-
-void CsvWriter::WriteRow(const std::vector<std::string>& values) {
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) {
-      out_ << ',';
-    }
-    out_ << values[i];
-  }
-  out_ << '\n';
-}
-
 void WriteAlignedSeries(std::ostream& out, const std::vector<const TimeSeries*>& series) {
-  CsvWriter csv(out);
-  std::vector<std::string> header = {"time_s"};
+  out << "time_s";
   for (const TimeSeries* s : series) {
-    header.push_back(s->name());
+    out << ',' << s->name();
   }
-  csv.WriteHeader(header);
+  out << '\n';
 
   std::set<TimePoint> times;
   for (const TimeSeries* s : series) {
@@ -50,11 +18,11 @@ void WriteAlignedSeries(std::ostream& out, const std::vector<const TimeSeries*>&
     }
   }
   for (TimePoint t : times) {
-    std::vector<double> row = {t.ToSeconds()};
+    out << t.ToSeconds();
     for (const TimeSeries* s : series) {
-      row.push_back(s->ValueAt(t));
+      out << ',' << s->ValueAt(t);
     }
-    csv.WriteRow(row);
+    out << '\n';
   }
 }
 

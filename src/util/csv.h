@@ -1,29 +1,17 @@
-// Minimal CSV emission for experiment output. Benches print figure data both as aligned
-// text (for the terminal) and optionally as CSV files for plotting.
+// CSV emission for experiment output. Benches print figure data as aligned text for
+// the terminal and, when asked, as CSV files for plotting.
 #ifndef REALRATE_UTIL_CSV_H_
 #define REALRATE_UTIL_CSV_H_
 
 #include <ostream>
-#include <string>
 #include <vector>
 
 #include "util/time_series.h"
 
 namespace realrate {
 
-class CsvWriter {
- public:
-  explicit CsvWriter(std::ostream& out) : out_(out) {}
-
-  void WriteHeader(const std::vector<std::string>& columns);
-  void WriteRow(const std::vector<double>& values);
-  void WriteRow(const std::vector<std::string>& values);
-
- private:
-  std::ostream& out_;
-};
-
-// Writes several series on a shared time axis (union of timestamps, step-interpolated).
+// Writes several series on a shared time axis (union of timestamps, step-interpolated):
+// a `time_s,<name>...` header, then one comma-separated row per timestamp.
 void WriteAlignedSeries(std::ostream& out, const std::vector<const TimeSeries*>& series);
 
 }  // namespace realrate

@@ -40,17 +40,6 @@ Cycles DelayedHogWork::RoundLocalCycles(TimePoint now) const {
   return now >= start_at_ ? std::numeric_limits<Cycles>::max() : 0;
 }
 
-SpinWaitWork::SpinWaitWork(TtyPort* tty) : tty_(tty) { RR_EXPECTS(tty != nullptr); }
-
-RunResult SpinWaitWork::Run(TimePoint now, Cycles granted) {
-  // Polls the tty but burns the entire slice regardless — a spin-wait.
-  while (tty_->PopInput(now)) {
-    ++serviced_;
-    self()->AddProgress(1);
-  }
-  return RunResult::Ran(granted);
-}
-
 InteractiveWork::InteractiveWork(TtyPort* tty, Cycles cycles_per_event)
     : tty_(tty), cycles_per_event_(cycles_per_event) {
   RR_EXPECTS(tty != nullptr);

@@ -1,4 +1,4 @@
-// Miscellaneous work models: CPU hog, spin-waiter, interactive job, mutex-based
+// Miscellaneous work models: CPU hog, interactive job, mutex-based
 // critical-section worker, and a kernel-driven arrival process (models network RX or a
 // disk-as-producer feeding a queue from interrupt context).
 #ifndef REALRATE_WORKLOADS_MISC_WORK_H_
@@ -49,20 +49,6 @@ class DelayedHogWork : public WorkModel {
 
  private:
   const TimePoint start_at_;
-};
-
-// Burns CPU while polling a tty for input it never consumes cooperatively — the §2
-// livelock example: "a job running at a (fixed) real-time priority that spin-waits on
-// user input." Under fixed priorities this starves whatever produces the input.
-class SpinWaitWork : public WorkModel {
- public:
-  explicit SpinWaitWork(TtyPort* tty);
-  RunResult Run(TimePoint now, Cycles granted) override;
-  int64_t events_serviced() const { return serviced_; }
-
- private:
-  TtyPort* const tty_;
-  int64_t serviced_ = 0;
 };
 
 // Interactive job: blocks on a tty, services each input event with a burst of cycles,

@@ -70,6 +70,10 @@ bool ParseRequestLog(const std::string& text, std::vector<RequestRecord>* out,
     const size_t end = eol > pos && text[eol - 1] == '\r' ? eol - 1 : eol;
     const std::string line = text.substr(pos, end - pos);
     pos = eol + 1;
+    // The fields are read through c_str(), which would end the line at a NUL.
+    if (line.find('\0') != std::string::npos) {
+      return fail(line_no, "NUL byte in line");
+    }
 
     const char* p = line.c_str();
     while (*p == ' ' || *p == '\t') {

@@ -33,7 +33,7 @@ class RequestServerWork : public WorkModel {
 };
 
 // A simulated human: injects tty input events at exponentially distributed intervals
-// (think time). Drives InteractiveWork / SpinWaitWork experiments.
+// (think time). Drives InteractiveWork experiments.
 class TypingProcess {
  public:
   struct Config {

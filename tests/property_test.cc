@@ -1,5 +1,6 @@
-// Property-based and parameterized tests: the invariants from DESIGN.md §5, swept over
-// parameter spaces with TEST_P and seeded randomness.
+// Property-based and parameterized tests: squish feasibility, delivered reservations,
+// convergence, no oversubscription, byte conservation and pressure bounds, swept over
+// parameter spaces with TEST_P and seeded randomness (docs/TESTING.md, "Tier-1").
 #include <memory>
 #include <tuple>
 

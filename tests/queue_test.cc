@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "queue/bounded_buffer.h"
-#include "queue/pipe.h"
 #include "queue/registry.h"
 #include "queue/sim_mutex.h"
 #include "queue/tty.h"
@@ -133,11 +132,6 @@ TEST(BoundedBufferTest, FailedPushDoesNotWakeAnyone) {
 TEST(BoundedBufferEdgeTest, ZeroCapacityConstructionDies) {
   EXPECT_DEATH(BoundedBuffer(0, "q", 0), "Precondition");
   EXPECT_DEATH(BoundedBuffer(0, "q", -5), "Precondition");
-}
-
-TEST(BoundedBufferEdgeTest, ZeroCapacityPipeDies) {
-  QueueRegistry reg;
-  EXPECT_DEATH(SimPipe(reg, "p", 0), "Precondition");
 }
 
 TEST(BoundedBufferEdgeTest, NonPositiveOperationsDie) {

@@ -2,17 +2,76 @@
 // consumer triggers a quality exception; the application responds by degrading its
 // source rate until the system becomes feasible again. Also covers the I/O-intensive
 // class: a disk-fed consumer whose allocation must track the disk, not its own appetite.
+#include <algorithm>
 #include <memory>
 
 #include <gtest/gtest.h>
 
 #include "exp/system.h"
-#include "workloads/adaptive_source.h"
+#include "task/thread.h"
+#include "task/work_model.h"
 #include "workloads/misc_work.h"
 #include "workloads/producer_consumer.h"
 
 namespace realrate {
 namespace {
+
+// An isochronous source that can renegotiate its rate: the application side of the
+// quality-exception protocol. "Second, it can raise quality exceptions to notify the
+// jobs of the overload and renegotiate the proportions" (§3.1); "allowing the
+// application to adapt by lowering its resource requirements" (§4.2). A media source
+// would drop to a lower bitrate; Degrade() halves the emission rate, Restore() returns
+// to the original.
+class AdaptiveSourceWork : public WorkModel {
+ public:
+  AdaptiveSourceWork(BoundedBuffer* out, int64_t item_bytes, Duration base_interval,
+                     Cycles cycles_per_item)
+      : out_(out),
+        item_bytes_(item_bytes),
+        base_interval_(base_interval),
+        cycles_per_item_(cycles_per_item) {}
+
+  RunResult Run(TimePoint now, Cycles granted) override {
+    Cycles used = 0;
+    while (used < granted) {
+      if (now < next_item_time_) {
+        return RunResult::Sleeping(used, next_item_time_);
+      }
+      const Cycles step = std::min(cycles_per_item_ - into_item_, granted - used);
+      used += step;
+      into_item_ += step;
+      if (into_item_ < cycles_per_item_) {
+        break;
+      }
+      into_item_ = 0;
+      if (out_->TryPush(item_bytes_)) {
+        ++items_;
+        self()->AddProgress(item_bytes_);
+      }
+      next_item_time_ = std::max(next_item_time_ + current_interval(), now);
+    }
+    return RunResult::Ran(used);
+  }
+
+  // Halves the emission rate (doubles the interval), down to 1/8 of the base rate.
+  void Degrade() { level_ = std::min(level_ + 1, 3); }
+  // Returns to the base rate.
+  void Restore() { level_ = 0; }
+
+  int degradation_level() const { return level_; }
+  Duration current_interval() const { return base_interval_ * (int64_t{1} << level_); }
+  int64_t items_produced() const { return items_; }
+
+ private:
+  BoundedBuffer* const out_;
+  const int64_t item_bytes_;
+  const Duration base_interval_;
+  const Cycles cycles_per_item_;
+  int level_ = 0;
+  TimePoint next_item_time_;
+  Cycles into_item_ = 0;
+  int64_t items_ = 0;
+};
 
 TEST(AdaptiveSourceTest, EmitsAtBaseRateUntilDegraded) {
   System system;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "swift/circuit.h"
 #include "swift/components.h"
 #include "swift/pid.h"
 
@@ -10,13 +9,6 @@ namespace realrate::swift {
 namespace {
 
 constexpr double kDt = 0.01;  // 100 Hz, the prototype's controller rate.
-
-TEST(GainTest, Scales) {
-  Gain g(2.5);
-  EXPECT_DOUBLE_EQ(g.Step(4.0, kDt), 10.0);
-  g.set_gain(-1.0);
-  EXPECT_DOUBLE_EQ(g.Step(4.0, kDt), -4.0);
-}
 
 TEST(IntegratorTest, AccumulatesConstantInput) {
   Integrator integ(100.0);
@@ -94,21 +86,6 @@ TEST(LowPassFilterTest, SmoothsStep) {
   EXPECT_LT(after_one, 0.2);  // One 10 ms sample into a 100 ms time constant.
 }
 
-TEST(ClampTest, Clamps) {
-  Clamp c(-1.0, 1.0);
-  EXPECT_DOUBLE_EQ(c.Step(5.0, kDt), 1.0);
-  EXPECT_DOUBLE_EQ(c.Step(-5.0, kDt), -1.0);
-  EXPECT_DOUBLE_EQ(c.Step(0.3, kDt), 0.3);
-}
-
-TEST(DeadbandTest, ZeroInsideBandShiftedOutside) {
-  Deadband d(0.1);
-  EXPECT_DOUBLE_EQ(d.Step(0.05, kDt), 0.0);
-  EXPECT_DOUBLE_EQ(d.Step(-0.05, kDt), 0.0);
-  EXPECT_NEAR(d.Step(0.3, kDt), 0.2, 1e-12);
-  EXPECT_NEAR(d.Step(-0.3, kDt), -0.2, 1e-12);
-}
-
 TEST(PidTest, PureProportional) {
   PidController pid(PidGains{.kp = 2.0, .ki = 0.0, .kd = 0.0});
   EXPECT_DOUBLE_EQ(pid.Step(0.5, kDt), 1.0);
@@ -158,22 +135,6 @@ TEST(PidTest, ClosedLoopRegulatesFirstOrderPlant) {
     e += (disturbance - a * u) * kDt;
   }
   EXPECT_NEAR(e, 0.0, 0.01);
-}
-
-TEST(CircuitTest, ChainsComponentsInOrder) {
-  Circuit c;
-  c.Emplace<Gain>(2.0).Emplace<Clamp>(-1.0, 1.0);
-  EXPECT_DOUBLE_EQ(c.Step(0.3, kDt), 0.6);
-  EXPECT_DOUBLE_EQ(c.Step(3.0, kDt), 1.0);  // Gain then clamp.
-  EXPECT_EQ(c.size(), 2u);
-}
-
-TEST(CircuitTest, ResetPropagates) {
-  Circuit c;
-  c.Emplace<Integrator>(10.0);
-  c.Step(1.0, 1.0);
-  c.Reset();
-  EXPECT_DOUBLE_EQ(c.Step(0.0, 1.0), 0.0);
 }
 
 }  // namespace

@@ -272,8 +272,9 @@ TEST(RequestLogTest, CommentsAndBlankLinesAreIgnored) {
 }
 
 TEST(RequestLogTest, MalformedLinesFailWithLineNumbers) {
+  using namespace std::string_literals;  // "..."s keeps embedded NULs.
   const struct {
-    const char* text;
+    std::string text;
     const char* needle;
   } cases[] = {
       {"100 256\n", "line 1"},                      // Missing field.
@@ -284,6 +285,8 @@ TEST(RequestLogTest, MalformedLinesFailWithLineNumbers) {
       {"100 256 0\n", "line 1"},                    // Zero service.
       {"200 256 5000\n100 256 5000\n", "line 2"},   // Arrivals went backwards.
       {"100 256 5000\r\r\n", "line 1"},            // Only one CR ends a line.
+      {"100 256 5000\0 trailing junk\n"s, "line 1"},  // Junk hidden behind a NUL.
+      {"100 256 5000\n\0not a record at all\n"s, "line 2"},  // Not a blank line.
   };
   for (const auto& c : cases) {
     std::vector<RequestRecord> records;
