@@ -31,9 +31,15 @@ ClusterFarmResult RunClusterFarmScenario(const ClusterFarmParams& params) {
 
   const int machines = params.num_machines;
   const Duration horizon = params.farm.run_for;
-  std::vector<RequestRecord> records =
-      params.farm.replay.empty() ? GenerateRequests(params.farm.arrivals, horizon)
-                                 : params.farm.replay;
+  // The stream is read in place: the router walks it by const reference and
+  // copies each record once, into its machine's batch. Only the degenerate
+  // cluster hands a whole stream to a node, which must own it.
+  std::vector<RequestRecord> generated;
+  if (params.farm.replay.empty()) {
+    generated = GenerateRequests(params.farm.arrivals, horizon);
+  }
+  const std::vector<RequestRecord>& records =
+      params.farm.replay.empty() ? generated : params.farm.replay;
   const auto offered = static_cast<int64_t>(records.size());
 
   ClusterConfig cluster_config;
@@ -48,17 +54,22 @@ ClusterFarmResult RunClusterFarmScenario(const ClusterFarmParams& params) {
     node.sim().trace().SetEnabled(true);
     node.sim().trace().SetHashOnly(true);
     // Each node has one injector. The degenerate cluster routes everything to its
-    // one machine, so the whole stream moves to it up front — the arrivals then
-    // take their places in the simulator's event order exactly as a bare
-    // RunWebFarmScenario's do, which is what keeps the M = 1 trace pin bit-exact.
-    // M > 1 appends each epoch's routed batch at the fence below.
-    farms.push_back(BuildWebFarm(
-        WebFarmBuildOf(params.farm,
-                       machines == 1 ? std::move(records) : std::vector<RequestRecord>{}),
-        node.sim(), node.threads(), node.queues(), node.machine(), &node.controller()));
+    // one machine, so the whole stream goes to it up front (moved when generated
+    // here, copied from a caller's replay) — the arrivals then take their places in
+    // the simulator's event order exactly as a bare RunWebFarmScenario's do, which
+    // is what keeps the M = 1 trace pin bit-exact. M > 1 appends each epoch's
+    // routed batch at the fence below.
+    std::vector<RequestRecord> owned;
+    if (machines == 1) {
+      owned = params.farm.replay.empty() ? std::move(generated) : params.farm.replay;
+    }
+    farms.push_back(BuildWebFarm(WebFarmBuildOf(params.farm, std::move(owned)), node.sim(),
+                                 node.threads(), node.queues(), node.machine(),
+                                 &node.controller()));
   }
 
   FrontEndRouter router(params.router, machines);
+  std::vector<MachineSignals> signals(static_cast<size_t>(machines));
   int64_t rebalanced = 0;
   size_t next_record = 0;
   int64_t epoch_index = 0;
@@ -113,7 +124,6 @@ ClusterFarmResult RunClusterFarmScenario(const ClusterFarmParams& params) {
     }
 
     // --- Router: assign this epoch's arrivals from fence-fresh signals ---
-    std::vector<MachineSignals> signals(static_cast<size_t>(machines));
     for (int m = 0; m < machines; ++m) {
       signals[static_cast<size_t>(m)] = {cluster.SpareSignal(m), cluster.PressureSignal(m)};
     }
@@ -147,6 +157,11 @@ ClusterFarmResult RunClusterFarmScenario(const ClusterFarmParams& params) {
   result.rebalanced = rebalanced;
 
   SampleSet all_latencies;
+  size_t latency_count = 0;
+  for (const auto& farm : farms) {
+    latency_count += farm->latencies.size();
+  }
+  all_latencies.Reserve(latency_count);
   int64_t max_served = 0;
   for (int m = 0; m < machines; ++m) {
     WebFarmInstance& farm = *farms[static_cast<size_t>(m)];
@@ -158,9 +173,7 @@ ClusterFarmResult RunClusterFarmScenario(const ClusterFarmParams& params) {
     result.served += served;
     result.served_per_machine.push_back(served);
     max_served = std::max(max_served, served);
-    for (double s : farm.latencies.samples()) {
-      all_latencies.Add(s);
-    }
+    all_latencies.Merge(farm.latencies);
     System& node = cluster.node(m);
     result.epoch_fences += node.machine().epoch_fences();
     result.machine_trace_hashes.push_back(node.sim().trace().Hash());

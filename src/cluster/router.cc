@@ -49,13 +49,19 @@ int FrontEndRouter::Route() {
   }
   // Deficit apportionment: accrue each machine's normalized weight, serve the
   // largest accumulated credit. Strictly-greater comparison breaks ties toward
-  // the lowest machine index — deterministic regardless of float equality.
-  size_t pick = 0;
-  for (size_t m = 0; m < credits_.size(); ++m) {
+  // the lowest machine index — deterministic regardless of float equality. The
+  // accrual pass vectorizes; the argmax pass carries its running best in
+  // registers and selects instead of branching.
+  const size_t n = credits_.size();
+  for (size_t m = 0; m < n; ++m) {
     credits_[m] += weights_[m];
-    if (credits_[m] > credits_[pick]) {
-      pick = m;
-    }
+  }
+  size_t pick = 0;
+  double best = credits_[0];
+  for (size_t m = 1; m < n; ++m) {
+    const bool better = credits_[m] > best;
+    pick = better ? m : pick;
+    best = better ? credits_[m] : best;
   }
   credits_[pick] -= 1.0;
   ++routed_[pick];

@@ -44,8 +44,18 @@ int64_t TraceRecorder::Count(TraceKind kind, ThreadId thread) const {
 
 uint64_t TraceRecorder::HashScan() const {
   uint64_t h = kFnvOffset;
+  auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (i * 8)) & 0xff;
+      h *= kFnvPrime;
+    }
+  };
   for (const TraceEvent& e : events_) {
-    MixEvent(h, e);
+    mix(static_cast<uint64_t>(e.t.nanos()));
+    mix(static_cast<uint64_t>(e.kind));
+    mix(static_cast<uint64_t>(e.thread));
+    mix(static_cast<uint64_t>(e.arg0));
+    mix(static_cast<uint64_t>(e.arg1));
   }
   return h;
 }

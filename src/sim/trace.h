@@ -3,6 +3,9 @@
 #ifndef REALRATE_SIM_TRACE_H_
 #define REALRATE_SIM_TRACE_H_
 
+#include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -90,8 +93,9 @@ class TraceRecorder {
   // long the trace is (the farm benches read it once per run).
   uint64_t Hash() const { return running_hash_; }
 
-  // Recomputes the hash by scanning the stored events — the pre-incremental
-  // definition, kept as the oracle the running fold is validated against in tests.
+  // Recomputes the hash by scanning the stored events with the literal FNV-1a byte
+  // loop — the definition, kept as the oracle the running fold is validated
+  // against in tests.
   uint64_t HashScan() const;
 
   // Validates events [from, size()): timestamps non-decreasing (each event is also
@@ -108,14 +112,28 @@ class TraceRecorder {
   static constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
   static constexpr uint64_t kFnvPrime = 0x100000001b3ull;
 
-  // Folds one event into `h`, byte by byte, little-endian, field order
-  // (t, kind, thread, arg0, arg1) — exactly the HashScan fold.
+  // kFnvPrime^k mod 2^64 for k in [0, 8].
+  static constexpr std::array<uint64_t, 9> kFnvPrimePowers = [] {
+    std::array<uint64_t, 9> powers{};
+    powers[0] = 1;
+    for (size_t k = 1; k < powers.size(); ++k) {
+      powers[k] = powers[k - 1] * kFnvPrime;
+    }
+    return powers;
+  }();
+
+  // Folds one event into `h` exactly as HashScan's byte loop does: little-endian
+  // bytes, field order (t, kind, thread, arg0, arg1). A zero byte's xor is a no-op,
+  // so each field's run of high zero bytes folds as one multiply by a power of
+  // the prime; only the low, significant bytes go through the loop.
   static void MixEvent(uint64_t& h, const TraceEvent& e) {
     auto mix = [&h](uint64_t v) {
-      for (int i = 0; i < 8; ++i) {
+      const int bytes = (64 - std::countl_zero(v) + 7) / 8;
+      for (int i = 0; i < bytes; ++i) {
         h ^= (v >> (i * 8)) & 0xff;
         h *= kFnvPrime;
       }
+      h *= kFnvPrimePowers[static_cast<size_t>(8 - bytes)];
     };
     mix(static_cast<uint64_t>(e.t.nanos()));
     mix(static_cast<uint64_t>(e.kind));

@@ -59,25 +59,22 @@ double RunningStats::sample_variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-void SampleSet::EnsureSorted() const {
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-}
-
 double SampleSet::Percentile(double p) const {
   RR_EXPECTS(!samples_.empty());
   RR_EXPECTS(p >= 0.0 && p <= 100.0);
-  EnsureSorted();
   if (samples_.size() == 1) {
     return samples_[0];
   }
   const double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
   const auto lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, samples_.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+  // After the selection, *nth is the lo-th order statistic and everything above
+  // it is no smaller, so the (lo + 1)-th is the minimum of the upper part.
+  const auto nth = samples_.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(samples_.begin(), nth, samples_.end());
+  const double upper =
+      nth + 1 == samples_.end() ? *nth : *std::min_element(nth + 1, samples_.end());
+  return *nth * (1.0 - frac) + upper * frac;
 }
 
 double SampleSet::Mean() const {

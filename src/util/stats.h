@@ -36,31 +36,30 @@ class RunningStats {
 };
 
 // Batch percentile computation. Keeps all samples; fine at simulation scale.
+// Each Percentile is a selection over the samples (O(n)), not a sort, so a few
+// percentiles over a large set cost a few linear passes; the samples' order is
+// unspecified and Percentile may permute it.
 class SampleSet {
  public:
-  // Invalidates the sort memo: interleaving Add and Percentile re-sorts lazily,
-  // so percentiles always reflect every sample added so far.
-  void Add(double x) {
-    samples_.push_back(x);
-    sorted_ = false;
+  void Add(double x) { samples_.push_back(x); }
+  // Appends every sample of `other` (the cluster farm merges per-machine latency
+  // sets before computing cluster-wide percentiles).
+  void Merge(const SampleSet& other) {
+    samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
   }
+  void Reserve(size_t n) { samples_.reserve(n); }
   size_t size() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }
 
-  // Raw samples, in unspecified order (the sort memo may or may not have run).
-  // For cross-set aggregation (the cluster farm merges per-machine latency sets
-  // before computing cluster-wide percentiles).
-  const std::vector<double>& samples() const { return samples_; }
-
-  // Linear-interpolated percentile, p in [0, 100]. Requires at least one sample.
+  // Linear-interpolated percentile over the sorted order, p in [0, 100]: the
+  // value at rank p/100 * (n - 1) between its two neighbouring order
+  // statistics. Requires at least one sample.
   double Percentile(double p) const;
   double Median() const { return Percentile(50.0); }
   double Mean() const;
 
  private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
-  void EnsureSorted() const;
+  mutable std::vector<double> samples_;  // Percentile's selection reorders them.
 };
 
 // Ordinary least squares over (x, y) pairs. Reproduces the paper's Figure 5 fit

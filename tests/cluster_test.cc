@@ -1,8 +1,10 @@
 // The cluster layer (src/cluster/): the front-end router's deterministic
-// apportionment, the M = 1 bit-equality pin against a bare Machine, per-machine
-// trace invariance across host threads and reruns, goodput scaling with M (and
-// the pinned M=1/4/16 scale-out sweep), the cross-machine rebalancer, the
+// apportionment (and its equality with a plain reference scan), the M = 1
+// bit-equality pin against a bare Machine, per-machine trace invariance across
+// host threads and reruns, replayed vs generated streams, goodput scaling with M
+// (and the pinned M=1/4/16 scale-out sweep), the cross-machine rebalancer, the
 // all-drop zero-served edge, and a ~2M-thread configuration smoke.
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,6 +12,8 @@
 #include "cluster/cluster.h"
 #include "cluster/cluster_farm.h"
 #include "cluster/router.h"
+#include "util/rng.h"
+#include "workloads/arrivals.h"
 #include "workloads/web_farm.h"
 
 namespace realrate {
@@ -74,6 +78,90 @@ TEST(RouterTest, SameSignalsSameAssignment) {
   b.UpdateSignals(signals);
   for (int i = 0; i < 500; ++i) {
     EXPECT_EQ(a.Route(), b.Route());
+  }
+}
+
+// The router as a plain scan: weights normalized from the signals, then one
+// loop that accrues each credit and keeps the first strictly larger one.
+class ReferenceRouter {
+ public:
+  ReferenceRouter(double damping, int machines)
+      : damping_(damping),
+        weights_(static_cast<size_t>(machines), 1.0 / machines),
+        credits_(static_cast<size_t>(machines), 0.0),
+        routed_(static_cast<size_t>(machines), 0) {}
+
+  void UpdateSignals(const std::vector<MachineSignals>& signals) {
+    double sum = 0.0;
+    for (size_t m = 0; m < signals.size(); ++m) {
+      const double fill = std::clamp(signals[m].fill_fraction, 0.0, 1.0);
+      weights_[m] = static_cast<double>(signals[m].spare_ppt + 1) * (1.0 - damping_ * fill);
+      sum += weights_[m];
+    }
+    for (size_t m = 0; m < weights_.size(); ++m) {
+      weights_[m] = sum > 0.0 ? weights_[m] / sum : 1.0 / static_cast<double>(weights_.size());
+    }
+  }
+
+  int Route() {
+    size_t pick = 0;
+    for (size_t m = 0; m < credits_.size(); ++m) {
+      credits_[m] += weights_[m];
+      if (credits_[m] > credits_[pick]) {
+        pick = m;
+      }
+    }
+    credits_[pick] -= 1.0;
+    ++routed_[pick];
+    return static_cast<int>(pick);
+  }
+
+  const std::vector<int64_t>& routed() const { return routed_; }
+
+ private:
+  double damping_;
+  std::vector<double> weights_;
+  std::vector<double> credits_;
+  std::vector<int64_t> routed_;
+};
+
+TEST(RouterTest, MatchesReferenceScan) {
+  // Signal shapes: a coarse grid, where many machines carry exactly equal
+  // weights and credits tie; every machine saturated under full damping, the
+  // uniform fallback; and continuous draws. Signals refresh every 100 routes.
+  enum class Shape { kTies, kUniformFallback, kContinuous };
+  Rng rng(7);
+  for (int machines : {1, 2, 3, 16, 2048}) {
+    for (Shape shape : {Shape::kTies, Shape::kUniformFallback, Shape::kContinuous}) {
+      RouterConfig config;
+      config.pressure_damping = shape == Shape::kUniformFallback ? 1.0 : 0.5;
+      FrontEndRouter router(config, machines);
+      ReferenceRouter reference(config.pressure_damping, machines);
+      std::vector<MachineSignals> signals(static_cast<size_t>(machines));
+      for (int i = 0; i < 10'000; ++i) {
+        if (i % 100 == 0) {
+          for (MachineSignals& s : signals) {
+            switch (shape) {
+              case Shape::kTies:
+                s = {static_cast<int64_t>(rng.NextBounded(3)) * 250,
+                     static_cast<double>(rng.NextBounded(3)) * 0.5};
+                break;
+              case Shape::kUniformFallback:
+                s = {0, 1.0};
+                break;
+              case Shape::kContinuous:
+                s = {static_cast<int64_t>(rng.NextBounded(1000)), rng.NextDouble()};
+                break;
+            }
+          }
+          router.UpdateSignals(signals);
+          reference.UpdateSignals(signals);
+        }
+        ASSERT_EQ(router.Route(), reference.Route())
+            << "M=" << machines << " shape=" << static_cast<int>(shape) << " route " << i;
+      }
+      EXPECT_EQ(router.routed(), reference.routed()) << "M=" << machines;
+    }
   }
 }
 
@@ -171,6 +259,29 @@ TEST(ClusterFarmTest, GoodputScalesWithMachines) {
   // single machine (the exact ratio depends on drop behavior; 1.5x is a floor).
   EXPECT_GT(r4.served, r1.served * 3 / 2);
   EXPECT_GT(r4.goodput_rps, r1.goodput_rps * 1.5);
+}
+
+TEST(ClusterFarmTest, ReplayAndGeneratedStreamsAgree) {
+  // A caller's replay is read in place for M > 1 and copied for M = 1; either way
+  // it must run exactly as the same stream generated from `farm.arrivals`, and
+  // come back untouched.
+  for (int machines : {1, 4}) {
+    const ClusterFarmParams generated = SmallCluster(machines);
+    ClusterFarmParams replayed = generated;
+    replayed.farm.replay = GenerateRequests(generated.farm.arrivals, generated.farm.run_for);
+    const std::vector<RequestRecord> stream = replayed.farm.replay;
+    const ClusterFarmResult a = RunClusterFarmScenario(generated);
+    const ClusterFarmResult b = RunClusterFarmScenario(replayed);
+    EXPECT_EQ(a.machine_trace_hashes, b.machine_trace_hashes) << "M=" << machines;
+    EXPECT_EQ(a.cluster_hash, b.cluster_hash) << "M=" << machines;
+    EXPECT_EQ(a.served, b.served) << "M=" << machines;
+    EXPECT_EQ(a.offered, b.offered) << "M=" << machines;
+    EXPECT_EQ(a.offered, static_cast<int64_t>(stream.size())) << "M=" << machines;
+    EXPECT_EQ(a.p99_ms, b.p99_ms) << "M=" << machines;
+    EXPECT_EQ(a.routed_per_machine, b.routed_per_machine) << "M=" << machines;
+    EXPECT_EQ(replayed.farm.replay, stream) << "M=" << machines;
+    EXPECT_GT(a.served, 0) << "M=" << machines;
+  }
 }
 
 TEST(ClusterFarmTest, ScaleOutSweepIsPinned) {

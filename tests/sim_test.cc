@@ -534,5 +534,37 @@ TEST(TraceTest, HashDistinguishesSchedules) {
   EXPECT_EQ(a.Hash(), c.Hash());
 }
 
+TEST(TraceTest, RunningHashMatchesByteScan) {
+  // The running fold skips each field's high zero bytes with one multiply; the
+  // scan is the literal byte loop. Fields at 0, -1, the int64 extremes, and values
+  // with zero bytes in the middle must fold identically.
+  const int64_t kValues[] = {0,
+                             -1,
+                             1,
+                             0xff,
+                             0x100,
+                             INT64_MIN,
+                             INT64_MAX,
+                             0x0100000000000001,
+                             0x0000010000000100,
+                             0x00ff0000ff000000,
+                             -0x0100000000000000};
+  TraceRecorder trace;
+  trace.SetEnabled(true);
+  int64_t t = 0;
+  for (int64_t a : kValues) {
+    for (int64_t b : kValues) {
+      trace.Record(TimePoint::Origin() + Duration::Nanos(t), TraceKind::kDispatch, 0, a, b);
+      t += 0x0100000000;  // Timestamps with low zero bytes too.
+    }
+    trace.Record(TimePoint::Origin() + Duration::Nanos(t), TraceKind::kMigrate,
+                 static_cast<ThreadId>(a), a, ~a);
+    trace.Record(TimePoint::Origin() + Duration::Nanos(t), TraceKind::kWake, kInvalidThreadId,
+                 -1);
+    EXPECT_EQ(trace.Hash(), trace.HashScan()) << "after value " << a;
+  }
+  EXPECT_EQ(trace.Hash(), trace.HashScan());
+}
+
 }  // namespace
 }  // namespace realrate

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -103,21 +104,81 @@ TEST(SampleSetTest, TwoSampleTailInterpolation) {
 }
 
 TEST(SampleSetTest, AddAfterPercentileResorts) {
-  // Interleaving Add and Percentile must re-sort: the memoized sort is
-  // invalidated by every Add, so a new minimum shows up at p=0 and shifts the
-  // median. (Regression test: Add used to leave the stale memo in place, and
-  // percentiles silently ignored everything added after the first query.)
+  // Interleaving Add and Percentile: every percentile reflects every sample added
+  // so far, so a new minimum shows up at p=0 and shifts the median. (Regression
+  // test: a sort memo once survived Add, and percentiles silently ignored
+  // everything added after the first query.)
   SampleSet s;
   s.Add(30.0);
   s.Add(10.0);
   s.Add(20.0);
-  EXPECT_DOUBLE_EQ(s.Median(), 20.0);  // Sorts {10, 20, 30}.
-  s.Add(0.0);                          // Must invalidate the sorted memo.
+  EXPECT_DOUBLE_EQ(s.Median(), 20.0);  // {10, 20, 30}.
+  s.Add(0.0);
   EXPECT_DOUBLE_EQ(s.Percentile(0), 0.0);
   EXPECT_DOUBLE_EQ(s.Median(), 15.0);  // {0, 10, 20, 30} -> (10+20)/2.
   s.Add(40.0);
   EXPECT_DOUBLE_EQ(s.Percentile(100), 40.0);
   EXPECT_DOUBLE_EQ(s.Median(), 20.0);  // {0, 10, 20, 30, 40}.
+}
+
+// The sorted-order definition Percentile must reproduce bit for bit.
+double SortedPercentile(std::vector<double> samples, double p) {
+  std::sort(samples.begin(), samples.end());
+  if (samples.size() == 1) {
+    return samples[0];
+  }
+  const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
+  const auto lo = static_cast<size_t>(rank);
+  const size_t hi = std::min(lo + 1, samples.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
+}
+
+TEST(SampleSetTest, SelectionMatchesSortedDefinition) {
+  // Seeded sets with duplicates (values drawn from a small grid plus a
+  // continuous tail), queried between Adds so each selection starts from the
+  // order the previous one left behind.
+  constexpr double kPercentiles[] = {0.0, 0.1, 50.0, 99.0, 99.9, 100.0};
+  Rng rng(2024);
+  for (size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{1000}}) {
+    SampleSet set;
+    std::vector<double> reference;
+    for (size_t i = 0; i < n; ++i) {
+      const double x = rng.NextBool(0.5) ? static_cast<double>(rng.NextBounded(8))
+                                         : rng.NextExponential(3.0);
+      set.Add(x);
+      reference.push_back(x);
+      if (i + 1 == n || rng.NextBool(0.05)) {
+        for (double p : kPercentiles) {
+          // Exact equality: the selection must find the very order statistics
+          // the sort does and interpolate them with the same arithmetic.
+          EXPECT_EQ(set.Percentile(p), SortedPercentile(reference, p))
+              << "n=" << reference.size() << " p=" << p;
+        }
+      }
+    }
+    EXPECT_EQ(set.size(), n);
+  }
+}
+
+TEST(SampleSetTest, MergeAppendsEverySample) {
+  SampleSet a;
+  SampleSet b;
+  for (double x : {5.0, 1.0}) {
+    a.Add(x);
+  }
+  for (double x : {3.0, 9.0, 1.0}) {
+    b.Add(x);
+  }
+  SampleSet merged;
+  merged.Reserve(a.size() + b.size());
+  merged.Merge(a);
+  merged.Merge(b);
+  EXPECT_EQ(merged.size(), 5u);
+  EXPECT_DOUBLE_EQ(merged.Percentile(0), 1.0);
+  EXPECT_DOUBLE_EQ(merged.Median(), 3.0);
+  EXPECT_DOUBLE_EQ(merged.Percentile(100), 9.0);
+  EXPECT_DOUBLE_EQ(merged.Mean(), 19.0 / 5.0);
 }
 
 TEST(FitLineTest, ExactLine) {
