@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <utility>
 
 #include "util/assert.h"
 
@@ -31,16 +30,15 @@ ClusterFarmResult RunClusterFarmScenario(const ClusterFarmParams& params) {
 
   const int machines = params.num_machines;
   const Duration horizon = params.farm.run_for;
-  // The stream is read in place: the router walks it by const reference and
-  // copies each record once, into its machine's batch. Only the degenerate
-  // cluster hands a whole stream to a node, which must own it.
+  // The stream is read in place. The degenerate cluster's node borrows all of
+  // it; for M > 1 the router walks it and copies each record once, into its
+  // machine's batch buffer, which the node's injector then borrows.
   std::vector<RequestRecord> generated;
-  if (params.farm.replay.empty()) {
-    generated = GenerateRequests(params.farm.arrivals, horizon);
-  }
-  const std::vector<RequestRecord>& records =
-      params.farm.replay.empty() ? generated : params.farm.replay;
+  const std::vector<RequestRecord>& records = WebFarmStream(params.farm, generated);
   const auto offered = static_cast<int64_t>(records.size());
+  // One batch buffer per node, refilled at every fence when M > 1. Declared
+  // before the farms so the buffers outlive the injectors that borrow them.
+  std::vector<std::vector<RequestRecord>> batches(static_cast<size_t>(machines));
 
   ClusterConfig cluster_config;
   cluster_config.num_machines = machines;
@@ -54,16 +52,12 @@ ClusterFarmResult RunClusterFarmScenario(const ClusterFarmParams& params) {
     node.sim().trace().SetEnabled(true);
     node.sim().trace().SetHashOnly(true);
     // Each node has one injector. The degenerate cluster routes everything to its
-    // one machine, so the whole stream goes to it up front (moved when generated
-    // here, copied from a caller's replay) — the arrivals then take their places in
-    // the simulator's event order exactly as a bare RunWebFarmScenario's do, which
-    // is what keeps the M = 1 trace pin bit-exact. M > 1 appends each epoch's
-    // routed batch at the fence below.
-    std::vector<RequestRecord> owned;
-    if (machines == 1) {
-      owned = params.farm.replay.empty() ? std::move(generated) : params.farm.replay;
-    }
-    farms.push_back(BuildWebFarm(WebFarmBuildOf(params.farm, std::move(owned)), node.sim(),
+    // one machine, so the node borrows the whole stream up front — the arrivals
+    // then take their places in the simulator's event order exactly as a bare
+    // RunWebFarmScenario's do, which is what keeps the M = 1 trace pin bit-exact.
+    // M > 1 appends each epoch's routed batch at the fence below.
+    const RequestSpan whole = machines == 1 ? RequestSpan(records) : RequestSpan();
+    farms.push_back(BuildWebFarm(WebFarmBuildOf(params.farm, whole), node.sim(),
                                  node.threads(), node.queues(), node.machine(),
                                  &node.controller()));
   }
@@ -132,16 +126,18 @@ ClusterFarmResult RunClusterFarmScenario(const ClusterFarmParams& params) {
     const Duration remaining = horizon - (epoch_start - TimePoint::Origin());
     const Duration step = remaining < params.epoch ? remaining : params.epoch;
     const Duration window_end = (epoch_start + step) - TimePoint::Origin();
-    std::vector<std::vector<RequestRecord>> batches(static_cast<size_t>(machines));
+    // Every batch arrives before the next fence, so each node's injector has
+    // drained the batch it borrowed last epoch, and its buffer is free to refill.
+    for (int m = 0; m < machines; ++m) {
+      RR_CHECK(farms[static_cast<size_t>(m)]->injector->drained());
+      batches[static_cast<size_t>(m)].clear();
+    }
     while (next_record < records.size() && records[next_record].arrival < window_end) {
       batches[static_cast<size_t>(router.Route())].push_back(records[next_record]);
       ++next_record;
     }
-    // Every batch arrives before the next fence, so each node's stream is drained
-    // here and Append re-arms it at the fence.
     for (int m = 0; m < machines; ++m) {
-      farms[static_cast<size_t>(m)]->injector->Append(
-          std::move(batches[static_cast<size_t>(m)]));
+      farms[static_cast<size_t>(m)]->injector->Append(batches[static_cast<size_t>(m)]);
     }
     ++epoch_index;
   });
@@ -185,11 +181,13 @@ ClusterFarmResult RunClusterFarmScenario(const ClusterFarmParams& params) {
   // explicit zeros rather than touching the empty SampleSet (whose Percentile
   // requires at least one sample).
   if (!all_latencies.empty()) {
-    result.p50_ms = all_latencies.Percentile(50.0) * 1e3;
-    result.p99_ms = all_latencies.Percentile(99.0) * 1e3;
-    result.p999_ms = all_latencies.Percentile(99.9) * 1e3;
+    // The mean first: it sums in merge order, before the selections permute.
     result.mean_ms = all_latencies.Mean() * 1e3;
-    result.max_ms = all_latencies.Percentile(100.0) * 1e3;
+    const std::vector<double> q = all_latencies.Percentiles({50.0, 99.0, 99.9, 100.0});
+    result.p50_ms = q[0] * 1e3;
+    result.p99_ms = q[1] * 1e3;
+    result.p999_ms = q[2] * 1e3;
+    result.max_ms = q[3] * 1e3;
   }
   result.goodput_rps = static_cast<double>(result.served) / horizon.ToSeconds();
   result.imbalance_ratio =

@@ -10,10 +10,14 @@
 // Determinism contract (tests/cluster_test.cc):
 // same params ⇒ bit-identical per-machine trace hashes at any host_threads; and
 // num_machines = 1 is pinned bit-identical to RunWebFarmScenario with the same
-// WebFarmParams. To keep the M = 1 pin exact, the degenerate cluster hands the
-// whole stream to the node's own injector up front (routing to one machine is
-// the identity, so pre-routing is semantics-preserving); M > 1 routes
-// epoch-by-epoch from signal snapshots.
+// WebFarmParams. To keep the M = 1 pin exact, the degenerate cluster's node
+// borrows the whole stream up front (routing to one machine is the identity, so
+// pre-routing is semantics-preserving); M > 1 routes epoch-by-epoch from signal
+// snapshots into one batch buffer per node, which that node's injector borrows.
+//
+// Lifetime: the scenario reads `farm.replay`, or the one stream it generates, in
+// place and never copies it whole. A node's batch buffer is refilled only at a
+// fence, once its injector has drained the batch (an RR_CHECK holds it to that).
 #ifndef REALRATE_CLUSTER_CLUSTER_FARM_H_
 #define REALRATE_CLUSTER_CLUSTER_FARM_H_
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <deque>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -25,11 +26,14 @@ namespace realrate {
 namespace {
 
 // Objects a built workload needs alive for the duration of the run but which no
-// registry owns: the interactive editors' ttys and their typing processes, and the
-// open-loop web farms' streams/injectors/latency samples.
+// registry owns: the interactive editors' ttys and their typing processes, the
+// open-loop request streams, and the web farms (injectors, latency samples) that
+// borrow them. A deque never moves its elements, so each stream's buffer stays
+// where its farm's injector points, and the streams outlive the farms.
 struct WorkloadRuntime {
   std::vector<std::unique_ptr<TtyPort>> ttys;
   std::vector<std::unique_ptr<TypingProcess>> typists;
+  std::deque<std::vector<RequestRecord>> streams;
   std::vector<std::unique_ptr<WebFarmInstance>> farms;
 };
 
@@ -176,7 +180,7 @@ void BuildWorkload(const WorkloadSpec& spec, ThreadRegistry& threads, QueueRegis
     build.tickets = ol.tickets;
     // Always the spec's own horizon, never a per-run override: every metamorphic
     // variant must replay the identical request stream.
-    build.records = GenerateRequests(ol.arrivals, spec.run_for);
+    build.records = runtime.streams.emplace_back(GenerateRequests(ol.arrivals, spec.run_for));
     runtime.farms.push_back(BuildWebFarm(std::move(build), machine.sim(), threads, queues,
                                          machine, controller));
   }

@@ -59,22 +59,39 @@ double RunningStats::sample_variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-double SampleSet::Percentile(double p) const {
+double SampleSet::Percentile(double p) const { return Percentiles({p}).front(); }
+
+std::vector<double> SampleSet::Percentiles(const std::vector<double>& ps) const {
   RR_EXPECTS(!samples_.empty());
-  RR_EXPECTS(p >= 0.0 && p <= 100.0);
-  if (samples_.size() == 1) {
-    return samples_[0];
+  std::vector<double> out;
+  out.reserve(ps.size());
+  const size_t last = samples_.size() - 1;
+  // Everything from `from` on is no smaller than everything before it: the
+  // previous selection partitioned the samples at its rank.
+  auto from = samples_.begin();
+  for (size_t i = 0; i < ps.size(); ++i) {
+    const double p = ps[i];
+    RR_EXPECTS(p >= 0.0 && p <= 100.0);
+    RR_EXPECTS(i == 0 || ps[i - 1] <= p);
+    if (last == 0) {
+      out.push_back(samples_[0]);
+      continue;
+    }
+    const double rank = p / 100.0 * static_cast<double>(last);
+    const auto lo = static_cast<size_t>(rank);
+    const double frac = rank - static_cast<double>(lo);
+    const auto nth = samples_.begin() + static_cast<std::ptrdiff_t>(lo);
+    if (nth >= from) {
+      std::nth_element(from, nth, samples_.end());
+      from = nth + 1;
+    }
+    // *nth is the lo-th order statistic and everything above it is no smaller,
+    // so the (lo + 1)-th is the minimum of the upper part.
+    const double upper =
+        nth + 1 == samples_.end() ? *nth : *std::min_element(nth + 1, samples_.end());
+    out.push_back(*nth * (1.0 - frac) + upper * frac);
   }
-  const double rank = p / 100.0 * static_cast<double>(samples_.size() - 1);
-  const auto lo = static_cast<size_t>(rank);
-  const double frac = rank - static_cast<double>(lo);
-  // After the selection, *nth is the lo-th order statistic and everything above
-  // it is no smaller, so the (lo + 1)-th is the minimum of the upper part.
-  const auto nth = samples_.begin() + static_cast<std::ptrdiff_t>(lo);
-  std::nth_element(samples_.begin(), nth, samples_.end());
-  const double upper =
-      nth + 1 == samples_.end() ? *nth : *std::min_element(nth + 1, samples_.end());
-  return *nth * (1.0 - frac) + upper * frac;
+  return out;
 }
 
 double SampleSet::Mean() const {

@@ -36,9 +36,9 @@ class RunningStats {
 };
 
 // Batch percentile computation. Keeps all samples; fine at simulation scale.
-// Each Percentile is a selection over the samples (O(n)), not a sort, so a few
-// percentiles over a large set cost a few linear passes; the samples' order is
-// unspecified and Percentile may permute it.
+// Each Percentile is a selection over the samples (O(n)), not a sort, and
+// Percentiles shares one pass among a batch; the samples' order is unspecified
+// and both may permute it.
 class SampleSet {
  public:
   void Add(double x) { samples_.push_back(x); }
@@ -55,6 +55,10 @@ class SampleSet {
   // value at rank p/100 * (n - 1) between its two neighbouring order
   // statistics. Requires at least one sample.
   double Percentile(double p) const;
+  // Percentile(ps[i]) for each i, exactly, in one ascending pass: `ps` must be
+  // non-decreasing, and each selection runs only over the part above the
+  // previous rank, so a batch of tail percentiles costs about one selection.
+  std::vector<double> Percentiles(const std::vector<double>& ps) const;
   double Median() const { return Percentile(50.0); }
   double Mean() const;
 

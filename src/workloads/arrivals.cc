@@ -162,41 +162,45 @@ double MeanServiceCycles(const ArrivalConfig& config) {
   return scale;
 }
 
-RequestInjector::RequestInjector(Simulator& sim, std::vector<RequestRecord> records,
-                                 Sink sink)
+RequestInjector::RequestInjector(Simulator& sim, RequestSpan records, Sink sink)
     : sim_(sim), sink_(std::move(sink)), cursor_(sim.AddCursor([this] { Deliver(); })) {
   RR_EXPECTS(sink_ != nullptr);
-  Append(std::move(records));
+  Append(records);
 }
 
 RequestInjector::~RequestInjector() { sim_.RemoveCursor(cursor_); }
 
-void RequestInjector::Append(std::vector<RequestRecord> records) {
+void RequestInjector::Append(RequestSpan records) {
   if (records.empty()) {
     return;
   }
-  RR_EXPECTS(records_.empty() || records_.back().arrival <= records.front().arrival);
-  for (size_t i = 1; i < records.size(); ++i) {
-    RR_EXPECTS(records[i - 1].arrival <= records[i].arrival);
+  RR_EXPECTS(tail_ <= records.front().arrival);
+  for (const RequestRecord* r = records.begin() + 1; r < records.end(); ++r) {
+    RR_EXPECTS(r[-1].arrival <= r->arrival);
   }
-  if (next_ < records_.size()) {
-    records_.insert(records_.end(), records.begin(), records.end());
-    return;  // The armed arrival carries delivery into the new records.
+  tail_ = records.back().arrival;
+  if (!drained()) {
+    queued_.push_back(records);
+    return;  // The armed arrival carries delivery into the new run.
   }
-  records_ = std::move(records);
-  next_ = 0;
+  next_ = records.begin();
+  end_ = records.end();
   Arm();
 }
 
 void RequestInjector::Arm() {
-  if (next_ < records_.size()) {
-    sim_.Arm(cursor_, TimePoint::Origin() + records_[next_].arrival);
+  if (!drained()) {
+    sim_.Arm(cursor_, TimePoint::Origin() + next_->arrival);
   }
 }
 
 void RequestInjector::Deliver() {
-  const RequestRecord& r = records_[next_];
-  ++next_;
+  const RequestRecord& r = *next_++;
+  if (drained() && !queued_.empty()) {
+    next_ = queued_.front().begin();
+    end_ = queued_.front().end();
+    queued_.erase(queued_.begin());
+  }
   ++injected_;
   sink_(r);
   Arm();

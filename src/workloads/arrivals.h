@@ -12,6 +12,7 @@
 #ifndef REALRATE_WORKLOADS_ARRIVALS_H_
 #define REALRATE_WORKLOADS_ARRIVALS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -101,17 +102,46 @@ std::vector<RequestRecord> GenerateRequests(const ArrivalConfig& config, Duratio
 // dominates and the scale is returned as a floor). Used to size offered-load sweeps.
 double MeanServiceCycles(const ArrivalConfig& config);
 
+// A borrowed, read-only run of records: a pointer and a length into a
+// vector its owner keeps alive, and does not grow or free, for as long as any
+// holder reads it. One stream is read in place from generation or parse through
+// to delivery; nothing on the way copies it.
+//
+// Binds implicitly to an lvalue vector. Binding to a temporary vector is a
+// compile error: the view would dangle as soon as the full expression ended.
+class RequestSpan {
+ public:
+  RequestSpan() = default;
+  // Implicit, as std::span is: `build.records = stream;` borrows `stream`.
+  RequestSpan(const std::vector<RequestRecord>& records)
+      : data_(records.data()), size_(records.size()) {}
+  RequestSpan(std::vector<RequestRecord>&&) = delete;
+
+  const RequestRecord* begin() const { return data_; }
+  const RequestRecord* end() const { return data_ + size_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const RequestRecord& front() const { return data_[0]; }
+  const RequestRecord& back() const { return data_[size_ - 1]; }
+
+ private:
+  const RequestRecord* data_ = nullptr;
+  size_t size_ = 0;
+};
+
 // Feeds a materialized stream into a sink at each record's arrival time, from
 // simulator (kernel) context — the analogue of ArrivalProcess for explicit records.
 // The sink typically pushes into a listen queue and counts drops; it must not assume
 // a thread context.
 //
-// The injector owns the stream and reads it through one simulator cursor
-// (sim/simulator.h): each delivery hands the next record to the sink, then arms
-// the cursor at the record after it, so an arrival takes the same place in the
-// event order that a per-arrival ScheduleAt would, without a heap event. The
-// stream may be given whole at construction (a standalone farm) or grow batch by
-// batch through Append (a cluster node, fed its routed share at every epoch fence).
+// The injector borrows its stream as a FIFO of runs (RequestSpan) and reads it
+// through one simulator cursor (sim/simulator.h): each delivery hands the sink a
+// reference into the owner's storage, then arms the cursor at the record after
+// it, so an arrival takes the same place in the event order that a per-arrival
+// ScheduleAt would, without a heap event or a copy. The stream may be given whole
+// at construction (a standalone farm) or run by run through Append (a cluster
+// node, fed its routed share at every epoch fence). Each run's owner must keep it
+// alive and in place until drained() — for a whole stream, until the run ends.
 class RequestInjector {
  public:
   using Sink = std::function<void(const RequestRecord&)>;
@@ -120,33 +150,42 @@ class RequestInjector {
   // offsets from Origin and must not land in the simulator's past). `records` must
   // be sorted non-decreasing by arrival (GenerateRequests and ParseRequestLog both
   // guarantee it). Must not outlive `sim`.
-  RequestInjector(Simulator& sim, std::vector<RequestRecord> records, Sink sink);
+  RequestInjector(Simulator& sim, RequestSpan records, Sink sink);
   // Removes the cursor: a destroyed injector never delivers again.
   ~RequestInjector();
   RequestInjector(const RequestInjector&) = delete;
   RequestInjector& operator=(const RequestInjector&) = delete;
 
-  // Extends the stream. `records` must be sorted and arrive no earlier than the
-  // stream's last record, and — if the stream has drained — no earlier than now.
-  // A drained stream resumes here by arming the first appended arrival (and drops
-  // the records it has delivered, so a node fed batch by batch holds one batch at
-  // a time); with an arrival still armed, delivery simply runs on into the new
-  // records.
-  void Append(std::vector<RequestRecord> records);
+  // Queues one more borrowed run. `records` must be sorted and arrive no earlier
+  // than the last record appended before it, and — if the stream has drained — no
+  // earlier than now. A drained stream resumes here by arming the run's first
+  // arrival; with an arrival still armed, delivery runs on into the new run when
+  // the runs ahead of it are done.
+  void Append(RequestSpan records);
 
+  // True once every appended record has been delivered: the injector borrows no
+  // run any longer, so their owners may refill or free them.
+  bool drained() const { return next_ == end_; }
   int64_t injected() const { return injected_; }
 
  private:
-  // Arms the cursor at records_[next_], if the stream has one.
+  // Arms the cursor at *next_, if the stream has one.
   void Arm();
   // The cursor's callback: one arrival into the sink.
   void Deliver();
 
   Simulator& sim_;
-  std::vector<RequestRecord> records_;
   Sink sink_;
   Simulator::CursorId cursor_;
-  size_t next_ = 0;  // records_[next_] is the armed arrival, if any.
+  // The run being delivered: *next_ is the armed arrival while next_ != end_.
+  const RequestRecord* next_ = nullptr;
+  const RequestRecord* end_ = nullptr;
+  // Runs appended behind it, oldest first. Rarely more than one (a cluster node
+  // drains each batch before the next arrives), so a vector, which allocates
+  // nothing until a run is queued, serves as the FIFO.
+  std::vector<RequestSpan> queued_;
+  // The last appended arrival; arrivals are offsets from Origin, never negative.
+  Duration tail_ = Duration::Zero();
   int64_t injected_ = 0;
 };
 

@@ -1,9 +1,8 @@
 #include "workloads/request_log.h"
 
-#include <cerrno>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <string_view>
 
 #include "util/assert.h"
 
@@ -11,23 +10,24 @@ namespace realrate {
 
 namespace {
 
-// Parses one strictly-formatted non-negative int64 token starting at *p, advancing
-// *p past it. Returns false on missing token, sign, garbage, or overflow.
-bool ParseToken(const char** p, int64_t* value) {
-  while (**p == ' ' || **p == '\t') {
-    ++*p;
-  }
-  if (**p < '0' || **p > '9') {
+// Drops the leading spaces and tabs of `s`.
+void SkipBlanks(std::string_view& s) {
+  const size_t first = s.find_first_not_of(" \t");
+  s.remove_prefix(first == std::string_view::npos ? s.size() : first);
+}
+
+// Parses one strictly-formatted non-negative int64 token at the front of `s`,
+// dropping it from `s`. Returns false on missing token, sign, garbage, or overflow.
+bool ParseToken(std::string_view& s, int64_t* value) {
+  SkipBlanks(s);
+  if (s.empty() || s.front() < '0' || s.front() > '9') {
     return false;  // Empty, sign, or non-numeric: the format is unsigned decimal.
   }
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(*p, &end, 10);
-  if (errno == ERANGE || v < 0) {
-    return false;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), *value);
+  if (ec != std::errc()) {
+    return false;  // Out of int64 range.
   }
-  *p = end;
-  *value = v;
+  s.remove_prefix(static_cast<size_t>(end - s.data()));
   return true;
 }
 
@@ -58,41 +58,37 @@ bool ParseRequestLog(const std::string& text, std::vector<RequestRecord>* out,
     return false;
   };
 
+  const std::string_view all(text);
   int line_no = 0;
   size_t pos = 0;
-  while (pos < text.size()) {
+  while (pos < all.size()) {
     ++line_no;
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) {
-      eol = text.size();
+    size_t eol = all.find('\n', pos);
+    if (eol == std::string_view::npos) {
+      eol = all.size();
     }
     // A CRLF log's '\r' belongs to the line ending, not to the last field.
-    const size_t end = eol > pos && text[eol - 1] == '\r' ? eol - 1 : eol;
-    const std::string line = text.substr(pos, end - pos);
+    const size_t end = eol > pos && all[eol - 1] == '\r' ? eol - 1 : eol;
+    std::string_view line = all.substr(pos, end - pos);
     pos = eol + 1;
-    // The fields are read through c_str(), which would end the line at a NUL.
-    if (line.find('\0') != std::string::npos) {
+    // A NUL byte makes the line binary, not text, even inside a comment.
+    if (line.find('\0') != std::string_view::npos) {
       return fail(line_no, "NUL byte in line");
     }
 
-    const char* p = line.c_str();
-    while (*p == ' ' || *p == '\t') {
-      ++p;
-    }
-    if (*p == '\0' || *p == '#') {
+    SkipBlanks(line);
+    if (line.empty() || line.front() == '#') {
       continue;  // Blank or comment.
     }
     int64_t arrival_ns = 0;
     int64_t bytes = 0;
     int64_t cycles = 0;
-    if (!ParseToken(&p, &arrival_ns) || !ParseToken(&p, &bytes) ||
-        !ParseToken(&p, &cycles)) {
+    if (!ParseToken(line, &arrival_ns) || !ParseToken(line, &bytes) ||
+        !ParseToken(line, &cycles)) {
       return fail(line_no, "expected `arrival_ns bytes service_cycles`");
     }
-    while (*p == ' ' || *p == '\t') {
-      ++p;
-    }
-    if (*p != '\0') {
+    SkipBlanks(line);
+    if (!line.empty()) {
       return fail(line_no, "trailing garbage after the three fields");
     }
     if (bytes <= 0 || cycles <= 0) {

@@ -145,7 +145,8 @@ struct WebFarmBuild {
   int64_t listen_queue_bytes = 64 * 1024;
   int64_t worker_queue_bytes = 16 * 1024;
   double clock_hz = 400e6;  // For sub-slice completion offsets in latency records.
-  std::vector<RequestRecord> records;
+  // The stream, borrowed: its owner keeps it alive and in place until the run ends.
+  RequestSpan records;
   // Baseline-scheduler attributes (harness runs under lottery/MLFQ/fixed-priority).
   int priority = 0;
   int64_t tickets = 0;
@@ -182,8 +183,8 @@ class WebFarmInstance {
 // spawns acceptors and workers (registered AddRealRate when `controller` is
 // non-null, prioritized/ticketed for the baselines either way), registers every
 // queue endpoint, and starts the injector (sink: WebFarmInstance::Admit). The
-// build is consumed: its records move into the injector, which holds the only copy
-// of the stream. Call before the machine starts.
+// injector borrows build.records and delivers from the owner's storage, so the
+// owner must outlive the run. Call before the machine starts.
 std::unique_ptr<WebFarmInstance> BuildWebFarm(WebFarmBuild build, Simulator& sim,
                                               ThreadRegistry& threads,
                                               QueueRegistry& queues, Machine& machine,
@@ -199,7 +200,7 @@ struct WebFarmParams {
   int64_t listen_queue_bytes = 64 * 1024;
   int64_t worker_queue_bytes = 16 * 1024;
   // The request stream: `replay` when non-empty (trace replay), otherwise generated
-  // from `arrivals` over [0, run_for).
+  // from `arrivals` over [0, run_for). Either way the run reads it in place.
   ArrivalConfig arrivals;
   std::vector<RequestRecord> replay;
   Duration run_for = Duration::Seconds(2);
@@ -243,7 +244,13 @@ WebFarmResult RunWebFarmScenario(const WebFarmParams& params);
 // RunWebFarmScenario and the cluster's per-node stack (cluster/cluster_farm.h) both
 // use it: the M = 1 cluster pin depends on the two wiring their machines identically.
 SystemConfig WebFarmSystemConfig(const WebFarmParams& params);
-WebFarmBuild WebFarmBuildOf(const WebFarmParams& params, std::vector<RequestRecord> records);
+WebFarmBuild WebFarmBuildOf(const WebFarmParams& params, RequestSpan records);
+
+// The run's request stream, read in place: `params.replay` when non-empty,
+// otherwise the stream generated from `params.arrivals` over [0, run_for) into
+// `storage`, which must then outlive every reader of the result.
+const std::vector<RequestRecord>& WebFarmStream(const WebFarmParams& params,
+                                                std::vector<RequestRecord>& storage);
 
 // The request rate (per second) at which the farm's CPUs are exactly saturated by
 // mean service + accept demand — the 1.0x point of an offered-load sweep.

@@ -1,7 +1,8 @@
 // The cluster layer (src/cluster/): the front-end router's deterministic
 // apportionment (and its equality with a plain reference scan), the M = 1
 // bit-equality pin against a bare Machine, per-machine trace invariance across
-// host threads and reruns, replayed vs generated streams, goodput scaling with M
+// host threads and reruns, replayed vs generated streams, per-node batch
+// buffers reused across fences, goodput scaling with M
 // (and the pinned M=1/4/16 scale-out sweep), the cross-machine rebalancer, the
 // all-drop zero-served edge, and a ~2M-thread configuration smoke.
 #include <algorithm>
@@ -262,9 +263,9 @@ TEST(ClusterFarmTest, GoodputScalesWithMachines) {
 }
 
 TEST(ClusterFarmTest, ReplayAndGeneratedStreamsAgree) {
-  // A caller's replay is read in place for M > 1 and copied for M = 1; either way
-  // it must run exactly as the same stream generated from `farm.arrivals`, and
-  // come back untouched.
+  // A caller's replay is read in place, borrowed whole by the M = 1 node and
+  // routed batch by batch for M > 1; either way it must run exactly as the same
+  // stream generated from `farm.arrivals`, and come back untouched.
   for (int machines : {1, 4}) {
     const ClusterFarmParams generated = SmallCluster(machines);
     ClusterFarmParams replayed = generated;
@@ -282,6 +283,30 @@ TEST(ClusterFarmTest, ReplayAndGeneratedStreamsAgree) {
     EXPECT_EQ(replayed.farm.replay, stream) << "M=" << machines;
     EXPECT_GT(a.served, 0) << "M=" << machines;
   }
+}
+
+TEST(ClusterFarmTest, NodeBatchBuffersAreReusedAcrossFences) {
+  // M > 1: each node's injector borrows its routed batch from one buffer that
+  // the scenario refills at every fence, after checking that the node drained
+  // it. Over ~200 short epochs every offered request must still arrive exactly
+  // once (under ASan a read from a refilled buffer is a use-after-free), and the
+  // schedule must repeat bit for bit.
+  ClusterFarmParams p = SmallCluster(3);
+  p.epoch = Duration::Millis(2);
+  const ClusterFarmResult a = RunClusterFarmScenario(p);
+  const ClusterFarmResult b = RunClusterFarmScenario(p);
+  EXPECT_GE(a.epoch_fences, 3 * 190);
+  EXPECT_GT(a.offered, 0);
+  EXPECT_EQ(a.injected, a.offered);
+  int64_t routed = 0;
+  for (int64_t r : a.routed_per_machine) {
+    EXPECT_GT(r, 0);
+    routed += r;
+  }
+  EXPECT_EQ(routed, a.offered);
+  EXPECT_GT(a.served, 0);
+  EXPECT_EQ(a.machine_trace_hashes, b.machine_trace_hashes);
+  EXPECT_EQ(a.served, b.served);
 }
 
 TEST(ClusterFarmTest, ScaleOutSweepIsPinned) {

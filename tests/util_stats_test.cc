@@ -161,6 +161,39 @@ TEST(SampleSetTest, SelectionMatchesSortedDefinition) {
   }
 }
 
+TEST(SampleSetTest, BatchPercentilesMatchSingleCalls) {
+  // One ascending pass gives, value for value, what one Percentile call per p
+  // gives: on a random set, a duplicate-heavy one, and 1- and 2-sample sets
+  // (where several p share one rank).
+  const std::vector<double> ps = {0.0, 50.0, 99.0, 99.9, 100.0};
+  Rng rng(77);
+  std::vector<double> random;
+  std::vector<double> duplicates;
+  for (int i = 0; i < 5000; ++i) {
+    random.push_back(rng.NextExponential(2.0));
+    duplicates.push_back(static_cast<double>(rng.NextBounded(4)));
+  }
+  const std::vector<std::vector<double>> sets = {random, duplicates, {3.5}, {20.0, 10.0}};
+  for (const std::vector<double>& values : sets) {
+    SampleSet batch;
+    SampleSet single;
+    for (double x : values) {
+      batch.Add(x);
+      single.Add(x);
+    }
+    const std::vector<double> got = batch.Percentiles(ps);
+    ASSERT_EQ(got.size(), ps.size());
+    for (size_t i = 0; i < ps.size(); ++i) {
+      EXPECT_EQ(got[i], single.Percentile(ps[i])) << "n=" << values.size() << " p=" << ps[i];
+      EXPECT_EQ(got[i], SortedPercentile(values, ps[i]))
+          << "n=" << values.size() << " p=" << ps[i];
+    }
+  }
+  SampleSet s;
+  s.Add(1.0);
+  EXPECT_DEATH(s.Percentiles({99.0, 50.0}), "Precondition failed");  // Not ascending.
+}
+
 TEST(SampleSetTest, MergeAppendsEverySample) {
   SampleSet a;
   SampleSet b;

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -147,14 +149,36 @@ TEST(ArrivalsTest, StreamPastTheRequestCapDiesInsteadOfTruncating) {
 }
 
 // ---------------------------------------------------------------------------
-// RequestInjector: one cursor over its own stream, extended by Append.
+// RequestInjector: one cursor over a FIFO of borrowed runs, extended by Append.
+
+// The view binds to a caller's stream, never to a temporary one: a temporary's
+// buffer is freed at the end of the statement that would have borrowed it.
+using Records = std::vector<RequestRecord>;
+static_assert(std::is_constructible_v<RequestSpan, const Records&>);
+static_assert(std::is_assignable_v<RequestSpan&, const Records&>);
+static_assert(!std::is_constructible_v<RequestSpan, Records>);
+static_assert(!std::is_assignable_v<RequestSpan&, Records>);
+static_assert(!std::is_assignable_v<decltype((std::declval<WebFarmBuild&>().records)), Records>);
+static_assert(!std::is_constructible_v<RequestInjector, Simulator&, Records,
+                                       RequestInjector::Sink>);
+template <class Stream>
+concept Appendable = requires(RequestInjector& injector, Stream&& stream) {
+  injector.Append(std::forward<Stream>(stream));
+};
+template <class Stream>
+concept Buildable = requires(const WebFarmParams& params, Stream&& stream) {
+  WebFarmBuildOf(params, std::forward<Stream>(stream));
+};
+static_assert(Appendable<const Records&> && !Appendable<Records>);
+static_assert(Buildable<const Records&> && !Buildable<Records>);
 
 RequestRecord At(int64_t ms) { return {Duration::Millis(ms), 64, 1'000}; }
 
 struct InjectorRig {
   Simulator sim;
   std::vector<Duration> seen;  // Sim time at each delivery.
-  RequestInjector injector{sim, {At(1), At(2)},
+  const Records stream{At(1), At(2)};  // Borrowed by the injector, so declared first.
+  RequestInjector injector{sim, stream,
                            [this](const RequestRecord& r) {
                              EXPECT_EQ(sim.Now(), TimePoint::Origin() + r.arrival);
                              seen.push_back(sim.Now() - TimePoint::Origin());
@@ -166,7 +190,8 @@ TEST(RequestInjectorTest, DrainedChainResumesAtAppendTime) {
   rig.sim.RunUntil(TimePoint::Origin() + Duration::Millis(5));
   EXPECT_EQ(rig.injector.injected(), 2);
   EXPECT_EQ(rig.sim.pending_events(), 0u);  // Drained: nothing carries the chain.
-  rig.injector.Append({At(6), At(7)});
+  const Records more{At(6), At(7)};
+  rig.injector.Append(more);
   EXPECT_EQ(rig.sim.pending_events(), 1u);  // Append scheduled the next arrival.
   rig.injector.Append({});                  // An empty batch changes nothing.
   EXPECT_EQ(rig.sim.pending_events(), 1u);
@@ -181,7 +206,8 @@ TEST(RequestInjectorTest, AppendWhilePendingContinuesTheChain) {
   rig.sim.RunUntil(TimePoint::Origin() + Duration::Millis(1));
   EXPECT_EQ(rig.injector.injected(), 1);
   EXPECT_EQ(rig.sim.pending_events(), 1u);  // The 2 ms arrival.
-  rig.injector.Append({At(2), At(3)});
+  const Records more{At(2), At(3)};
+  rig.injector.Append(more);
   EXPECT_EQ(rig.sim.pending_events(), 1u);  // No second chain.
   rig.sim.RunUntil(TimePoint::Origin() + Duration::Millis(10));
   EXPECT_EQ(rig.seen, (std::vector<Duration>{Duration::Millis(1), Duration::Millis(2),
@@ -191,12 +217,35 @@ TEST(RequestInjectorTest, AppendWhilePendingContinuesTheChain) {
 
 TEST(RequestInjectorTest, OutOfOrderAppendDies) {
   InjectorRig rig;
+  const Records early{At(1)};
+  const Records unsorted{At(7), At(6)};
   // Earlier than the stream's last record, pending or not.
-  EXPECT_DEATH(rig.injector.Append({At(1)}), "Precondition failed");
+  EXPECT_DEATH(rig.injector.Append(early), "Precondition failed");
   rig.sim.RunUntil(TimePoint::Origin() + Duration::Millis(5));
-  EXPECT_DEATH(rig.injector.Append({At(1)}), "Precondition failed");
+  EXPECT_DEATH(rig.injector.Append(early), "Precondition failed");
   // An unsorted batch.
-  EXPECT_DEATH(rig.injector.Append({At(7), At(6)}), "Precondition failed");
+  EXPECT_DEATH(rig.injector.Append(unsorted), "Precondition failed");
+}
+
+TEST(RequestInjectorTest, SinkReadsEveryRunInPlaceAndInOrder) {
+  // The sink's reference is the caller's own record, not a copy of it, for the
+  // stream given at construction and for each run appended behind it.
+  Simulator sim;
+  const Records first{At(1), At(2)};
+  const Records second{At(2), At(3)};
+  const Records third{At(5)};
+  std::vector<const RequestRecord*> seen;
+  RequestInjector injector(sim, first, [&](const RequestRecord& r) { seen.push_back(&r); });
+  sim.RunUntil(TimePoint::Origin() + Duration::Millis(1));
+  ASSERT_EQ(injector.injected(), 1);  // first[1] is still pending.
+  injector.Append(second);
+  injector.Append(third);  // Two runs queued behind the pending one.
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_FALSE(injector.drained());
+  sim.RunUntil(TimePoint::Origin() + Duration::Millis(10));
+  EXPECT_TRUE(injector.drained());
+  EXPECT_EQ(seen, (std::vector<const RequestRecord*>{&first[0], &first[1], &second[0],
+                                                     &second[1], &third[0]}));
 }
 
 TEST(RequestInjectorTest, DestroyedInjectorNeverDelivers) {
@@ -209,10 +258,10 @@ TEST(RequestInjectorTest, DestroyedInjectorNeverDelivers) {
   params.arrivals.requests_per_sec = 2000.0;
   params.run_for = Duration::Millis(400);
   System system(WebFarmSystemConfig(params));
-  std::unique_ptr<WebFarmInstance> farm = BuildWebFarm(
-      WebFarmBuildOf(params, GenerateRequests(params.arrivals, params.run_for)),
-      system.sim(), system.threads(), system.queues(), system.machine(),
-      &system.controller());
+  const Records stream = GenerateRequests(params.arrivals, params.run_for);
+  std::unique_ptr<WebFarmInstance> farm =
+      BuildWebFarm(WebFarmBuildOf(params, stream), system.sim(), system.threads(),
+                   system.queues(), system.machine(), &system.controller());
   system.Start();
   system.RunFor(Duration::Millis(100));
   ASSERT_GT(farm->injector->injected(), 0);
@@ -287,6 +336,8 @@ TEST(RequestLogTest, MalformedLinesFailWithLineNumbers) {
       {"100 256 5000\r\r\n", "line 1"},            // Only one CR ends a line.
       {"100 256 5000\0 trailing junk\n"s, "line 1"},  // Junk hidden behind a NUL.
       {"100 256 5000\n\0not a record at all\n"s, "line 2"},  // Not a blank line.
+      {"9223372036854775808 256 5000\n", "line 1"},  // One past INT64_MAX.
+      {"100 256 5000\n+5 256 5000\n", "line 2"},     // A sign, even a plus.
   };
   for (const auto& c : cases) {
     std::vector<RequestRecord> records;
@@ -296,6 +347,12 @@ TEST(RequestLogTest, MalformedLinesFailWithLineNumbers) {
         << "input " << c.text << " error: " << error;
     EXPECT_TRUE(records.empty());  // Failed parses never leave partial output.
   }
+  // The largest arrival the format holds still parses.
+  std::vector<RequestRecord> records;
+  std::string error;
+  ASSERT_TRUE(ParseRequestLog("9223372036854775807 256 5000\n", &records, &error)) << error;
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].arrival, Duration::Nanos(INT64_MAX));
 }
 
 // ---------------------------------------------------------------------------
