@@ -232,6 +232,7 @@ RunOutcome RunWorkload(const WorkloadSpec& spec, const RunOptions& options) {
     config.num_cpus = num_cpus;
     config.cpu.clock_hz = spec.clock_hz * options.clock_multiplier;
     config.rbs.work_conserving = options.rbs_work_conserving;
+    config.rbs.order = options.rbs_order;
     config.machine.idle_fast_forward = options.machine_idle_fast_forward;
     config.machine.host_threads = options.host_threads;
     config.thread_slabs = options.thread_slabs;
@@ -431,6 +432,18 @@ SeedReport CheckSeed(uint64_t seed, const SeedCheckOptions& options) {
       report.indexed_pick_checks = outcome.indexed_pick_checks;
     }
     note_violations(outcome, Label("invariants", kind));
+  }
+
+  // 1a. EDF dispatch under the oracle, for specs whose pick index switched on: the
+  // generator draws rate-monotonic specs only, so without this pass the index's
+  // deadline keys would never meet the oracle. No new draw: the spec is unchanged.
+  if (report.indexed_pick_checks > 0) {
+    RunOptions edf;
+    edf.rbs_order = DispatchOrder::kEarliestDeadlineFirst;
+    edf.collect_trace_dump = options.collect_trace_dump;
+    const RunOutcome outcome = RunWorkload(spec, edf);
+    report.edf_indexed_pick_checks = outcome.indexed_pick_checks;
+    note_violations(outcome, "invariants [EDF]");
   }
 
   // 1c. Memory-layout equivalence: the same spec with the hot-field slabs disabled

@@ -9,6 +9,8 @@
 //     cycles the machine delivers;
 //   - seed stability: the same spec on a 1-CPU machine produces the identical trace
 //     hash on every run, under every scheduler;
+//   - dispatch order: a spec whose pick index switches on is re-run under EDF with
+//     the oracle re-deriving every pick (the generator's specs are rate-monotonic);
 //   - layout equivalence: the feedback machine re-run with the hot-field slabs
 //     disabled (pre-slab memory layout) must reproduce the production run's trace
 //     bit for bit;
@@ -29,6 +31,7 @@
 #include "exp/scenarios.h"  // SchedulerKind.
 #include "harness/invariants.h"
 #include "harness/workload_gen.h"
+#include "sched/rbs.h"  // DispatchOrder.
 #include "util/time.h"
 #include "util/types.h"
 
@@ -46,6 +49,10 @@ struct RunOptions {
   // core-monotonicity check, whose throughput claim is demand-bound, not
   // allocation-ramp-bound.
   bool rbs_work_conserving = false;
+  // Feedback machine only: the RBS dispatch order. Rate-monotonic, the paper's and the
+  // production default; the battery re-runs high-thread specs under EDF so the
+  // oracle also checks the pick index's deadline keys.
+  DispatchOrder rbs_order = DispatchOrder::kRateMonotonic;
   // Machine idle fast-forward (skip runs of empty dispatch ticks). On by default,
   // like the production configuration; the metamorphic battery re-runs with it off
   // and demands a bit-identical trace.
@@ -135,6 +142,10 @@ struct SeedReport {
   // feedback machine's invariant run. realrate_check fails a 100-seed battery that
   // records none: the index would then go unchecked.
   int64_t indexed_pick_checks = 0;
+  // The same count for the EDF re-run of a spec whose pick index switched on in
+  // that run (0 when it did not). realrate_check fails a 100-seed battery with
+  // indexed RM picks but no indexed EDF pick: the deadline keys would go unchecked.
+  int64_t edf_indexed_pick_checks = 0;
   bool ok() const { return failures.empty(); }
 };
 

@@ -8,6 +8,7 @@
 
 #include "core/pressure.h"
 #include "exp/system.h"
+#include "sched/rbs.h"
 #include "queue/registry.h"
 #include "sim/simulator.h"
 #include "task/thread.h"

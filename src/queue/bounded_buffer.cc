@@ -130,13 +130,20 @@ void BoundedBuffer::WakeAll(std::vector<ThreadId>& waiters) {
   if (waiters.empty()) {
     return;
   }
-  // Swap out first: a woken thread's work model may re-register during the callback.
+  // Swap out first: a woken thread's work model may re-register during the callback,
+  // and a callback may wake this list again (a nested WakeAll swaps out whatever
+  // re-registered). The list's block comes back when nothing re-registered, so the
+  // next wait reuses it instead of allocating.
   std::vector<ThreadId> to_wake;
   to_wake.swap(waiters);
   if (wake_fn_) {
     for (ThreadId t : to_wake) {
       wake_fn_(t);
     }
+  }
+  if (waiters.empty()) {
+    to_wake.clear();
+    waiters.swap(to_wake);
   }
 }
 

@@ -118,6 +118,8 @@ class BoundedBuffer {
   int32_t plan_slot() const { return plan_slot_; }
 
  private:
+  friend class QueueRegistry;  // Sets registry_fill_ in CreateQueue.
+
   void WakeAll(std::vector<ThreadId>& waiters);
   // Plain (non-atomic) by design, unlike ThreadSlabs::runnable_count_, which must
   // take relaxed RMWs while a parallel round is in flight: fill_ is never written
@@ -127,12 +129,20 @@ class BoundedBuffer {
   // so every ApplyFillDelta call is in a single-threaded phase. The TSan leg
   // (web_farm_test, cluster_test, the host-threads-4 fuzz smoke) enforces this
   // mechanically.
-  void ApplyFillDelta(int64_t delta) { fill_ += delta; }
+  // It also keeps the owning registry's running fill total (see QueueRegistry) equal
+  // to the sum of its buffers' fill(), under the same single-threaded rule.
+  void ApplyFillDelta(int64_t delta) {
+    fill_ += delta;
+    if (registry_fill_ != nullptr) {
+      *registry_fill_ += delta;
+    }
+  }
 
   const QueueId id_;
   const std::string name_;
   const int64_t capacity_;
   int64_t fill_ = 0;
+  int64_t* registry_fill_ = nullptr;  // The owning registry's fill total; null if none.
   int64_t total_pushed_ = 0;
   int64_t total_popped_ = 0;
   int64_t full_hits_ = 0;

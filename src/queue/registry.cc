@@ -9,8 +9,11 @@ namespace realrate {
 BoundedBuffer* QueueRegistry::CreateQueue(std::string name, int64_t capacity_bytes) {
   const auto id = static_cast<QueueId>(queues_.size());
   queues_.push_back(std::make_unique<BoundedBuffer>(id, std::move(name), capacity_bytes));
-  raw_queues_.push_back(queues_.back().get());
-  return queues_.back().get();
+  BoundedBuffer* queue = queues_.back().get();
+  raw_queues_.push_back(queue);
+  queue->registry_fill_ = &fill_total_;
+  capacity_total_ += capacity_bytes;
+  return queue;
 }
 
 void QueueRegistry::Register(BoundedBuffer* queue, ThreadId thread, QueueRole role) {
@@ -46,16 +49,6 @@ BoundedBuffer* QueueRegistry::Find(QueueId id) {
     return nullptr;
   }
   return queues_[id].get();
-}
-
-double QueueRegistry::AggregateFillFraction() const {
-  int64_t fill = 0;
-  int64_t capacity = 0;
-  for (const BoundedBuffer* q : raw_queues_) {
-    fill += q->fill();
-    capacity += q->capacity();
-  }
-  return capacity == 0 ? 0.0 : static_cast<double>(fill) / static_cast<double>(capacity);
 }
 
 }  // namespace realrate

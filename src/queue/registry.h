@@ -25,6 +25,11 @@ struct QueueLinkage {
 
 class QueueRegistry {
  public:
+  QueueRegistry() = default;
+  // Its buffers point at fill_total_, so the registry stays where it was built.
+  QueueRegistry(const QueueRegistry&) = delete;
+  QueueRegistry& operator=(const QueueRegistry&) = delete;
+
   // Creates a buffer owned by the registry.
   BoundedBuffer* CreateQueue(std::string name, int64_t capacity_bytes);
 
@@ -53,10 +58,15 @@ class QueueRegistry {
   size_t queue_count() const { return queues_.size(); }
 
   // Machine-wide fill fraction in [0, 1] (the cluster router's queue signal): the
-  // byte sums of fill() and capacity() over AllQueues(), taken on read — O(queues),
-  // paid once per epoch fence. 0 when the machine has no queues yet (a queueless
-  // machine exerts no pressure either way on the cluster router).
-  double AggregateFillFraction() const;
+  // byte sums of fill() and capacity() over AllQueues(). O(1): both sums are exact
+  // integer running totals, the fill one kept by every buffer's fill change. 0 when
+  // the machine has no queues yet (a queueless machine exerts no pressure either way
+  // on the cluster router).
+  double AggregateFillFraction() const {
+    return capacity_total_ == 0
+               ? 0.0
+               : static_cast<double>(fill_total_) / static_cast<double>(capacity_total_);
+  }
   // O(1) reference to the registry's own pointer index (the invariant oracle sweeps
   // every queue once per tick round). Invalidated by CreateQueue().
   const std::vector<BoundedBuffer*>& AllQueues() const { return raw_queues_; }
@@ -64,6 +74,8 @@ class QueueRegistry {
  private:
   std::vector<std::unique_ptr<BoundedBuffer>> queues_;
   std::vector<BoundedBuffer*> raw_queues_;  // queues_[i].get(), kept by CreateQueue().
+  int64_t fill_total_ = 0;      // Sum of fill(), kept by BoundedBuffer::ApplyFillDelta.
+  int64_t capacity_total_ = 0;  // Sum of capacity(), kept by CreateQueue().
   // The linkage store, indexed the way every reader reads it: per thread, in
   // registration order within a thread.
   std::unordered_map<ThreadId, std::vector<QueueLinkage>> linkages_by_thread_;

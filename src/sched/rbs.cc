@@ -1,6 +1,8 @@
 #include "sched/rbs.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "util/assert.h"
 
@@ -12,118 +14,130 @@ namespace {
 // score in [1, kRmBase).
 constexpr int64_t kRmBase = int64_t{1} << 40;
 
-// The rate-monotonic bonus is PeriodRank (task/thread_slabs.h): periods-per-hour,
-// shared by Goodness (the scan's semantics), the pick index (the incrementally
-// maintained key), and the slab rm_rank column, so no consumer can disagree on
+// The rate-monotonic bonus is PeriodRank (rbs.h): periods-per-hour, shared by
+// Goodness, the pick key and the invariant oracle, so no consumer can disagree on
 // ordering.
 int64_t RmRank(const SimThread* thread) { return PeriodRank(thread->period()); }
+
+// due_ns_ of a thread without a reservation: no tick replenishes it.
+constexpr int64_t kNeverDue = INT64_MAX;
 }  // namespace
 
 RbsScheduler::RbsScheduler(const Cpu& cpu, const RbsConfig& config)
     : cpu_(cpu), config_(config) {}
 
 RbsScheduler::~RbsScheduler() {
-  for (auto& [thread, node] : nodes_) {
-    if (thread->sched_slot() == &node) {
-      thread->set_sched_slot(nullptr);
-    }
+  for (size_t pos = 0; pos < threads_.size(); ++pos) {
+    threads_[pos]->set_sched_slot(SimThread::kNoSchedSlot);
   }
 }
 
-RbsScheduler::Node* RbsScheduler::FindNode(SimThread* thread) {
-  // The slot is a cache of &nodes_[thread], valid only when this instance owns the
-  // thread's run-queue membership — one pointer read instead of a hash lookup on
-  // every OnRan/OnBlock/OnWake along the dispatch hot path.
-  auto* node = static_cast<Node*>(thread->sched_slot());
-  return node != nullptr && node->owner == this ? node : nullptr;
+void RbsScheduler::Refresh(size_t pos) {
+  const SimThread* thread = threads_[pos];
+  const bool reserved = HasReservation(thread);
+  const int64_t deadline = (thread->period_start() + thread->period()).nanos();
+  due_ns_[pos] = reserved ? deadline : kNeverDue;
+  if (reserved) {
+    nodes_[pos].key =
+        config_.order == DispatchOrder::kEarliestDeadlineFirst ? deadline : -RmRank(thread);
+  }
+  Reindex(pos);
 }
 
-void RbsScheduler::Reindex(SimThread* thread) {
-  if (!indexing_on_) {
-    return;  // Scanning: no index to maintain.
+void RbsScheduler::ReindexThread(const SimThread* thread) {
+  if (const size_t pos = PositionOf(thread); pos != SimThread::kNoSchedSlot) {
+    Reindex(pos);
   }
-  Node* node = FindNode(thread);
-  if (node == nullptr) {
-    return;  // Not scheduled here (e.g. cross-core actuation); nothing to maintain.
+}
+
+void RbsScheduler::Reindex(size_t pos) {
+  const SimThread* thread = threads_[pos];
+  Node& node = nodes_[pos];
+  if (node.runnable) {
+    --(node.reserved ? runnable_reserved_ : runnable_unreserved_);
   }
   const ThreadState state = thread->state();
   // kRunning is transient within one dispatch iteration; by the next PickNext the
   // thread is back to kRunnable or has left through an OnBlock/RemoveThread hook, so
-  // counting it "active" keeps the index exact at every pick.
-  const bool active = state == ThreadState::kRunnable || state == ThreadState::kRunning;
-  const bool reserved = HasReservation(thread);
-
-  if (node->counted_runnable) {
-    --(node->counted_reserved ? runnable_reserved_ : runnable_unreserved_);
+  // counting it runnable keeps the flags exact at every pick.
+  node.runnable = state == ThreadState::kRunnable || state == ThreadState::kRunning;
+  node.reserved = HasReservation(thread);
+  node.eligible = node.runnable && node.reserved && thread->budget_remaining() > 0;
+  if (node.runnable) {
+    ++(node.reserved ? runnable_reserved_ : runnable_unreserved_);
   }
-  node->counted_runnable = active;
-  node->counted_reserved = reserved;
-  if (active) {
-    ++(reserved ? runnable_reserved_ : runnable_unreserved_);
+  if (!indexing_on_) {
+    return;  // Scanning: no bitmaps to maintain.
   }
-
-  const bool eligible = active && reserved && thread->budget_remaining() > 0;
-  int64_t primary = 0;
-  if (eligible) {
-    primary = config_.order == DispatchOrder::kEarliestDeadlineFirst
-                  ? (thread->period_start() + thread->period()).nanos()
-                  : -RmRank(thread);
-  }
-  if (node->in_pick_index) {
-    if (eligible && primary == node->pick_primary) {
+  if (node.key_slot >= 0) {
+    if (node.eligible && key_slots_[static_cast<size_t>(node.key_slot)].key == node.key) {
       return;  // Membership and key unchanged: the common OnRan case, O(1).
     }
-    node->in_pick_index = false;  // The heap entry is now stale (generation mismatch).
-    pick_gen_by_id_[static_cast<size_t>(thread->id())] = 0;
-    --pick_live_;
+    Unlink(pos);
   }
-  if (eligible) {
-    const uint64_t gen = next_gen_++;
-    const auto id = static_cast<size_t>(thread->id());
-    if (id >= pick_gen_by_id_.size()) {
-      pick_gen_by_id_.resize(id + 1, 0);
-    }
-    pick_gen_by_id_[id] = gen;
-    pick_index_.push_back(PickKey{primary, node->seq, gen, thread->id(), thread});
-    std::push_heap(pick_index_.begin(), pick_index_.end(), std::greater<PickKey>{});
-    node->pick_primary = primary;
-    node->in_pick_index = true;
-    ++pick_live_;
-  }
-  if (pick_index_.size() > 64 &&
-      pick_index_.size() > 4 * static_cast<size_t>(pick_live_)) {
-    CompactPickIndex();
+  if (node.eligible) {
+    Link(pos);
   }
 }
 
-void RbsScheduler::CompactPickIndex() {
-  std::erase_if(pick_index_, [this](const PickKey& key) { return !PickEntryCurrent(key); });
-  std::make_heap(pick_index_.begin(), pick_index_.end(), std::greater<PickKey>{});
-  RR_CHECK(pick_index_.size() == static_cast<size_t>(pick_live_));
+void RbsScheduler::Link(size_t pos) {
+  Node& node = nodes_[pos];
+  const auto it = std::lower_bound(live_keys_.begin(), live_keys_.end(), node.key,
+                                   KeyAfter);
+  int32_t slot = 0;
+  if (it != live_keys_.end() && it->key == node.key) {
+    slot = it->slot;
+  } else {
+    if (free_slots_.empty()) {
+      slot = static_cast<int32_t>(key_slots_.size());
+      key_slots_.emplace_back();
+      bits_.resize(bits_.size() + words_, 0);
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    }
+    key_slots_[static_cast<size_t>(slot)].key = node.key;
+    live_keys_.insert(it, LiveKey{node.key, slot});
+  }
+  SlotBits(slot)[pos / 64] |= uint64_t{1} << (pos % 64);
+  ++key_slots_[static_cast<size_t>(slot)].members;
+  node.key_slot = slot;
+}
+
+void RbsScheduler::Unlink(size_t pos) {
+  Node& node = nodes_[pos];
+  const int32_t slot = node.key_slot;
+  node.key_slot = -1;
+  SlotBits(slot)[pos / 64] &= ~(uint64_t{1} << (pos % 64));
+  KeySlot& ks = key_slots_[static_cast<size_t>(slot)];
+  if (--ks.members == 0) {  // The bitmap is all-zero again: free the slot.
+    const auto it = std::lower_bound(live_keys_.begin(), live_keys_.end(), ks.key,
+                                     KeyAfter);
+    RR_CHECK(it != live_keys_.end() && it->slot == slot);
+    live_keys_.erase(it);
+    free_slots_.push_back(slot);
+  }
 }
 
 void RbsScheduler::ActivateIndexing() {
-  // Rebuild the pick index and occupancy counts from the thread vector. Reads only;
-  // no thread state changes, so the schedule is unaffected. The counts are zero here:
-  // they are only maintained while indexing is on, and Deactivate (or construction)
-  // zeroed them.
+  // Link every eligible position. Reads only the flags the hooks keep, so the
+  // schedule is unaffected.
   indexing_on_ = true;
-  for (SimThread* t : threads_) {
-    RR_CHECK(FindNode(t) != nullptr);
-    Reindex(t);
+  for (size_t pos = 0; pos < nodes_.size(); ++pos) {
+    if (nodes_[pos].eligible) {
+      Link(pos);
+    }
   }
 }
 
 void RbsScheduler::DeactivateIndexing() {
   indexing_on_ = false;
-  pick_index_.clear();
-  pick_live_ = 0;
-  std::fill(pick_gen_by_id_.begin(), pick_gen_by_id_.end(), 0);
-  runnable_unreserved_ = 0;
-  runnable_reserved_ = 0;
-  for (auto& [thread, node] : nodes_) {
-    node.in_pick_index = false;
-    node.counted_runnable = false;
+  live_keys_.clear();
+  key_slots_.clear();
+  free_slots_.clear();
+  bits_.clear();
+  for (Node& node : nodes_) {
+    node.key_slot = -1;
   }
 }
 
@@ -138,42 +152,54 @@ void RbsScheduler::MaybeSwitchIndexing() {
 
 void RbsScheduler::AddThread(SimThread* thread) {
   RR_EXPECTS(thread != nullptr);
-  // Ids key the slab columns and the pick-generation table: one thread per id.
-  RR_EXPECTS(std::find(ids_.begin(), ids_.end(), thread->id()) == ids_.end());
-  if (next_seq_ == 1) {
-    slabs_ = thread->bound_slabs();  // The first thread ever added fixes the layout.
-  }
-  RR_EXPECTS(thread->bound_slabs() == slabs_);
+  RR_EXPECTS(thread->sched_slot() == SimThread::kNoSchedSlot);  // Enqueued nowhere.
+  const size_t pos = threads_.size();
   threads_.push_back(thread);
-  ids_.push_back(thread->id());
-  Node& node = nodes_[thread];  // Node-based container: the address is stable.
-  node.owner = this;
-  node.seq = next_seq_++;
-  thread->set_sched_slot(&node);
-  Reindex(thread);
+  due_ns_.push_back(kNeverDue);
+  nodes_.emplace_back();
+  thread->set_sched_slot(pos);
+  if (threads_.size() > words_ * 64) {
+    words_ = std::max<size_t>(1, 2 * words_);  // Rare: rebuild at the doubled stride.
+    if (indexing_on_) {
+      DeactivateIndexing();
+      ActivateIndexing();
+    }
+  }
+  Refresh(pos);
   MaybeSwitchIndexing();
 }
 
 void RbsScheduler::RemoveThread(SimThread* thread) {
-  const auto it = std::find(threads_.begin(), threads_.end(), thread);
-  if (it != threads_.end()) {
-    ids_.erase(ids_.begin() + (it - threads_.begin()));
-    threads_.erase(it);
-  }
-  Node* node = FindNode(thread);
-  if (node == nullptr) {
+  const size_t pos = PositionOf(thread);
+  if (pos == SimThread::kNoSchedSlot) {
     return;
   }
-  if (node->in_pick_index) {
-    node->in_pick_index = false;  // Heap entry dies lazily (generation mismatch).
-    pick_gen_by_id_[static_cast<size_t>(thread->id())] = 0;
-    --pick_live_;
+  Node& node = nodes_[pos];
+  if (node.runnable) {
+    --(node.reserved ? runnable_reserved_ : runnable_unreserved_);
   }
-  if (node->counted_runnable) {
-    --(node->counted_reserved ? runnable_reserved_ : runnable_unreserved_);
+  if (node.key_slot >= 0) {
+    Unlink(pos);
   }
-  thread->set_sched_slot(nullptr);
-  nodes_.erase(thread);
+  // Positions above `pos` move down one: shift every live bitmap's upper bits.
+  const size_t first = pos / 64;
+  const uint64_t keep = (uint64_t{1} << (pos % 64)) - 1;
+  for (const LiveKey& live : live_keys_) {
+    uint64_t* bits = SlotBits(live.slot);
+    bits[first] = (bits[first] & keep) | ((bits[first] >> 1) & ~keep);
+    for (size_t w = first + 1; w < words_; ++w) {
+      bits[w - 1] |= bits[w] << 63;
+      bits[w] >>= 1;
+    }
+  }
+  const auto at = static_cast<std::ptrdiff_t>(pos);
+  threads_.erase(threads_.begin() + at);
+  due_ns_.erase(due_ns_.begin() + at);
+  nodes_.erase(nodes_.begin() + at);
+  for (size_t p = pos; p < threads_.size(); ++p) {
+    threads_[p]->set_sched_slot(p);
+  }
+  thread->set_sched_slot(SimThread::kNoSchedSlot);
   MaybeSwitchIndexing();
 }
 
@@ -182,13 +208,12 @@ Cycles RbsScheduler::PeriodBudget(const SimThread* thread) const {
                              static_cast<double>(cpu_.DurationToCycles(thread->period())));
 }
 
-void RbsScheduler::Replenish(SimThread* thread, TimePoint now) {
-  // Advance whole periods until `now` falls inside the current one.
+void RbsScheduler::Replenish(size_t pos, TimePoint now) {
+  // Called once `now` reached the thread's deadline: advance whole periods until
+  // `now` falls inside the current one.
+  SimThread* thread = threads_[pos];
   TimePoint start = thread->period_start();
   const Duration period = thread->period();
-  if (now < start + period) {
-    return;
-  }
   // Deadline check for the period that just closed: a thread that was runnable for the
   // whole period (it did not wake mid-period) and is still runnable at the boundary
   // wanted more CPU than it received; if it also fell short of the budget it was
@@ -209,31 +234,18 @@ void RbsScheduler::Replenish(SimThread* thread, TimePoint now) {
   thread->set_budget_remaining(budget);
   thread->set_period_entitlement(budget);
   thread->ResetPeriodCycles();
-  Reindex(thread);
+  Refresh(pos);
 }
 
 void RbsScheduler::OnTick(TimePoint now) {
-  // One replenish sweep in admission (seq) order, in both pick modes: `threads_` is
-  // that order — RemoveThread erases and AddThread appends with a fresh seq — and the
-  // deadline-miss callbacks can observe it. With slabs the scan pre-filters on the
-  // deadline column — Replenish's own early-out condition (now < period_start +
-  // period, i.e. now_ns < deadline_nanos) — so the common not-due tick streams three
-  // small columns and touches no thread object.
-  if (UseColumns()) {
-    const int64_t now_ns = now.nanos();
-    const size_t n = ids_.size();
-    for (size_t i = 0; i < n; ++i) {
-      const ThreadId s = ids_[i];
-      if (slabs_->policy(s) == SchedPolicy::kReservation && slabs_->granted_ppt(s) != 0 &&
-          slabs_->deadline_nanos(s) <= now_ns) {
-        Replenish(threads_[i], now);
-      }
-    }
-    return;
-  }
-  for (SimThread* t : threads_) {
-    if (HasReservation(t)) {
-      Replenish(t, now);
+  // One replenish sweep in admission order, in both pick modes: the deadline-miss
+  // callbacks can observe the order. due_ns_ holds each
+  // reserved thread's period end (kNeverDue otherwise), so the common not-due tick is
+  // one contiguous compare loop that touches no thread object.
+  const int64_t now_ns = now.nanos();
+  for (size_t pos = 0; pos < due_ns_.size(); ++pos) {
+    if (due_ns_[pos] <= now_ns) {
+      Replenish(pos, now);
     }
   }
 }
@@ -245,9 +257,9 @@ void RbsScheduler::OnTicksSkipped(int64_t /*count*/, TimePoint now) {
   OnTick(now);
 }
 
-void RbsScheduler::OnWake(SimThread* thread, TimePoint /*now*/) { Reindex(thread); }
+void RbsScheduler::OnWake(SimThread* thread, TimePoint /*now*/) { ReindexThread(thread); }
 
-void RbsScheduler::OnBlock(SimThread* thread, TimePoint /*now*/) { Reindex(thread); }
+void RbsScheduler::OnBlock(SimThread* thread, TimePoint /*now*/) { ReindexThread(thread); }
 
 int64_t RbsScheduler::Goodness(const SimThread* thread) const {
   if (!thread->IsRunnable() && thread->state() != ThreadState::kRunning) {
@@ -265,161 +277,66 @@ int64_t RbsScheduler::Goodness(const SimThread* thread) const {
 }
 
 SimThread* RbsScheduler::PickReservedScan() {
-  // The O(n) goodness scan. Reserved threads first. Rate-monotonic: highest goodness
-  // (shortest period). EDF: earliest deadline, where a thread's deadline is the end of
-  // its current period. Ties broken by scan position — arrival order — matching the
-  // pick index's sequence-number tiebreak.
-  //
-  // Column variant: same scan, same order, same strict comparisons, reading the slab
-  // columns (state, policy, ppt, budget, rank/deadline) instead of five scattered
-  // SimThread cachelines per candidate.
-  if (UseColumns()) {
-    SimThread* best = nullptr;
-    const size_t n = ids_.size();
-    if (config_.order == DispatchOrder::kEarliestDeadlineFirst) {
-      int64_t best_deadline = TimePoint::Max().nanos();
-      for (size_t i = 0; i < n; ++i) {
-        const ThreadId s = ids_[i];
-        if (slabs_->state(s) != ThreadState::kRunnable ||
-            slabs_->policy(s) != SchedPolicy::kReservation || slabs_->granted_ppt(s) == 0 ||
-            slabs_->budget(s) <= 0) {
-          continue;
-        }
-        const int64_t deadline = slabs_->deadline_nanos(s);
-        if (deadline < best_deadline) {
-          best = threads_[i];
-          best_deadline = deadline;
-        }
-      }
-      return best;
-    }
-    int64_t best_rank = -1;  // Any reserved candidate (rank >= 0) beats "none".
-    for (size_t i = 0; i < n; ++i) {
-      const ThreadId s = ids_[i];
-      if (slabs_->state(s) != ThreadState::kRunnable ||
-          slabs_->policy(s) != SchedPolicy::kReservation || slabs_->granted_ppt(s) == 0 ||
-          slabs_->budget(s) <= 0) {
-        continue;
-      }
-      const int64_t rank = slabs_->rm_rank(s);
-      if (rank > best_rank) {
-        best = threads_[i];
-        best_rank = rank;
-      }
-    }
-    return best;
-  }
-  SimThread* best = nullptr;
-  if (config_.order == DispatchOrder::kEarliestDeadlineFirst) {
-    TimePoint best_deadline = TimePoint::Max();
-    for (SimThread* t : threads_) {
-      if (!t->IsRunnable() || !HasReservation(t) || t->budget_remaining() <= 0) {
-        continue;
-      }
-      const TimePoint deadline = t->period_start() + t->period();
-      if (deadline < best_deadline) {
-        best = t;
-        best_deadline = deadline;
-      }
-    }
-    return best;
-  }
-  int64_t best_goodness = 0;
-  for (SimThread* t : threads_) {
-    if (!t->IsRunnable()) {
-      continue;
-    }
-    const int64_t g = Goodness(t);
-    if (g > best_goodness) {
-      best = t;
-      best_goodness = g;
+  // The O(n) scan over the hook-kept flags: the eligible thread with the smallest key
+  // (highest rank, or earliest deadline), the earliest-admitted among equals — the
+  // same (key, position) order the index's lowest set bit gives.
+  size_t best = SimThread::kNoSchedSlot;
+  int64_t best_key = INT64_MAX;
+  for (size_t pos = 0; pos < nodes_.size(); ++pos) {
+    if (nodes_[pos].eligible && nodes_[pos].key < best_key) {
+      best = pos;
+      best_key = nodes_[pos].key;
     }
   }
-  return best_goodness >= kRmBase ? best : nullptr;
+  return best == SimThread::kNoSchedSlot ? nullptr : threads_[best];
 }
 
 SimThread* RbsScheduler::PickReservedIndexed() {
-  // Drain lazily deleted entries off the top; each is popped exactly once, so the
-  // cost amortizes against the Reindex that staled it. The first current entry is
-  // the (primary, seq) minimum over all current entries — identical to what the
-  // ordered-set begin() returned.
-  while (!pick_index_.empty()) {
-    const PickKey top = pick_index_.front();
-    if (PickEntryCurrent(top)) {
-      // Index-integrity check: every mutation that can change eligibility must have
-      // gone through a Reindex hook; a wrong entry here means a change bypassed them.
-      RR_CHECK(top.thread->IsRunnable() && HasReservation(top.thread) &&
-               top.thread->budget_remaining() > 0);
-      return top.thread;
-    }
-    std::pop_heap(pick_index_.begin(), pick_index_.end(), std::greater<PickKey>{});
-    pick_index_.pop_back();
+  // The best key's lowest set bit: among the threads with the best key, the
+  // earliest-admitted.
+  if (live_keys_.empty()) {
+    return nullptr;
   }
-  return nullptr;
+  const uint64_t* bits = SlotBits(live_keys_.back().slot);
+  size_t w = 0;
+  while (bits[w] == 0) {
+    ++w;  // A live key has a set bit, so this stops inside the bitmap.
+  }
+  return threads_[w * 64 + static_cast<size_t>(std::countr_zero(bits[w]))];
 }
 
 SimThread* RbsScheduler::PickFallbackRoundRobin() {
   // No reserved thread can run: round-robin over the remaining runnables (non-reserved
   // threads, plus exhausted reserved threads when work-conserving). The cursor is
-  // positional, so this path stays O(n) but is gated by
-  // the occupancy counts in PickNext and only runs when it will find work. ids_ is
-  // index-aligned with threads_, so the column variant's cursor arithmetic and scan
-  // order are identical to the pointer scan's.
-  const size_t n = threads_.size();
-  if (UseColumns()) {
-    for (size_t i = 0; i < n; ++i) {
-      const size_t idx = (rr_cursor_ + i) % n;
-      const ThreadId s = ids_[idx];
-      if (slabs_->state(s) != ThreadState::kRunnable) {
-        continue;
-      }
-      const bool reserved =
-          slabs_->policy(s) == SchedPolicy::kReservation && slabs_->granted_ppt(s) != 0;
-      const bool exhausted_reserved = reserved && slabs_->budget(s) <= 0;
-      if (exhausted_reserved && !config_.work_conserving) {
-        continue;
-      }
-      if (!exhausted_reserved && reserved) {
-        continue;  // Has budget; already considered above.
-      }
-      rr_cursor_ = (idx + 1) % n;
-      return threads_[idx];
-    }
-    return nullptr;
-  }
+  // positional, so this path stays O(n) but is gated by the occupancy counts in
+  // PickNext and only runs when it will find work.
+  const size_t n = nodes_.size();
   for (size_t i = 0; i < n; ++i) {
-    SimThread* t = threads_[(rr_cursor_ + i) % n];
-    if (!t->IsRunnable()) {
-      continue;
+    const size_t pos = (rr_cursor_ + i) % n;
+    const Node& node = nodes_[pos];
+    if (node.runnable && (!node.reserved || (config_.work_conserving && !node.eligible))) {
+      rr_cursor_ = (pos + 1) % n;
+      return threads_[pos];
     }
-    const bool exhausted_reserved = HasReservation(t) && t->budget_remaining() <= 0;
-    if (exhausted_reserved && !config_.work_conserving) {
-      continue;
-    }
-    if (!exhausted_reserved && HasReservation(t)) {
-      continue;  // Has budget; already considered above.
-    }
-    rr_cursor_ = (rr_cursor_ + i + 1) % n;
-    return t;
   }
   return nullptr;
 }
 
 SimThread* RbsScheduler::PickNext(TimePoint /*now*/) {
-  SimThread* pick = indexing_on_ ? PickReservedIndexed() : PickReservedScan();
-  if (pick != nullptr) {
+  if (SimThread* pick = indexing_on_ ? PickReservedIndexed() : PickReservedScan()) {
+    // Flag-integrity check: every mutation that can change eligibility must have
+    // gone through a hook; a wrong pick here means a change bypassed them.
+    RR_CHECK(pick->IsRunnable() && HasReservation(pick) && pick->budget_remaining() > 0);
     return pick;
   }
-  if (indexing_on_) {
-    // Secondary (occupancy) index: skip the positional fallback scan outright when no
-    // round-robin candidate exists — the common case in a farm of blocked threads.
-    // Reserved threads with budget are all in the (empty, or we would not be here)
-    // pick index, so runnable_reserved_ now counts only exhausted ones.
-    const bool have_unreserved = runnable_unreserved_ > 0;
-    const bool have_exhausted = config_.work_conserving && runnable_reserved_ > 0;
-    if (!have_unreserved && !have_exhausted) {
-      return nullptr;
-    }
+  // Secondary (occupancy) index: skip the positional fallback scan outright when no
+  // round-robin candidate exists — the common case in a farm of blocked threads. No
+  // thread is eligible (or we would not be here), so runnable_reserved_ counts only
+  // exhausted ones.
+  const bool have_unreserved = runnable_unreserved_ > 0;
+  const bool have_exhausted = config_.work_conserving && runnable_reserved_ > 0;
+  if (!have_unreserved && !have_exhausted) {
+    return nullptr;
   }
   return PickFallbackRoundRobin();
 }
@@ -448,7 +365,11 @@ Cycles RbsScheduler::RoundCycleBound(const SimThread* thread, Cycles tick_cycles
 void RbsScheduler::OnRan(SimThread* thread, Cycles used, TimePoint /*now*/) {
   if (HasReservation(thread)) {
     thread->set_budget_remaining(std::max<Cycles>(0, thread->budget_remaining() - used));
-    Reindex(thread);  // O(1) unless the budget just hit zero.
+    if (thread->budget_remaining() <= 0) {
+      // Only an emptied budget can change the flags: running moves nothing else
+      // they read, and a budget still above zero was above zero before.
+      ReindexThread(thread);
+    }
   }
 }
 
@@ -471,7 +392,8 @@ void RbsScheduler::SetReservation(SimThread* thread, Proportion proportion, Dura
   // its indexed run-queue state lives there (route via the thread's core, as
   // FeedbackAllocator::SchedulerFor does). A thread enqueued nowhere may be actuated
   // by any instance (reservation state lives on the thread).
-  RR_EXPECTS(thread->sched_slot() == nullptr || FindNode(thread) != nullptr);
+  const size_t pos = PositionOf(thread);
+  RR_EXPECTS(thread->sched_slot() == SimThread::kNoSchedSlot || pos != SimThread::kNoSchedSlot);
   const bool fresh =
       thread->policy() != SchedPolicy::kReservation || thread->period() != period;
   thread->set_policy(SchedPolicy::kReservation);
@@ -491,7 +413,9 @@ void RbsScheduler::SetReservation(SimThread* thread, Proportion proportion, Dura
     thread->set_budget_remaining(
         std::max<Cycles>(0, PeriodBudget(thread) - thread->cycles_this_period()));
   }
-  Reindex(thread);
+  if (pos != SimThread::kNoSchedSlot) {
+    Refresh(pos);
+  }
 }
 
 void RbsScheduler::ApplyReservations(const std::vector<ReservationUpdate>& batch,
@@ -502,15 +426,6 @@ void RbsScheduler::ApplyReservations(const std::vector<ReservationUpdate>& batch
 }
 
 Proportion RbsScheduler::TotalReserved() const {
-  if (UseColumns()) {
-    int32_t total_ppt = 0;
-    for (const ThreadId s : ids_) {
-      if (slabs_->policy(s) == SchedPolicy::kReservation) {
-        total_ppt += slabs_->granted_ppt(s);
-      }
-    }
-    return Proportion::Ppt(total_ppt);
-  }
   Proportion total = Proportion::Zero();
   for (const SimThread* t : threads_) {
     if (t->policy() == SchedPolicy::kReservation) {

@@ -7,51 +7,54 @@
 // higher goodness values."
 //
 // Dispatch hot path (see docs/ARCHITECTURE.md, "The dispatch hot path"): one
-// PickNext, which finds the best reserved thread either by an O(n) goodness scan or
-// in O(log n) from indexed run queues, chosen by run-queue occupancy.
-//   - Reserved threads with remaining budget live in a pick index keyed by
-//     incrementally maintained period rank (rate-monotonic mode) or period deadline
-//     (EDF mode), with the thread's admission sequence number as the tiebreaker —
-//     exactly the tie order of the scan, which resolves equal goodness by position
-//     in the (arrival-ordered) thread vector. The index is a vector-backed min-heap
-//     with lazy deletion (generation-stamped entries), so the block/wake storm of a
-//     dense farm costs O(1) per eligibility exit and an allocation-free O(log n)
-//     push per entry, with no tree nodes to chase.
-//   - Period replenishment is one OnTick sweep over the run queue in admission
-//     order, in both pick modes; with slabs it streams the deadline column and
-//     touches only the threads whose period actually closed.
+// PickNext, which finds the best reserved thread either by an O(n) scan or from
+// indexed run queues, chosen by run-queue occupancy.
+//   - The run queue is flat: every per-thread datum lives in arrays indexed by the
+//     thread's position, which is its admission order (AddThread appends,
+//     RemoveThread erases and renumbers). SimThread::sched_slot holds the position.
+//     The hooks keep each position's flags (runnable, reserved, eligible) and pick
+//     key current in every mode, so neither pick path reads a thread record.
+//   - Reserved threads with remaining budget are grouped by pick key: -rank in
+//     rate-monotonic mode, the period deadline in EDF mode. Each key owns a bitmap
+//     over run-queue positions, and only the keys with a set bit sit in a small
+//     ordered vector. The pick is the best key's lowest set bit — exactly the scan's
+//     tie order, which resolves equal keys by position. Every eligibility change is
+//     one bit flip; a key entering or leaving the vector costs an O(log k) search and
+//     an O(k) move over the k live keys (about ten in a dense pipeline farm). This is
+//     the priority-bitmap run queue of Linux's O(1) scheduler, keyed by RM rank.
+//   - Period replenishment is one OnTick compare loop over a position-indexed
+//     deadline array, in admission order, in every mode; the hooks that move a
+//     thread's period keep it current.
 //   - Best-effort (and, in work-conserving mode, budget-exhausted) threads are
 //     summarized by a secondary occupancy index — runnable counts that let PickNext
 //     skip the round-robin fallback scan entirely in the common all-blocked case; the
 //     scan itself stays because its cursor semantics are positional.
-// Occupancy switch: the index's maintenance (Reindex on every state/budget mutation)
-// is pure overhead at a handful of threads per core, where the scan
-// fits in a few cachelines. The scheduler therefore scans while fewer than
-// kIndexOnThreads threads are enqueued and switches the index on (rebuilding it from
-// the thread vector, O(n log n) once) when the run queue reaches that size, with 2x
-// hysteresis on the way down. Both sides pick the same thread, so switching is
-// trace-invariant. The invariant oracle (harness/invariants.h) re-derives the best
-// reserved thread at every pick of a fuzzed run and checks the dispatcher against it.
-//
-// When the enqueued threads are bound to hot-field slabs (task/thread_slabs.h) — all
-// of them to the same slabs, or none — the goodness scan, the fallback scan, the
-// per-tick replenish sweep, and TotalReserved read the slab columns instead of
-// chasing SimThread* — same order, same ties, same result, a fraction of the
-// cachelines.
+// Occupancy switch: the bitmaps' maintenance is pure overhead at a handful of threads
+// per core, where a scan of the flags fits in a few cachelines. The scheduler
+// therefore scans while fewer than kIndexOnThreads threads are enqueued and switches
+// the index on (building it from the flags once) when the run queue reaches that
+// size, with 2x hysteresis on the way down. Both sides pick the same thread, so
+// switching is trace-invariant. The invariant oracle (harness/invariants.h)
+// re-derives the best reserved thread from the thread records at every pick of a
+// fuzzed run and checks the dispatcher against it.
 #ifndef REALRATE_SCHED_RBS_H_
 #define REALRATE_SCHED_RBS_H_
 
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "sched/scheduler.h"
 #include "sim/cpu.h"
-#include "task/thread_slabs.h"
+#include "task/thread.h"
 
 namespace realrate {
+
+// The rate-monotonic period rank: periods-per-hour, so any realistic period (>= 1 ms)
+// maps to a positive, strictly rate-ordered value. Shared by RbsScheduler::Goodness,
+// the pick key, and the invariant oracle, so no two can disagree on ordering.
+inline int64_t PeriodRank(Duration period) { return Duration::Seconds(3600) / period; }
 
 // Dispatch ordering among reserved threads with remaining budget. The paper implements
 // rate-monotonic ordering via goodness but notes any reservation mechanism would do
@@ -100,14 +103,14 @@ class RbsScheduler : public Scheduler {
 
   // Actuation entry point used by the controller: sets proportion/period and restarts
   // the thread's period from `now` with a fresh budget. "Very low overhead to change
-  // proportion and period" — O(1) (plus O(log n) index maintenance).
+  // proportion and period" — O(1) (plus the pick index's key move).
   void SetReservation(SimThread* thread, Proportion proportion, Duration period, TimePoint now);
 
   // Batched actuation surface for the controller's Actuate stage: applies each
   // update exactly as SetReservation would, in order — one scheduler call per core
   // per controller tick instead of one per changed thread. Per-update index
-  // maintenance inside SetReservation is unchanged (O(log n) each); the batch is
-  // the call-granularity surface future deferred maintenance would hang off.
+  // maintenance inside SetReservation is unchanged; the batch is the
+  // call-granularity surface future deferred maintenance would hang off.
   // Every thread in the batch must be actuatable by this instance (enqueued here,
   // or enqueued nowhere — the SetReservation contract).
   void ApplyReservations(const std::vector<ReservationUpdate>& batch, TimePoint now);
@@ -134,78 +137,71 @@ class RbsScheduler : public Scheduler {
   bool indexing_active() const { return indexing_on_; }
 
  private:
-  // Per-thread bookkeeping owned by this scheduler (not the thread): the admission
-  // sequence number that reproduces the scan's tie order and the pick-index
-  // membership/key snapshot.
+  // Per-position bookkeeping, index-aligned with threads_ and kept by the hooks in
+  // every mode; both pick paths read it.
   struct Node {
-    RbsScheduler* owner = nullptr;  // Guards the SimThread::sched_slot cache.
-    uint64_t seq = 0;
-    bool in_pick_index = false;
-    int64_t pick_primary = 0;       // Key snapshot while in the pick index.
-    bool counted_runnable = false;  // Contributes to the occupancy counts below.
-    bool counted_reserved = false;  // Which count it contributes to.
+    int64_t key = 0;        // Pick key: -rank (RM) or period deadline (EDF); reserved only.
+    int32_t key_slot = -1;  // Bitmap holding this position's bit; -1: not in the index.
+    bool runnable = false;  // kRunnable (or kRunning, within one dispatch).
+    bool reserved = false;  // Holds a non-zero reservation.
+    bool eligible = false;  // Runnable, reserved, budget left: a pick candidate.
   };
-
-  // Pick-index element. Ordering is (rank desc | deadline asc, seq asc): the heap
-  // minimum is exactly the thread the scan would return. Entries are
-  // lazily deleted — `gen` matches pick_gen_by_id_ only while the entry is current;
-  // eligibility changes just overwrite the thread's generation there (O(1)) and the
-  // dead entry is discarded when it surfaces at the heap top.
-  struct PickKey {
-    int64_t primary = 0;  // -rm_rank, or the EDF deadline in nanos.
-    uint64_t seq = 0;
-    uint64_t gen = 0;     // Current iff == pick_gen_by_id_[id].
-    ThreadId id = kInvalidThreadId;  // For the object-free stale check.
-    SimThread* thread = nullptr;
-    bool operator>(const PickKey& other) const {
-      if (primary != other.primary) {
-        return primary > other.primary;
-      }
-      return seq > other.seq;
-    }
+  // A pick key with at least one eligible thread, and the bitmap slot of its members.
+  struct LiveKey {
+    int64_t key = 0;
+    int32_t slot = 0;
+  };
+  // A bitmap slot's key and its number of set bits.
+  struct KeySlot {
+    int64_t key = 0;
+    int32_t members = 0;
   };
 
   bool HasReservation(const SimThread* t) const {
     return t->policy() == SchedPolicy::kReservation && !t->proportion().IsZero();
   }
-  void Replenish(SimThread* thread, TimePoint now);
-  // Recomputes `thread`'s pick-index membership/key and occupancy counts from its
-  // current state. Idempotent; every mutation hook funnels through it.
-  void Reindex(SimThread* thread);
-  Node* FindNode(SimThread* thread);
+  // `thread`'s position here, or SimThread::kNoSchedSlot when it is enqueued elsewhere
+  // or nowhere.
+  size_t PositionOf(const SimThread* thread) const {
+    const size_t pos = thread->sched_slot();
+    return pos < threads_.size() && threads_[pos] == thread ? pos : SimThread::kNoSchedSlot;
+  }
+  void Replenish(size_t pos, TimePoint now);
+  // Re-reads the thread's deadline and pick key after its reservation or period phase
+  // moved, then reindexes it. Runs in every mode: OnTick's sweep reads due_ns_.
+  void Refresh(size_t pos);
+  // Recomputes the position's flags, occupancy counts and pick-index membership from
+  // the thread's current state. Idempotent; every mutation hook funnels through it.
+  void Reindex(size_t pos);
+  void ReindexThread(const SimThread* thread);  // No-op unless enqueued here.
+  // The position's bit enters (Link) or leaves (Unlink) its key's bitmap; a key
+  // enters or leaves live_keys_ with its first or last member.
+  void Link(size_t pos);
+  void Unlink(size_t pos);
+  // live_keys_ order (descending key), for lower_bound: a key's entry or its slot.
+  static bool KeyAfter(const LiveKey& live, int64_t key) { return live.key > key; }
+  uint64_t* SlotBits(int32_t slot) {
+    return bits_.data() + static_cast<size_t>(slot) * words_;
+  }
   // PickNext's parts: the best reserved thread by scan (index off) or from the index
   // (index on), both side-effect-free, then the shared cursor-mutating fallback.
   SimThread* PickReservedScan();
   SimThread* PickReservedIndexed();
   SimThread* PickFallbackRoundRobin();
-  // Occupancy-switch transitions. Activation rebuilds the pick index and occupancy
-  // counts from the thread vector; deactivation tears them down.
+  // Occupancy-switch transitions. Activation builds the pick index from the flags;
+  // deactivation tears it down.
   // Neither changes any thread's state, so the schedule is unaffected.
   void ActivateIndexing();
   void DeactivateIndexing();
   void MaybeSwitchIndexing();
-  // Rebuilds pick_index_ without its stale entries when they outnumber live ones
-  // 4:1, so lazy deletion cannot grow the heap unboundedly. Amortized O(1) per
-  // logical erase.
-  void CompactPickIndex();
-  // Is this heap entry the current one for its thread (vs lazily deleted)?
-  bool PickEntryCurrent(const PickKey& key) const {
-    return pick_gen_by_id_[static_cast<size_t>(key.id)] == key.gen;
-  }
-  // True when the enqueued threads are slab-bound, so the goodness scan, the
-  // fallback scan, the replenish sweep, and TotalReserved can read columns.
-  bool UseColumns() const { return slabs_ != nullptr; }
-
   const Cpu& cpu_;
   RbsConfig config_;
+  // The run queue in admission order, and everything kept per position.
   std::vector<SimThread*> threads_;
-  // threads_[i]->id() — its slab slot — kept index-aligned with threads_ so column
-  // scans preserve scan order, ties, and the round-robin cursor arithmetic without
-  // touching the thread records.
-  std::vector<ThreadId> ids_;
-  // The slabs every enqueued thread is bound to (null: none are), taken from the
-  // first thread ever added.
-  const ThreadSlabs* slabs_ = nullptr;
+  // The deadline (period end, in nanos) of each reserved thread, kNeverDue for the
+  // others: OnTick replenishes exactly the positions with due_ns_ <= now.
+  std::vector<int64_t> due_ns_;
+  std::vector<Node> nodes_;
   DeadlineMissFn miss_fn_;
   size_t rr_cursor_ = 0;  // Round-robin position among non-reserved threads.
   bool indexing_on_ = false;  // Maintain/use the indexed structures right now?
@@ -214,27 +210,23 @@ class RbsScheduler : public Scheduler {
   // pipelines (1024 threads/core) above it.
   static constexpr size_t kIndexOnThreads = 96;
 
-  // --- Indexed hot-path state ---
-  std::unordered_map<SimThread*, Node> nodes_;
-  // Eligible reserved threads (runnable, budget > 0): a vector-backed binary
-  // min-heap with lazy deletion — allocation-free pushes, O(1) logical erase —
-  // instead of a node-based ordered set, because the farm transitions threads
-  // in and out of eligibility millions of times per second. `pick_live_` counts
-  // the current (non-stale) entries; CompactPickIndex() bounds the garbage.
-  std::vector<PickKey> pick_index_;
-  int64_t pick_live_ = 0;
-  // Current pick generation per ThreadId (0 = not in the index): lets the heap's
-  // stale-entry test read one dense word instead of chasing the (cold) thread
-  // record's sched_slot on every pick.
-  std::vector<uint64_t> pick_gen_by_id_;
+  // --- Indexed hot-path state (maintained only while indexing_on_) ---
+  // Keys with an eligible thread (runnable, reserved, budget > 0), sorted by
+  // descending key, so the best key — the smallest — is back().
+  std::vector<LiveKey> live_keys_;
+  // Bitmap slots: slot s owns bits_[s * words_, (s + 1) * words_), bit p set iff
+  // position p is eligible under key_slots_[s].key. Empty slots are all-zero and wait
+  // on free_slots_ for reuse, so steady-state maintenance allocates nothing.
+  std::vector<KeySlot> key_slots_;
+  std::vector<int32_t> free_slots_;
+  std::vector<uint64_t> bits_;
+  size_t words_ = 0;  // Words per bitmap; words_ * 64 >= threads_.size().
   // Secondary occupancy index for the round-robin fallback: how many runnable
-  // threads are non-reserved, and how many are reserved at all. Runnable reserved
-  // threads with exhausted budgets = counted_reserved_runnable - |pick_index_|,
-  // which is what work-conserving mode scans for.
+  // threads are non-reserved, and how many are reserved at all. When no thread is
+  // eligible, every counted reserved thread is exhausted, which is what
+  // work-conserving mode scans for.
   int64_t runnable_unreserved_ = 0;
   int64_t runnable_reserved_ = 0;
-  uint64_t next_seq_ = 1;
-  uint64_t next_gen_ = 1;
 };
 
 }  // namespace realrate

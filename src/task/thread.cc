@@ -81,22 +81,7 @@ void SimThread::SetReservation(Proportion proportion, Duration period) {
   proportion_ = proportion;
   period_ = period;
   if (slabs_ != nullptr) {
-    slabs_->MirrorReservation(id_, *this);
-  }
-}
-
-void SimThread::set_budget_remaining(Cycles c) {
-  budget_remaining_ = c;
-  if (slabs_ != nullptr) {
-    slabs_->MirrorBudget(id_, c);
-  }
-}
-
-void SimThread::set_period_start(TimePoint t) {
-  period_start_ = t;
-  if (slabs_ != nullptr) {
-    // Moving the period phase moves the deadline (and nothing else reservation-side).
-    slabs_->MirrorReservation(id_, *this);
+    slabs_->MirrorGrantedPpt(id_, proportion.ppt());
   }
 }
 

@@ -4,6 +4,8 @@
 #ifndef REALRATE_TASK_THREAD_H_
 #define REALRATE_TASK_THREAD_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -54,9 +56,9 @@ class SimThread {
   const std::string& name() const { return name_; }
   WorkModel& work() { return *work_; }
 
-  // Hot-field setters (state, policy, importance, affinity, reservation, budget,
-  // period phase) write through to the bound slab columns, so they are
-  // defined out of line in thread.cc — every other accessor stays inline.
+  // Hot-field setters (state, policy, importance, affinity, reservation) write
+  // through to the bound slab columns, so they are defined out of line in
+  // thread.cc — every other accessor stays inline.
 
   ThreadState state() const { return state_; }
   void set_state(ThreadState s);
@@ -89,24 +91,26 @@ class SimThread {
 
   // --- Per-period budget bookkeeping (maintained by the RBS scheduler) ---
   Cycles budget_remaining() const { return budget_remaining_; }
-  void set_budget_remaining(Cycles c);
+  void set_budget_remaining(Cycles c) { budget_remaining_ = c; }
   // Budget the thread was entitled to at the start of the current period. Deadline
   // misses are judged against this snapshot, so a controller raising the proportion
   // mid-period does not retroactively create "misses".
   Cycles period_entitlement() const { return period_entitlement_; }
   void set_period_entitlement(Cycles c) { period_entitlement_ = c; }
   TimePoint period_start() const { return period_start_; }
-  void set_period_start(TimePoint t);
+  void set_period_start(TimePoint t) { period_start_ = t; }
   int64_t deadline_misses() const { return deadline_misses_; }
   void CountDeadlineMiss() { ++deadline_misses_; }
 
   // --- Scheduler-private slot ---
-  // Opaque per-thread state owned by the scheduler instance the thread is currently
-  // enqueued on (set by its AddThread, cleared by its RemoveThread). Exists so the
-  // dispatch hot path reaches its per-thread index node without a hash lookup; no
-  // one but the owning scheduler may interpret it. See RbsScheduler::Node.
-  void* sched_slot() const { return sched_slot_; }
-  void set_sched_slot(void* slot) { sched_slot_ = slot; }
+  // The thread's position in the run queue of the scheduler instance it is currently
+  // enqueued on (set by its AddThread, renumbered and cleared by its RemoveThread;
+  // kNoSchedSlot when enqueued nowhere). Exists so the dispatch hot path reaches its
+  // per-position state without a hash lookup; no one but the owning scheduler may
+  // interpret it. See RbsScheduler::PositionOf.
+  static constexpr size_t kNoSchedSlot = SIZE_MAX;
+  size_t sched_slot() const { return sched_slot_; }
+  void set_sched_slot(size_t slot) { sched_slot_ = slot; }
 
   // --- Hot-field slab binding (see task/thread_slabs.h) ---
   // The slabs this thread's hot fields are mirrored into (null when unbound). Its
@@ -181,7 +185,7 @@ class SimThread {
   TimePoint last_wake_time_;
   int64_t deadline_misses_ = 0;
 
-  void* sched_slot_ = nullptr;
+  size_t sched_slot_ = kNoSchedSlot;
 
   int priority_ = 0;
   int counter_ = 0;

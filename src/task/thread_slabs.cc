@@ -14,9 +14,6 @@ void ThreadSlabs::Bind(SimThread* thread) {
   policy_.push_back(t.policy());
   cpu_.push_back(t.cpu());
   granted_ppt_.push_back(t.proportion().ppt());
-  rm_rank_.push_back(PeriodRank(t.period()));
-  deadline_nanos_.push_back((t.period_start() + t.period()).nanos());
-  budget_.push_back(t.budget_remaining());
   importance_.push_back(t.importance());
   const auto i = static_cast<size_t>(t.id());
   CountSlot(i, +1);
@@ -32,9 +29,7 @@ bool ThreadSlabs::MatchesObject(const SimThread& t) const {
   }
   const size_t i = static_cast<size_t>(t.id());
   return state_[i] == t.state() && policy_[i] == t.policy() && cpu_[i] == t.cpu() &&
-         granted_ppt_[i] == t.proportion().ppt() && rm_rank_[i] == PeriodRank(t.period()) &&
-         deadline_nanos_[i] == (t.period_start() + t.period()).nanos() &&
-         budget_[i] == t.budget_remaining() && importance_[i] == t.importance();
+         granted_ppt_[i] == t.proportion().ppt() && importance_[i] == t.importance();
 }
 
 ThreadArena::~ThreadArena() {

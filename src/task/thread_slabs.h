@@ -1,11 +1,10 @@
-// Cache-conscious thread state: the hot fields the dispatch pick and the controller
-// tick touch for *every* thread — run state, policy, core affinity, reservation
-// (granted ppt, period rank, period deadline), remaining budget, importance —
-// mirrored out of the SimThread heap objects into structure-of-arrays slabs, plus
-// the arena the thread records themselves are allocated from.
+// Cache-conscious thread state: the hot fields the machine and the controller tick
+// touch for *every* thread — run state, policy, core affinity, granted reservation,
+// importance — mirrored out of the SimThread heap objects into structure-of-arrays
+// slabs, plus the arena the thread records themselves are allocated from.
 //
-// Why: at 4k threads/core the per-thread sweeps (goodness scan, replenish sweep,
-// placement census, idle-suspension check, controller stages) chase one heap object
+// Why: at 4k threads/core the per-thread sweeps (placement census, rebalancing,
+// idle-suspension check, controller stages) chase one heap object
 // per thread — ~200 bytes each, pointer-rich, allocator-scattered — and blow L2. The
 // slab columns pack the same decisions into a few contiguous bytes per thread, so a
 // sweep touches cachelines proportional to the *fields it reads*, not to sizeof
@@ -14,12 +13,13 @@
 // Ownership and coherence model:
 //   - SimThread remains the canonical store. Every hot-field setter on SimThread
 //     write-throughs to its bound slab (see task/thread.cc), so the columns are
-//     coherent at every instant — not rebuilt per tick. Readers (RbsScheduler column
-//     scans, Machine census/rebalance/idle checks, controller stages) never observe
+//     coherent at every instant — not rebuilt per tick. Readers (Machine
+//     census/rebalance/idle checks, controller stages) never observe
 //     staleness; the invariant oracle (harness/invariants.h) checks
 //     slab == object at every pick and controller tick of a fuzzed run.
-//   - Every column has a production reader (a scheduler, Machine or controller
-//     sweep); a field only the oracle would read stays on the object alone. The
+//   - Every column has a production reader (a Machine or controller sweep); a field
+//     only the oracle would read stays on the object alone, and the scheduler keeps
+//     its own per-position state (sched/rbs.h). The
 //     slabs are read-only to everything but the SimThread setters.
 //   - The columns are append-only and indexed by ThreadId: the registry binds each
 //     thread as it creates it, so slot == id, and a thread keeps its slot for the
@@ -45,12 +45,6 @@
 #include "util/types.h"
 
 namespace realrate {
-
-// The rate-monotonic period rank: periods-per-hour, so any realistic period (>= 1 ms)
-// maps to a positive, strictly rate-ordered value. Shared by RbsScheduler::Goodness
-// (the scan's semantics), the pick index, and the slab's rm_rank column, so no two
-// consumers can ever disagree on ordering.
-inline int64_t PeriodRank(Duration period) { return Duration::Seconds(3600) / period; }
 
 // Bound threads keep a pointer to their slabs, so the slabs must outlive them.
 class ThreadSlabs {
@@ -99,13 +93,6 @@ class ThreadSlabs {
   CpuId cpu(int32_t slot) const { return cpu_[static_cast<size_t>(slot)]; }
   // The granted reservation, as the scheduler/controller actuated it.
   int32_t granted_ppt(int32_t slot) const { return granted_ppt_[static_cast<size_t>(slot)]; }
-  int64_t rm_rank(int32_t slot) const { return rm_rank_[static_cast<size_t>(slot)]; }
-  // End of the current period (period_start + period) in nanos: the EDF pick key and
-  // the replenish due time.
-  int64_t deadline_nanos(int32_t slot) const {
-    return deadline_nanos_[static_cast<size_t>(slot)];
-  }
-  Cycles budget(int32_t slot) const { return budget_[static_cast<size_t>(slot)]; }
   double importance(int32_t slot) const { return importance_[static_cast<size_t>(slot)]; }
 
   // Do `t`'s columns equal the object's canonical fields?
@@ -142,18 +129,13 @@ class ThreadSlabs {
     CountSlot(i, +1);
   }
   void MirrorImportance(int32_t slot, double w) { importance_[static_cast<size_t>(slot)] = w; }
-  void MirrorBudget(int32_t slot, Cycles c) { budget_[static_cast<size_t>(slot)] = c; }
-  // Re-derives the reservation columns (granted ppt, rank, deadline) from the
-  // object's current proportion/period/period_start.
-  void MirrorReservation(int32_t slot, const SimThread& t) {
+  void MirrorGrantedPpt(int32_t slot, int32_t ppt) {
     const size_t i = static_cast<size_t>(slot);
-    if (granted_ppt_[i] != t.proportion().ppt()) {
+    if (granted_ppt_[i] != ppt) {
       CountSlot(i, -1);
-      granted_ppt_[i] = t.proportion().ppt();
+      granted_ppt_[i] = ppt;
       CountSlot(i, +1);
     }
-    rm_rank_[i] = PeriodRank(t.period());
-    deadline_nanos_[i] = (t.period_start() + t.period()).nanos();
   }
 
   struct CoreCensus {
@@ -198,9 +180,6 @@ class ThreadSlabs {
   std::vector<SchedPolicy> policy_;
   std::vector<CpuId> cpu_;
   std::vector<int32_t> granted_ppt_;
-  std::vector<int64_t> rm_rank_;
-  std::vector<int64_t> deadline_nanos_;
-  std::vector<Cycles> budget_;
   std::vector<double> importance_;
 
   std::atomic<int64_t> runnable_count_{0};

@@ -467,6 +467,21 @@ TEST(DifferentialRunnerTest, PickOracleChecksIndexedPicksOnAHighThreadBucketSeed
   EXPECT_GT(outcome.indexed_pick_checks, 0);
 }
 
+TEST(DifferentialRunnerTest, PickOracleChecksIndexedEdfPicksOnAHighThreadBucketSeed) {
+  // The same seed under EDF: the index keys eligible threads by period deadline,
+  // and the oracle re-derives every pick by a fresh earliest-deadline scan.
+  const WorkloadSpec spec = GenerateWorkload(11);
+  RunOptions edf;
+  edf.rbs_order = DispatchOrder::kEarliestDeadlineFirst;
+  const RunOutcome outcome = RunWorkload(spec, edf);
+  EXPECT_EQ(outcome.violation_count, 0);
+  EXPECT_GT(outcome.indexed_pick_checks, 0);
+  EXPECT_NE(outcome.trace_hash, RunWorkload(spec, RunOptions{}).trace_hash);  // Order mattered.
+  const SeedReport report = CheckSeed(11, SeedCheckOptions{.run_metamorphic = false});
+  EXPECT_TRUE(report.ok()) << (report.ok() ? "" : report.failures.front());
+  EXPECT_EQ(report.edf_indexed_pick_checks, outcome.indexed_pick_checks);
+}
+
 TEST(DifferentialRunnerTest, HostThreadsAreTraceInvariantOnOneHundredSeeds) {
   // The parallel-engine pin: across 100 generated workloads — every scheduler-
   // relevant bucket the generator produces, including the high-thread-count farms —

@@ -1,3 +1,4 @@
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -6,6 +7,7 @@
 #include "queue/registry.h"
 #include "queue/sim_mutex.h"
 #include "queue/tty.h"
+#include "util/rng.h"
 
 namespace realrate {
 namespace {
@@ -123,6 +125,64 @@ TEST(BoundedBufferTest, FailedPushDoesNotWakeAnyone) {
   EXPECT_EQ(wakes, 0);
 }
 
+TEST(BoundedBufferTest, WakeKeepsTheWaiterListsBlock) {
+  // A wake hands the list's storage back when no callback re-registered, so the next
+  // wait reuses it: the steady block/wake cycle allocates nothing.
+  BoundedBuffer q(0, "q", 100);
+  q.SetWakeFn([](ThreadId) {});
+  q.WaitForData(1);
+  q.WaitForData(2);
+  const ThreadId* block = q.waiting_consumers().data();
+  q.TryPush(10);
+  EXPECT_TRUE(q.waiting_consumers().empty());
+  q.WaitForData(3);
+  EXPECT_EQ(q.waiting_consumers().data(), block);
+}
+
+TEST(BoundedBufferTest, WaiterReRegisteringInsideTheWakeStaysRegistered) {
+  BoundedBuffer q(0, "q", 100);
+  std::vector<ThreadId> woken;
+  q.SetWakeFn([&](ThreadId t) {
+    woken.push_back(t);
+    if (t == 8) {
+      q.WaitForData(t);  // Wants more data than this push brought.
+    }
+  });
+  q.WaitForData(7);
+  q.WaitForData(8);
+  q.TryPush(10);
+  EXPECT_EQ(woken, (std::vector<ThreadId>{7, 8}));
+  EXPECT_EQ(q.waiting_consumers(), (std::vector<ThreadId>{8}));
+  q.TryPush(10);  // The re-registered waiter is woken by the next push.
+  EXPECT_EQ(woken, (std::vector<ThreadId>{7, 8, 8}));
+  EXPECT_EQ(q.waiting_consumers(), (std::vector<ThreadId>{8}));
+}
+
+TEST(BoundedBufferTest, NestedWakeOnTheSameBufferIsSafe) {
+  // The callback re-registers a waiter and pushes again, so WakeAll re-enters on the
+  // list it is draining: every waiter is woken once per wake that found it, in order.
+  BoundedBuffer q(0, "q", 100);
+  std::vector<ThreadId> woken;
+  int nested = 0;
+  q.SetWakeFn([&](ThreadId t) {
+    woken.push_back(t);
+    if (t == 1 && nested++ == 0) {
+      q.WaitForData(9);
+      q.TryPush(1);  // Nested wake: drains {9} while {1, 2} is being woken.
+      q.WaitForData(10);
+    }
+  });
+  q.WaitForData(1);
+  q.WaitForData(2);
+  q.TryPush(1);
+  EXPECT_EQ(woken, (std::vector<ThreadId>{1, 9, 2}));
+  EXPECT_EQ(q.waiting_consumers(), (std::vector<ThreadId>{10}));
+  EXPECT_EQ(q.fill(), 2);
+  q.TryPush(1);
+  EXPECT_EQ(woken, (std::vector<ThreadId>{1, 9, 2, 10}));
+  EXPECT_TRUE(q.waiting_consumers().empty());
+}
+
 // ---------------------------------------------------------------------------
 // Edge cases: zero-capacity queues, exactly-full writes, oversized items. The
 // contracts abort in every build type (util/assert.h), so violations are death
@@ -236,6 +296,69 @@ TEST(QueueRegistryTest, UnregisterRemovesAllLinkages) {
   reg.Register(q, 1, QueueRole::kConsumer);
   reg.Unregister(1);
   EXPECT_FALSE(reg.HasMetrics(1));
+}
+
+TEST(QueueRegistryTest, AggregateFillTotalsMatchAFreshSweep) {
+  // The registry's O(1) fill fraction reads running integer totals; after random
+  // pushes, pops, exact pops and a staked round they equal a sweep over the queues.
+  QueueRegistry registry;
+  EXPECT_EQ(registry.AggregateFillFraction(), 0.0);  // No queues yet.
+  auto sweep = [&registry] {
+    int64_t fill = 0;
+    int64_t capacity = 0;
+    for (const BoundedBuffer* q : registry.AllQueues()) {
+      fill += q->fill();
+      capacity += q->capacity();
+    }
+    return static_cast<double>(fill) / static_cast<double>(capacity);
+  };
+  Rng rng(25);
+  std::vector<BoundedBuffer*> queues;
+  for (int i = 0; i < 6; ++i) {
+    queues.push_back(registry.CreateQueue("q" + std::to_string(i), 50 + 37 * i));
+  }
+  BoundedBuffer standalone(99, "standalone", 40);  // Not registered: never counted.
+  for (int op = 0; op < 5'000; ++op) {
+    BoundedBuffer* q = queues[rng.NextBounded(queues.size())];
+    const auto bytes =
+        static_cast<int64_t>(1 + rng.NextBounded(static_cast<uint64_t>(q->capacity())));
+    switch (rng.NextBounded(3)) {
+      case 0:
+        q->TryPush(bytes);
+        break;
+      case 1:
+        q->TryPop(bytes);
+        break;
+      default:
+        q->TryPopExact(bytes);
+        break;
+    }
+    standalone.TryPush(1 + static_cast<int64_t>(rng.NextBounded(40)));
+    standalone.TryPop(1 + static_cast<int64_t>(rng.NextBounded(40)));
+    ASSERT_EQ(registry.AggregateFillFraction(), sweep()) << "op " << op;
+  }
+  // A staked round: ops touch only the stakes until SettleRoundStakes applies them.
+  BoundedBuffer* pushed = queues[0];
+  BoundedBuffer* popped = queues[1];
+  while (pushed->fill() > pushed->capacity() / 2) {
+    pushed->TryPop(1);
+  }
+  if (popped->fill() < 10) {
+    popped->TryPush(10);
+  }
+  BoundedBuffer::RoundStake push_stake{.budget_bytes = 8};
+  BoundedBuffer::RoundStake pop_stake{.budget_bytes = 10};
+  pushed->InstallRoundStakes(&push_stake, nullptr);
+  popped->InstallRoundStakes(nullptr, &pop_stake);
+  const double before = registry.AggregateFillFraction();
+  EXPECT_TRUE(pushed->TryPush(5));
+  EXPECT_TRUE(popped->TryPopExact(7));
+  EXPECT_EQ(popped->TryPop(3), 3);
+  EXPECT_EQ(registry.AggregateFillFraction(), before);  // Staged, not applied.
+  pushed->SettleRoundStakes();
+  popped->SettleRoundStakes();
+  EXPECT_EQ(registry.AggregateFillFraction(), sweep());
+  EXPECT_NE(registry.AggregateFillFraction(), before);
 }
 
 TEST(SimMutexTest, TryLockAndUnlock) {

@@ -1,6 +1,11 @@
 // RBS scheduler + Machine behaviour: proportion enforcement, rate-monotonic goodness,
-// budget exhaustion/replenishment, reservation updates, deadline misses.
+// budget exhaustion/replenishment, reservation updates, deadline misses; and the
+// indexed run queue checked against a fresh scan under randomized hook sequences.
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +13,7 @@
 #include "sched/rbs.h"
 #include "sim/simulator.h"
 #include "task/registry.h"
+#include "util/rng.h"
 #include "workloads/misc_work.h"
 
 namespace realrate {
@@ -249,6 +255,193 @@ TEST(RbsSchedulerTest, ShortPeriodThreadMeetsTightDeadlines) {
   EXPECT_NEAR(rig.CpuShare(iso, Duration::Seconds(1)), 0.20, 0.01);
   EXPECT_NEAR(rig.CpuShare(bulk, Duration::Seconds(1)), 0.70, 0.02);
 }
+
+// ---------------------------------------------------------------------------
+// The indexed run queue under randomized hook sequences. Two cores' schedulers
+// hold at least 96 threads each, so the pick index is on throughout. The test
+// drives the hooks the Machine drives — wake, block, run, throttle, tick — plus
+// SetReservation (proportion, rank and period changes, a few zero proportions),
+// RemoveThread and Migrate (remove from one core, admit on the other), with
+// periods drawn from a small set so equal keys tie. At every pick the index's
+// choice must equal a fresh scan in admission order; at every tick the deadline
+// misses must be exactly the due, short-changed threads, in admission order.
+// ---------------------------------------------------------------------------
+
+class RbsIndexedRunQueueTest
+    : public ::testing::TestWithParam<std::tuple<DispatchOrder, bool /*slabs*/>> {};
+
+bool Eligible(const SimThread* t) {
+  return t->IsRunnable() && t->policy() == SchedPolicy::kReservation &&
+         !t->proportion().IsZero() && t->budget_remaining() > 0;
+}
+
+// The reference pick: strict comparisons in admission order, so the earliest-admitted
+// thread wins ties.
+const SimThread* ScanBest(const RbsScheduler& rbs) {
+  const bool edf = rbs.config().order == DispatchOrder::kEarliestDeadlineFirst;
+  const SimThread* best = nullptr;
+  auto deadline = [](const SimThread* t) { return t->period_start() + t->period(); };
+  for (const SimThread* t : rbs.threads()) {
+    if (!Eligible(t)) {
+      continue;
+    }
+    if (best == nullptr || (edf ? deadline(t) < deadline(best)
+                                : PeriodRank(t->period()) > PeriodRank(best->period()))) {
+      best = t;
+    }
+  }
+  return best;
+}
+
+TEST_P(RbsIndexedRunQueueTest, IndexPickEqualsAdmissionOrderScan) {
+  const auto [order, use_slabs] = GetParam();
+  Simulator sim(CpuConfig{}, 2);
+  ThreadRegistry registry(use_slabs);
+  std::vector<std::unique_ptr<RbsScheduler>> cores;
+  for (CpuId c = 0; c < 2; ++c) {
+    cores.push_back(std::make_unique<RbsScheduler>(sim.cpu(c), RbsConfig{.order = order}));
+  }
+  std::vector<const SimThread*> misses;
+  for (auto& rbs : cores) {
+    rbs->SetDeadlineMissFn([&misses](SimThread* t, Cycles shortfall, TimePoint) {
+      EXPECT_GT(shortfall, 0);
+      misses.push_back(t);
+    });
+  }
+  constexpr Duration kPeriods[] = {Duration::Millis(5), Duration::Millis(10),
+                                   Duration::Millis(10), Duration::Millis(20)};
+  Rng rng(2025);
+  TimePoint now = TimePoint::Origin();
+  auto core_of = [&](const SimThread* t) -> RbsScheduler& {
+    return *cores[static_cast<size_t>(t->cpu())];
+  };
+  auto reserve = [&](SimThread* t) {
+    const int ppt = rng.NextBounded(16) == 0 ? 0 : 5 + static_cast<int>(rng.NextBounded(60));
+    core_of(t).SetReservation(t, Proportion::Ppt(ppt), kPeriods[rng.NextBounded(4)], now);
+  };
+  std::vector<SimThread*> all;
+  for (int i = 0; i < 2 * 130; ++i) {
+    SimThread* t = registry.Create("t" + std::to_string(i), std::make_unique<CpuHogWork>());
+    t->set_cpu(static_cast<CpuId>(i % 2));
+    core_of(t).AddThread(t);
+    reserve(t);
+    all.push_back(t);
+  }
+
+  int64_t picks_checked = 0;
+  int64_t ties_seen = 0;
+  int64_t misses_checked = 0;
+  for (int step = 0; step < 40'000; ++step) {
+    SimThread* t = all[rng.NextBounded(all.size())];
+    RbsScheduler& home = core_of(t);
+    switch (rng.NextBounded(10)) {
+      case 0:  // Wake a blocked or sleeping thread.
+        if (!t->IsRunnable()) {
+          t->set_state(ThreadState::kRunnable);
+          t->set_last_wake_time(now);
+          home.OnWake(t, now);
+        }
+        break;
+      case 1:  // Block a runnable one.
+        if (t->IsRunnable()) {
+          t->set_state(rng.NextBool(0.5) ? ThreadState::kBlocked : ThreadState::kSleeping);
+          home.OnBlock(t, now);
+        }
+        break;
+      case 2:  // New proportion, rank or period.
+        reserve(t);
+        break;
+      case 3: {  // Migrate from the fuller core, or leave and re-enter the same one.
+        const size_t here = home.threads().size();
+        const size_t there = cores[t->cpu() == 0 ? 1 : 0]->threads().size();
+        home.RemoveThread(t);
+        ASSERT_EQ(t->sched_slot(), SimThread::kNoSchedSlot);
+        if (here > there && there < 140) {
+          t->set_cpu(t->cpu() == 0 ? 1 : 0);
+        }
+        core_of(t).AddThread(t);
+        break;
+      }
+      case 4: {  // Time passes; every core ticks.
+        now += Duration::Micros(100 + static_cast<int64_t>(rng.NextBounded(3000)));
+        for (auto& rbs : cores) {
+          std::vector<const SimThread*> expected;
+          for (const SimThread* u : rbs->threads()) {
+            const bool due = u->policy() == SchedPolicy::kReservation &&
+                             !u->proportion().IsZero() &&
+                             now >= u->period_start() + u->period();
+            if (due && u->IsRunnable() && u->last_wake_time() <= u->period_start() &&
+                u->cycles_this_period() < u->period_entitlement()) {
+              expected.push_back(u);
+            }
+          }
+          misses.clear();
+          rbs->OnTick(now);
+          ASSERT_EQ(misses, expected) << "step " << step;
+          misses_checked += static_cast<int64_t>(expected.size());
+          for (const SimThread* u : rbs->threads()) {
+            if (u->policy() == SchedPolicy::kReservation && !u->proportion().IsZero()) {
+              ASSERT_LT(now, u->period_start() + u->period()) << u->name() << " not replenished";
+            }
+          }
+        }
+        break;
+      }
+      default: {  // Dispatch on one core: the index's pick against the scan.
+        RbsScheduler& rbs = *cores[rng.NextBounded(2)];
+        ASSERT_TRUE(rbs.indexing_active());
+        const SimThread* best = ScanBest(rbs);
+        SimThread* pick = rbs.PickNext(now);
+        if (best != nullptr) {
+          ASSERT_EQ(pick, best) << "step " << step << ": picked "
+                                << (pick ? pick->name() : "none") << ", scan says "
+                                << best->name();
+          ++picks_checked;
+          ties_seen += std::count_if(rbs.threads().begin(), rbs.threads().end(),
+                                     [&](const SimThread* u) {
+                                       return u != best && Eligible(u) &&
+                                              u->period() == best->period() &&
+                                              (order == DispatchOrder::kRateMonotonic ||
+                                               u->period_start() == best->period_start());
+                                     }) > 0;
+        } else if (pick != nullptr) {
+          ASSERT_FALSE(Eligible(pick));
+        }
+        if (pick == nullptr) {
+          break;
+        }
+        pick->set_state(ThreadState::kRunning);
+        const Cycles used = rbs.MaxGrant(pick, 1 + static_cast<Cycles>(rng.NextBounded(300'000)));
+        pick->OnRan(used);
+        rbs.OnRan(pick, used, now);
+        pick->set_state(ThreadState::kRunnable);
+        if (rbs.ThrottleUntil(pick, now).has_value()) {
+          pick->set_state(ThreadState::kSleeping);
+          rbs.OnBlock(pick, now);
+        }
+        break;
+      }
+    }
+  }
+  EXPECT_GT(picks_checked, 5'000);
+  EXPECT_GT(ties_seen, 200);  // Equal keys: the position tie-break decided.
+  EXPECT_GT(misses_checked, 100);
+  for (auto& rbs : cores) {
+    EXPECT_TRUE(rbs->indexing_active());
+    EXPECT_GE(rbs->threads().size(), 96u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OrdersAndLayouts, RbsIndexedRunQueueTest,
+    ::testing::Combine(::testing::Values(DispatchOrder::kRateMonotonic,
+                                         DispatchOrder::kEarliestDeadlineFirst),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) == DispatchOrder::kRateMonotonic ? "Rm"
+                                                                                  : "Edf") +
+             (std::get<1>(info.param) ? "Slabs" : "NoSlabs");
+    });
 
 }  // namespace
 }  // namespace realrate

@@ -1,7 +1,7 @@
 // Hot-field slabs and thread arena (task/thread_slabs.h): append-only binding with
 // slot == ThreadId and its preconditions, write-through mirroring, the per-core
 // placement census, migration slot stability, scheduler removal mid-run, the
-// scheduler's one-layout/one-id preconditions, pick-index activation, and the trace
+// scheduler's enqueued-once precondition, pick-index activation, and the trace
 // recorder's hash-only mode the farm scenarios lean on.
 #include <memory>
 #include <string>
@@ -55,8 +55,6 @@ TEST(ThreadSlabsTest, BindSeedsColumnsFromObject) {
   EXPECT_EQ(rig.slabs.policy(slot), SchedPolicy::kReservation);
   EXPECT_EQ(rig.slabs.cpu(slot), 3);
   EXPECT_EQ(rig.slabs.granted_ppt(slot), 250);
-  EXPECT_EQ(rig.slabs.rm_rank(slot), PeriodRank(Duration::Millis(20)));
-  EXPECT_EQ(rig.slabs.deadline_nanos(slot), (t->period_start() + t->period()).nanos());
   EXPECT_TRUE(rig.slabs.MatchesObject(*t));
   // A reservation bound in counts once in its core's census.
   EXPECT_EQ(rig.slabs.runnable_count(), 1);
@@ -85,7 +83,6 @@ TEST(ThreadSlabsTest, SettersWriteThroughToColumns) {
   t->set_policy(SchedPolicy::kReservation);
   t->SetReservation(Proportion::Ppt(77), Duration::Millis(7));
   EXPECT_EQ(rig.slabs.granted_ppt(slot), 77);
-  EXPECT_EQ(rig.slabs.rm_rank(slot), PeriodRank(Duration::Millis(7)));
   t->set_importance(4.5);
   EXPECT_EQ(rig.slabs.importance(slot), 4.5);
   EXPECT_TRUE(rig.slabs.MatchesObject(*t));
@@ -235,42 +232,21 @@ TEST(ThreadSlabsTest, SchedulerRemoveMidRunKeepsSlabBindingAndReindexes) {
   }
 }
 
-TEST(ThreadSlabsDeathTest, SchedulerRejectsASecondSlabLayout) {
-  // One RbsScheduler reads one set of slab columns: its first thread fixes which.
-  Simulator sim;
-  ThreadRegistry mine;
-  ThreadRegistry other;
-  ThreadRegistry slabless(/*use_slabs=*/false);
-  for (int i = 0; i < 2; ++i) {
-    mine.Create("m", std::make_unique<CpuHogWork>());
-    other.Create("o", std::make_unique<CpuHogWork>());
-    slabless.Create("s", std::make_unique<CpuHogWork>());
-  }
-  // Ids 0 and 1 in each registry: id 0 enqueued, the other layouts' id 1 offered,
-  // so the layout check fires, not the duplicate-id one.
-  RbsScheduler rbs(sim.cpu());
-  rbs.AddThread(mine.All()[0]);
-  EXPECT_DEATH(rbs.AddThread(other.All()[1]), "Precondition failed: thread->bound_slabs");
-  EXPECT_DEATH(rbs.AddThread(slabless.All()[1]), "Precondition failed: thread->bound_slabs");
-
-  RbsScheduler aos(sim.cpu());  // A slab-less first thread: bound ones are foreign.
-  aos.AddThread(slabless.All()[0]);
-  EXPECT_DEATH(aos.AddThread(mine.All()[1]), "Precondition failed: thread->bound_slabs");
-}
-
-TEST(ThreadSlabsDeathTest, SchedulerRejectsADuplicateId) {
-  // Ids key the pick-generation table, so one scheduler holds one thread per id —
-  // a stronger check than rejecting the same pointer twice.
-  Simulator sim;
-  ThreadRegistry left(/*use_slabs=*/false);
-  ThreadRegistry right(/*use_slabs=*/false);
-  SimThread* a = left.Create("a", std::make_unique<CpuHogWork>());
-  SimThread* twin = right.Create("twin", std::make_unique<CpuHogWork>());
-  ASSERT_EQ(a->id(), twin->id());
-  RbsScheduler rbs(sim.cpu());
-  rbs.AddThread(a);
-  EXPECT_DEATH(rbs.AddThread(a), "Precondition failed: std::find\\(ids_");
-  EXPECT_DEATH(rbs.AddThread(twin), "Precondition failed: std::find\\(ids_");
+TEST(ThreadSlabsDeathTest, SchedulerRejectsAThreadEnqueuedElsewhere) {
+  // A thread's sched_slot is its position in one run queue, so a thread joins a
+  // scheduler only while enqueued nowhere — not twice here, not while another
+  // core's scheduler holds it.
+  Simulator sim(CpuConfig{}, 2);
+  ThreadRegistry threads;
+  SimThread* t = threads.Create("t", std::make_unique<CpuHogWork>());
+  RbsScheduler here(sim.cpu(0));
+  RbsScheduler there(sim.cpu(1));
+  here.AddThread(t);
+  EXPECT_DEATH(here.AddThread(t), "Precondition failed: thread->sched_slot");
+  EXPECT_DEATH(there.AddThread(t), "Precondition failed: thread->sched_slot");
+  here.RemoveThread(t);
+  there.AddThread(t);  // Enqueued nowhere again: any scheduler may take it.
+  EXPECT_EQ(there.threads(), std::vector<SimThread*>{t});
 }
 
 TEST(ThreadSlabsTest, PickIndexActivatesAndDeactivatesWithHysteresis) {

@@ -179,7 +179,8 @@ int main(int argc, char** argv) {
   // staked, the 1-vs-N equality quietly stopped testing parallel queue rounds —
   // that is a harness regression, failed as loudly as a trace divergence. The same
   // holds for the pick oracle: a 100-seed battery in which no pick was checked
-  // while a core's pick index was active has stopped testing the index, and for the
+  // while a core's pick index was active has stopped testing the index (under RM, or
+  // under EDF in the battery's EDF re-runs), and for the
   // open-loop arrivals: single-machine seeds with web farms that delivered no
   // arrival through their injectors' cursors in the 1-vs-N runs leave the cursor
   // out of the comparison. (Cluster seeds take the cluster battery instead.)
@@ -189,6 +190,7 @@ int main(int argc, char** argv) {
   int64_t total_arrivals = 0;
   int64_t open_loop_seeds = 0;
   int64_t total_indexed_pick_checks = 0;
+  int64_t total_edf_indexed_pick_checks = 0;
   for (int64_t i = 0; i < args.iterations; ++i) {
     const uint64_t seed = args.seed_base + static_cast<uint64_t>(i);
     const realrate::SeedReport report = realrate::CheckSeed(seed, options);
@@ -202,6 +204,7 @@ int main(int argc, char** argv) {
     open_loop_seeds +=
         !report.spec.open_loops.empty() && report.spec.cluster.num_machines == 0 ? 1 : 0;
     total_indexed_pick_checks += report.indexed_pick_checks;
+    total_edf_indexed_pick_checks += report.edf_indexed_pick_checks;
     if (!args.quiet && (i + 1) % 25 == 0) {
       std::printf("%lld/%lld seeds ok (last: %llu)\n", static_cast<long long>(i + 1),
                   static_cast<long long>(args.iterations),
@@ -223,8 +226,10 @@ int main(int argc, char** argv) {
                 static_cast<long long>(mailbox_regime_seeds),
                 static_cast<long long>(total_arrivals),
                 static_cast<long long>(open_loop_seeds));
-    std::printf("pick oracle: %lld picks checked with the pick index active\n",
-                static_cast<long long>(total_indexed_pick_checks));
+    std::printf("pick oracle: %lld picks checked with the pick index active, %lld more "
+                "in the EDF re-runs\n",
+                static_cast<long long>(total_indexed_pick_checks),
+                static_cast<long long>(total_edf_indexed_pick_checks));
   }
   if (mailbox_regime_seeds > 0 && total_mailbox_rounds == 0) {
     std::fprintf(stderr,
@@ -248,6 +253,13 @@ int main(int argc, char** argv) {
                  "FAIL vacuity: %lld seeds ran but the oracle checked no pick made "
                  "while a core's pick index was active — the index went unchecked\n",
                  static_cast<long long>(args.iterations));
+    return 1;
+  }
+  if (args.iterations >= 100 && total_edf_indexed_pick_checks == 0) {
+    std::fprintf(stderr,
+                 "FAIL vacuity: the pick index was checked under rate-monotonic order "
+                 "but no EDF re-run checked a pick made from it — the deadline keys "
+                 "went unchecked\n");
     return 1;
   }
   return 0;
