@@ -359,6 +359,7 @@ void CheckClusterSeed(const WorkloadSpec& spec, SeedReport& report) {
   // rounds over 4 OS threads must leave every per-machine trace hash (and the
   // routed/served outcome) bit-identical.
   const ClusterFarmResult base = RunClusterFarmScenario(params);
+  report.reference_hash = base.cluster_hash;
   {
     ClusterFarmParams fanned = params;
     fanned.farm.host_threads = 4;
@@ -417,7 +418,6 @@ SeedReport CheckSeed(uint64_t seed, const SeedCheckOptions& options) {
   // feedback machine the oracle also re-derives both hot paths: every dispatch's
   // reserved best by a fresh scan, and every controller tick's ledger sums, cached
   // pressures, and slab columns.
-  uint64_t feedback_trace_hash = 0;
   int64_t feedback_progress = 0;
   int64_t feedback_dispatches = 0;
   for (const SchedulerKind kind : kAllKinds) {
@@ -426,7 +426,7 @@ SeedReport CheckSeed(uint64_t seed, const SeedCheckOptions& options) {
     run.collect_trace_dump = options.collect_trace_dump;
     const RunOutcome outcome = RunWorkload(spec, run);
     if (kind == SchedulerKind::kFeedbackRbs) {
-      feedback_trace_hash = outcome.trace_hash;
+      report.reference_hash = outcome.trace_hash;
       feedback_progress = outcome.total_progress;
       feedback_dispatches = outcome.dispatches;
       report.indexed_pick_checks = outcome.indexed_pick_checks;
@@ -456,11 +456,11 @@ SeedReport CheckSeed(uint64_t seed, const SeedCheckOptions& options) {
     slabless.collect_trace_dump = options.collect_trace_dump;
     const RunOutcome off = RunWorkload(spec, slabless);
     note_violations(off, "invariants [slabs off]");
-    if (off.trace_hash != feedback_trace_hash || off.total_progress != feedback_progress ||
+    if (off.trace_hash != report.reference_hash || off.total_progress != feedback_progress ||
         off.dispatches != feedback_dispatches) {
       report.failures.push_back(
           "slab equivalence: slabs-on and slabs-off runs diverged (hash " +
-          std::to_string(feedback_trace_hash) + " vs " + std::to_string(off.trace_hash) +
+          std::to_string(report.reference_hash) + " vs " + std::to_string(off.trace_hash) +
           ", dispatches " + std::to_string(feedback_dispatches) + " vs " +
           std::to_string(off.dispatches) + ")");
     }

@@ -146,6 +146,10 @@ struct SeedReport {
   // that run (0 when it did not). realrate_check fails a 100-seed battery with
   // indexed RM picks but no indexed EDF pick: the deadline keys would go unchecked.
   int64_t edf_indexed_pick_checks = 0;
+  // The reference run's trace hash: the feedback machine's invariant run, or the
+  // cluster hash of a cluster seed's base run. realrate_check --print-hashes
+  // prints it, so two builds' schedules can be compared seed by seed.
+  uint64_t reference_hash = 0;
   bool ok() const { return failures.empty(); }
 };
 

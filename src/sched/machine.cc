@@ -941,7 +941,7 @@ void Machine::DispatchLoop(Core& core, CpuId core_id, TimePoint now, Cycles cycl
     const Cycles grant = core.scheduler->MaxGrant(pick, cycles_left);
     RR_CHECK(grant > 0);
 
-    pick->set_state(ThreadState::kRunning);
+    pick->BeginSlice();
     const RunResult result = pick->work().Run(now, grant);
     RR_CHECK(result.used >= 0 && result.used <= grant);
     // A work model that consumes nothing must not claim to still be runnable, or the
@@ -966,7 +966,7 @@ void Machine::ApplyRunResult(Core& core, CpuId core_id, SimThread* thread,
   RR_CHECK(!in_round_ || result.next == RunResult::Next::kRunnable);
   switch (result.next) {
     case RunResult::Next::kRunnable:
-      thread->set_state(ThreadState::kRunnable);
+      thread->EndSlice();
       break;
     case RunResult::Next::kBlocked:
       InvalidateRoundGate();
@@ -976,7 +976,7 @@ void Machine::ApplyRunResult(Core& core, CpuId core_id, SimThread* thread,
       Emit(core_id, now, TraceKind::kBlock, thread->id(), result.block_tag);
       return;  // Throttling is irrelevant once off the run queue.
     case RunResult::Next::kSleeping:
-      thread->set_state(ThreadState::kRunnable);  // SleepUntil flips it to kSleeping.
+      thread->EndSlice();  // SleepUntil flips it to kSleeping.
       thread->OnBurstEnd();
       SleepUntil(thread, std::max(result.wake_at, now));  // Notifies OnBlock itself.
       return;
@@ -1046,9 +1046,9 @@ void Machine::Rebalance() {
     if (slabs_ != nullptr) {
       const int32_t slots = slabs_->slot_count();
       for (int32_t s = 0; s < slots; ++s) {
-        const ThreadState state = slabs_->state(s);
-        if (slabs_->cpu(s) != hi || state == ThreadState::kExited ||
-            state == ThreadState::kRunning ||
+        // The column never holds kRunning (SimThread::BeginSlice), and no
+        // rebalance runs inside a dispatch slice.
+        if (slabs_->cpu(s) != hi || slabs_->state(s) == ThreadState::kExited ||
             slabs_->policy(s) != SchedPolicy::kReservation) {
           continue;
         }

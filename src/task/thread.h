@@ -62,6 +62,12 @@ class SimThread {
 
   ThreadState state() const { return state_; }
   void set_state(ThreadState s);
+  // One dispatch slice's kRunnable -> kRunning -> kRunnable flip, on the record
+  // only: no column sweep runs inside a slice, so the state column and the slabs'
+  // runnable count keep kRunnable across it and the flip costs no write-through.
+  // A slice that ends in any other state leaves it through set_state.
+  void BeginSlice() { state_ = ThreadState::kRunning; }
+  void EndSlice() { state_ = ThreadState::kRunnable; }
   // When the thread last became runnable (wake from block/sleep; origin at creation).
   // The deadline-miss check uses it to ignore threads that only wanted CPU for part of
   // the period.

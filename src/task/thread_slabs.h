@@ -13,10 +13,12 @@
 // Ownership and coherence model:
 //   - SimThread remains the canonical store. Every hot-field setter on SimThread
 //     write-throughs to its bound slab (see task/thread.cc), so the columns are
-//     coherent at every instant — not rebuilt per tick. Readers (Machine
-//     census/rebalance/idle checks, controller stages) never observe
-//     staleness; the invariant oracle (harness/invariants.h) checks
-//     slab == object at every pick and controller tick of a fuzzed run.
+//     coherent at every instant outside a dispatch slice — not rebuilt per tick.
+//     (A slice's kRunning stays on the record: SimThread::BeginSlice.) Readers
+//     (Machine census/rebalance/idle checks, controller stages) never run
+//     inside a slice, so they never observe staleness; the invariant oracle
+//     (harness/invariants.h) checks slab == object at every pick and
+//     controller tick of a fuzzed run.
 //   - Every column has a production reader (a Machine or controller sweep); a field
 //     only the oracle would read stays on the object alone, and the scheduler keeps
 //     its own per-position state (sched/rbs.h). The

@@ -71,6 +71,13 @@ int64_t DrawSize(Rng& rng, int64_t base, double alpha, int64_t cap) {
   return std::clamp<int64_t>(drawn, 1, cap);
 }
 
+// Fails a precondition unless [begin, end) is non-decreasing by arrival.
+void CheckOrder(const RequestRecord* begin, const RequestRecord* end) {
+  for (const RequestRecord* r = begin; r != end && r + 1 != end; ++r) {
+    RR_EXPECTS(r->arrival <= r[1].arrival);
+  }
+}
+
 }  // namespace
 
 double LoadMultiplierAt(const std::vector<LoadSegment>& curve, Duration t) {
@@ -168,16 +175,24 @@ RequestInjector::RequestInjector(Simulator& sim, RequestSpan records, Sink sink)
   Append(records);
 }
 
-RequestInjector::~RequestInjector() { sim_.RemoveCursor(cursor_); }
+RequestInjector::~RequestInjector() {
+  // Records never delivered were never checked at delivery; check them here, so
+  // a stream out of order past the end of the run still fails.
+  CheckOrder(next_, end_);
+  for (const RequestSpan& run : queued_) {
+    CheckOrder(run.begin(), run.end());
+  }
+  sim_.RemoveCursor(cursor_);
+}
 
 void RequestInjector::Append(RequestSpan records) {
   if (records.empty()) {
     return;
   }
+  // Only the junctions are checked here: this one, and (for a drained stream)
+  // Simulator::Arm's check that the run does not start in the past. The run's
+  // own order is checked one record ahead as it is delivered, or at destruction.
   RR_EXPECTS(tail_ <= records.front().arrival);
-  for (const RequestRecord* r = records.begin() + 1; r < records.end(); ++r) {
-    RR_EXPECTS(r[-1].arrival <= r->arrival);
-  }
   tail_ = records.back().arrival;
   if (!drained()) {
     queued_.push_back(records);
@@ -201,6 +216,8 @@ void RequestInjector::Deliver() {
     end_ = queued_.front().end();
     queued_.erase(queued_.begin());
   }
+  // The record about to be armed must not arrive before the one being delivered.
+  RR_EXPECTS(drained() || r.arrival <= next_->arrival);
   ++injected_;
   sink_(r);
   Arm();

@@ -141,7 +141,20 @@ class RequestSpan {
 // ScheduleAt would, without a heap event or a copy. The stream may be given whole
 // at construction (a standalone farm) or run by run through Append (a cluster
 // node, fed its routed share at every epoch fence). Each run's owner must keep it
-// alive and in place until drained() — for a whole stream, until the run ends.
+// alive and in place until drained() or the injector's destruction, whichever
+// comes first.
+//
+// Arrivals must be non-decreasing. GenerateRequests sorts by construction and
+// ParseRequestLog rejects an out-of-order line, so the injector does not rescan
+// a stream it is handed: setup stays O(1) per run, however long the run. Each
+// record is checked once, where the check costs nothing extra:
+//   - Append checks the junction: a run starts no earlier than the last record
+//     appended before it, and a run that resumes a drained stream starts no
+//     earlier than now.
+//   - Deliver checks the record it arms next against the one it delivers.
+//   - The destructor checks whatever was never delivered.
+// A violation fails a precondition either way, before the record can reach
+// the sink or, if the run never reached it, at teardown.
 class RequestInjector {
  public:
   using Sink = std::function<void(const RequestRecord&)>;
@@ -149,9 +162,10 @@ class RequestInjector {
   // Arms the first arrival, so construct before the run begins (arrivals are
   // offsets from Origin and must not land in the simulator's past). `records` must
   // be sorted non-decreasing by arrival (GenerateRequests and ParseRequestLog both
-  // guarantee it). Must not outlive `sim`.
+  // guarantee it; see above for where it is checked). Must not outlive `sim`.
   RequestInjector(Simulator& sim, RequestSpan records, Sink sink);
-  // Removes the cursor: a destroyed injector never delivers again.
+  // Checks the order of every record not yet delivered, then removes the cursor:
+  // a destroyed injector never delivers again.
   ~RequestInjector();
   RequestInjector(const RequestInjector&) = delete;
   RequestInjector& operator=(const RequestInjector&) = delete;

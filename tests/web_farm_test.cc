@@ -3,6 +3,7 @@
 // farm (workloads/web_farm.h) — including the golden schedule pin and the
 // determinism contract tools/trace_replay re-checks from the CLI.
 #include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -215,16 +216,66 @@ TEST(RequestInjectorTest, AppendWhilePendingContinuesTheChain) {
   EXPECT_EQ(rig.injector.injected(), 4);
 }
 
+// Where each order check fails, told apart by the condition it prints.
+constexpr const char* kJunctionCheck = "Precondition failed: tail_ <= records.front";
+constexpr const char* kDeliveryCheck = "Precondition failed: .*r.arrival <= next_->arrival";
+constexpr const char* kTeardownCheck = "Precondition failed: r->arrival <= r\\[1\\].arrival";
+
 TEST(RequestInjectorTest, OutOfOrderAppendDies) {
   InjectorRig rig;
   const Records early{At(1)};
   const Records unsorted{At(7), At(6)};
-  // Earlier than the stream's last record, pending or not.
-  EXPECT_DEATH(rig.injector.Append(early), "Precondition failed");
+  // A junction earlier than the stream's last record dies at Append, pending or not.
+  EXPECT_DEATH(rig.injector.Append(early), kJunctionCheck);
   rig.sim.RunUntil(TimePoint::Origin() + Duration::Millis(5));
-  EXPECT_DEATH(rig.injector.Append(early), "Precondition failed");
-  // An unsorted batch.
-  EXPECT_DEATH(rig.injector.Append(unsorted), "Precondition failed");
+  EXPECT_DEATH(rig.injector.Append(early), kJunctionCheck);
+  // An unsorted batch is taken, and dies when delivery reaches it.
+  EXPECT_DEATH(
+      {
+        rig.injector.Append(unsorted);
+        rig.sim.RunUntil(TimePoint::Origin() + Duration::Millis(10));
+      },
+      kDeliveryCheck);
+}
+
+TEST(RequestInjectorTest, MidStreamOutOfOrderPairDiesWhenReached) {
+  // Construction does not scan the stream: the first arrival is delivered, and the
+  // run dies at 3 ms, delivering the record the 2 ms one follows, before the 2 ms
+  // one is armed.
+  const auto run = [] {
+    Simulator sim;
+    const Records stream{At(1), At(3), At(2)};
+    RequestInjector injector(sim, stream, [&sim](const RequestRecord&) {
+      std::fprintf(stderr, "delivered at %lld ms\n",
+                   static_cast<long long>((sim.Now() - TimePoint::Origin()).millis()));
+    });
+    sim.RunUntil(TimePoint::Origin() + Duration::Millis(10));
+  };
+  EXPECT_DEATH(run(), std::string("delivered at 1 ms\n") + kDeliveryCheck);
+}
+
+TEST(RequestInjectorTest, UndeliveredOutOfOrderTailDiesAtDestruction) {
+  // Out of order in the current run, past the point the run reached.
+  const auto current_run = [] {
+    Simulator sim;
+    const Records stream{At(1), At(2), At(9), At(8)};
+    RequestInjector injector(sim, stream, [](const RequestRecord&) {});
+    sim.RunUntil(TimePoint::Origin() + Duration::Millis(5));
+  };
+  EXPECT_DEATH(current_run(), kTeardownCheck);
+  // Out of order in a run still queued behind the pending one.
+  const auto queued_run = [] {
+    const Records unsorted{At(7), At(6)};  // Outlives the injector that borrows it.
+    InjectorRig rig;
+    rig.injector.Append(unsorted);
+  };
+  EXPECT_DEATH(queued_run(), kTeardownCheck);
+  // A sorted undelivered tail is no failure.
+  Simulator sim;
+  const Records stream{At(1), At(2), At(8), At(9)};
+  RequestInjector injector(sim, stream, [](const RequestRecord&) {});
+  sim.RunUntil(TimePoint::Origin() + Duration::Millis(5));
+  EXPECT_EQ(injector.injected(), 2);
 }
 
 TEST(RequestInjectorTest, SinkReadsEveryRunInPlaceAndInOrder) {

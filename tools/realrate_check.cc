@@ -8,8 +8,13 @@
 //
 // Usage:
 //   realrate_check [--iterations N] [--seed-base S] [--dump-dir DIR]
-//                  [--no-metamorphic] [--host-threads N] [--quiet]
+//                  [--no-metamorphic] [--host-threads N] [--quiet] [--print-hashes]
 //   realrate_check --seed S          # one seed, verbose (the repro mode)
+//
+// --print-hashes adds one line per seed, "seed S hash H", with the reference run's
+// trace hash (the feedback machine's, or a cluster seed's cluster hash). Two
+// builds that should schedule identically can then be byte-diffed over many
+// random workloads, not only checked for self-consistency.
 //
 // Every numeric flag is validated strictly: negative values, garbage, overflow, and
 // out-of-range widths (--host-threads needs >= 2; omit the flag for the hardware
@@ -34,6 +39,7 @@ struct Args {
   bool single = false;
   bool metamorphic = true;
   bool quiet = false;
+  bool print_hashes = false;
   // Widest host-thread count for the host-thread equivalence pass; 0 means "use
   // the host's hardware concurrency" (SeedCheckOptions::equivalence_host_threads).
   int64_t host_threads = 0;
@@ -44,7 +50,7 @@ struct Args {
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--iterations N] [--seed-base S] [--seed S] [--dump-dir DIR]\n"
-               "          [--no-metamorphic] [--host-threads N] [--quiet]\n",
+               "          [--no-metamorphic] [--host-threads N] [--quiet] [--print-hashes]\n",
                argv0);
 }
 
@@ -94,6 +100,8 @@ bool Parse(int argc, char** argv, Args& args) {
       args.metamorphic = false;
     } else if (arg == "--quiet") {
       args.quiet = true;
+    } else if (arg == "--print-hashes") {
+      args.print_hashes = true;
     } else {
       Usage(argv[0]);
       return false;
@@ -150,6 +158,11 @@ int ReportFailure(const Args& args, const realrate::SeedReport& report) {
   return 1;
 }
 
+void PrintHash(const realrate::SeedReport& report) {
+  std::printf("seed %llu hash %016llx\n", static_cast<unsigned long long>(report.seed),
+              static_cast<unsigned long long>(report.reference_hash));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -167,6 +180,9 @@ int main(int argc, char** argv) {
       return ReportFailure(args, report);  // Prints the spec with the failures.
     }
     std::printf("%s", report.spec.ToString().c_str());
+    if (args.print_hashes) {
+      PrintHash(report);
+    }
     std::printf("seed %llu: all invariants and metamorphic properties hold\n",
                 static_cast<unsigned long long>(args.single_seed));
     return 0;
@@ -196,6 +212,9 @@ int main(int argc, char** argv) {
     const realrate::SeedReport report = realrate::CheckSeed(seed, options);
     if (!report.ok()) {
       return ReportFailure(args, report);
+    }
+    if (args.print_hashes) {
+      PrintHash(report);
     }
     total_parallel_rounds += report.equivalence_parallel_rounds;
     total_mailbox_rounds += report.equivalence_mailbox_rounds;
