@@ -34,7 +34,7 @@ ClusterFarmResult RunClusterFarmScenario(const ClusterFarmParams& params) {
   // it; for M > 1 the router walks it and copies each record once, into its
   // machine's batch buffer, which the node's injector then borrows.
   std::vector<RequestRecord> generated;
-  const std::vector<RequestRecord>& records = WebFarmStream(params.farm, generated);
+  const RequestSpan records = WebFarmStream(params.farm, generated);
   const auto offered = static_cast<int64_t>(records.size());
   // One batch buffer per node, refilled at every fence when M > 1. Declared
   // before the farms so the buffers outlive the injectors that borrow them.
@@ -56,7 +56,7 @@ ClusterFarmResult RunClusterFarmScenario(const ClusterFarmParams& params) {
     // then take their places in the simulator's event order exactly as a bare
     // RunWebFarmScenario's do, which is what keeps the M = 1 trace pin bit-exact.
     // M > 1 appends each epoch's routed batch at the fence below.
-    const RequestSpan whole = machines == 1 ? RequestSpan(records) : RequestSpan();
+    const RequestSpan whole = machines == 1 ? records : RequestSpan();
     farms.push_back(BuildWebFarm(WebFarmBuildOf(params.farm, whole), node.sim(),
                                  node.threads(), node.queues(), node.machine(),
                                  &node.controller()));

@@ -16,8 +16,10 @@
 // snapshots into one batch buffer per node, which that node's injector borrows.
 //
 // Lifetime: the scenario reads `farm.replay`, or the one stream it generates, in
-// place and never copies it whole. A node's batch buffer is refilled only at a
-// fence, once its injector has drained the batch (an RR_CHECK holds it to that).
+// place and never copies it whole. `farm.replay` borrows the caller's vector (see
+// WebFarmParams::replay): the replay must stay alive and in place for the call. A
+// node's batch buffer is refilled only at a fence, once its injector has drained
+// the batch (an RR_CHECK holds it to that).
 #ifndef REALRATE_CLUSTER_CLUSTER_FARM_H_
 #define REALRATE_CLUSTER_CLUSTER_FARM_H_
 
@@ -33,9 +35,10 @@ namespace realrate {
 
 struct ClusterFarmParams {
   int num_machines = 4;
-  // Per-node farm and machine shape. `farm.arrivals` (or `farm.replay`)
-  // describes the CLUSTER-wide stream — offered load for the whole cluster, not
-  // per machine.
+  // Per-node farm and machine shape. `farm.arrivals` (or `farm.replay`, a
+  // borrowed stream that must stay alive and in place for the call) describes
+  // the CLUSTER-wide stream — offered load for the whole cluster, not per
+  // machine.
   WebFarmParams farm;
   // Cluster epoch: router batch + signal refresh cadence.
   Duration epoch = Duration::Millis(10);

@@ -26,6 +26,7 @@ Machine::Machine(Simulator& sim, std::vector<Scheduler*> schedulers, ThreadRegis
   }
   cycles_per_tick_ = sim_.cpu().DurationToCycles(config.dispatch_interval);
   RR_EXPECTS(cycles_per_tick_ > 0);
+  dispatch_cost_ = config.charge_overheads ? sim_.cpu().DispatchCostAt(dispatch_hz()) : 0;
   RR_EXPECTS(config.host_threads >= 1);
   // One host thread per simulated core at most; a 1-core machine never forks.
   const int host = std::min(config.host_threads, num_cpus());
@@ -820,9 +821,8 @@ void Machine::AccountIdleTick(CpuId core_id) {
   core.stolen_backlog -= absorbed;
   ++core.dispatches;
   if (config_.charge_overheads) {
-    const Cycles dispatch_cost = cpu.DispatchCostAt(dispatch_hz());
-    cpu.Charge(CpuUse::kDispatch, dispatch_cost);
-    cycles_left -= std::min(dispatch_cost, cycles_left);
+    cpu.Charge(CpuUse::kDispatch, dispatch_cost_);
+    cycles_left -= std::min(dispatch_cost_, cycles_left);
   }
   if (cycles_left > 0) {
     cpu.Charge(CpuUse::kIdle, cycles_left);
@@ -863,9 +863,8 @@ void Machine::AccountSkippedTicks(TimePoint upto, bool inclusive) {
           cpu.Charge(CpuUse::kTimer, timer * count);
           cycles_left -= timer;  // Absorbed from the same tick's capacity.
         }
-        const Cycles dispatch_cost = cpu.DispatchCostAt(dispatch_hz());
-        cpu.Charge(CpuUse::kDispatch, dispatch_cost * count);
-        cycles_left -= std::min(dispatch_cost, cycles_left);
+        cpu.Charge(CpuUse::kDispatch, dispatch_cost_ * count);
+        cycles_left -= std::min(dispatch_cost_, cycles_left);
       }
       if (cycles_left > 0) {
         cpu.Charge(CpuUse::kIdle, cycles_left * count);
@@ -900,15 +899,13 @@ void Machine::ResumeTicking() {
 
 void Machine::DispatchLoop(Core& core, CpuId core_id, TimePoint now, Cycles cycles_left) {
   Cpu& cpu = sim_.cpu(core_id);
-  const Cycles dispatch_cost =
-      config_.charge_overheads ? cpu.DispatchCostAt(dispatch_hz()) : 0;
 
   while (cycles_left > 0) {
     // schedule() runs at every dispatch point.
     ++core.dispatches;
     if (config_.charge_overheads) {
-      cpu.Charge(CpuUse::kDispatch, dispatch_cost);
-      cycles_left -= std::min(dispatch_cost, cycles_left);
+      cpu.Charge(CpuUse::kDispatch, dispatch_cost_);
+      cycles_left -= std::min(dispatch_cost_, cycles_left);
       if (cycles_left == 0) {
         break;
       }

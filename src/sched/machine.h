@@ -368,6 +368,9 @@ class Machine {
   MachineConfig config_;
   std::vector<Core> cores_;
   Cycles cycles_per_tick_ = 0;
+  // schedule()'s charge per dispatch at this dispatch rate (every core's cost
+  // model is the same); 0 when overheads are not charged.
+  Cycles dispatch_cost_ = 0;
 
   // The registry's slabs (null when disabled). Slot == ThreadId and slot order is
   // creation order, so the machine-wide sweeps (census, rebalancer victim scan,

@@ -22,17 +22,19 @@ Duration NextBoundaryAfter(const std::vector<LoadSegment>& curve, Duration t,
   return horizon;
 }
 
-// Appends the arrival offsets of a Poisson process with base rate `per_sec`,
-// modulated by the piecewise-constant curve. Exact (no thinning): within a segment
-// the rate is constant so exponential gaps are exact, and at each segment boundary
-// the in-flight gap is discarded and redrawn at the new rate — valid because the
-// exponential is memoryless, deterministic because the draw sequence is a pure
-// function of (seed, curve, horizon). More than `max_count` arrivals before the
-// horizon fails the stream's cap (see ArrivalConfig::max_requests).
-void AppendPoissonTimes(Rng& rng, double per_sec, const std::vector<LoadSegment>& curve,
-                        Duration horizon, int64_t max_count, std::vector<Duration>& out) {
+// Visits, in order, the arrival offsets of a Poisson process with base rate
+// `per_sec`, modulated by the piecewise-constant curve. Exact (no thinning): within
+// a segment the rate is constant so exponential gaps are exact, and at each segment
+// boundary the in-flight gap is discarded and redrawn at the new rate — valid
+// because the exponential is memoryless, deterministic because the draw sequence is
+// a pure function of (seed, curve, horizon). More than `max_count` arrivals before
+// the horizon fails the stream's cap (see ArrivalConfig::max_requests).
+template <class Visit>
+void ForEachPoissonTime(Rng& rng, double per_sec, const std::vector<LoadSegment>& curve,
+                        Duration horizon, int64_t max_count, Visit visit) {
   RR_EXPECTS(per_sec > 0);
   Duration t = Duration::Zero();
+  int64_t count = 0;
   while (true) {
     const double rate = per_sec * LoadMultiplierAt(curve, t);
     if (rate <= 0.0) {
@@ -56,9 +58,10 @@ void AppendPoissonTimes(Rng& rng, double per_sec, const std::vector<LoadSegment>
       continue;
     }
     t = t + gap;
-    RR_CHECK(static_cast<int64_t>(out.size()) < max_count &&
+    RR_CHECK(count < max_count &&
              "stream exceeds ArrivalConfig::max_requests before the horizon");
-    out.push_back(t);
+    ++count;
+    visit(t);
   }
 }
 
@@ -100,23 +103,27 @@ std::vector<RequestRecord> GenerateRequests(const ArrivalConfig& config, Duratio
   Rng rng(config.seed);
   std::vector<RequestRecord> records;
 
-  auto emit = [&](Duration arrival) {
-    RequestRecord r;
-    r.arrival = arrival;
+  auto draw_sizes = [&](RequestRecord& r) {
     r.bytes = DrawSize(rng, config.request_bytes, config.bytes_alpha, config.max_request_bytes);
     r.service_cycles =
         DrawSize(rng, config.service_cycles, config.service_alpha, config.max_service_cycles);
-    records.push_back(r);
   };
 
   switch (config.kind) {
     case ArrivalConfig::Kind::kPoisson: {
-      std::vector<Duration> times;
-      AppendPoissonTimes(rng, config.requests_per_sec, config.load_curve, horizon,
-                         config.max_requests, times);
-      records.reserve(times.size());  // One allocation instead of growth by doubling.
-      for (const Duration t : times) {
-        emit(t);
+      // The stream is written once, into one allocation of its exact size: a
+      // copy of the generator first counts the arrivals, then the real one
+      // draws the same sequence as ever — every gap, then each record's sizes.
+      Rng counter = rng;
+      size_t count = 0;
+      ForEachPoissonTime(counter, config.requests_per_sec, config.load_curve, horizon,
+                         config.max_requests, [&count](Duration) { ++count; });
+      records.reserve(count);
+      ForEachPoissonTime(rng, config.requests_per_sec, config.load_curve, horizon,
+                         config.max_requests,
+                         [&records](Duration t) { records.push_back({t, 0, 0}); });
+      for (RequestRecord& r : records) {
+        draw_sizes(r);
       }
       break;
     }
@@ -126,8 +133,9 @@ std::vector<RequestRecord> GenerateRequests(const ArrivalConfig& config, Duratio
       RR_EXPECTS(config.session_max_requests >= config.session_min_requests);
       RR_EXPECTS(config.mean_think.IsPositive());
       std::vector<Duration> starts;
-      AppendPoissonTimes(rng, config.sessions_per_sec, config.load_curve, horizon,
-                         config.max_requests, starts);
+      ForEachPoissonTime(rng, config.sessions_per_sec, config.load_curve, horizon,
+                         config.max_requests,
+                         [&starts](Duration t) { starts.push_back(t); });
       for (const Duration start : starts) {
         const double drawn =
             rng.NextPareto(config.session_min_requests, config.session_alpha);
@@ -137,7 +145,8 @@ std::vector<RequestRecord> GenerateRequests(const ArrivalConfig& config, Duratio
         for (int64_t i = 0; i < count && at < horizon; ++i) {
           RR_CHECK(static_cast<int64_t>(records.size()) < config.max_requests &&
                    "stream exceeds ArrivalConfig::max_requests before the horizon");
-          emit(at);
+          records.push_back({at, 0, 0});
+          draw_sizes(records.back());
           const double think_s = rng.NextExponential(config.mean_think.ToSeconds());
           at += Duration::Nanos(std::max<int64_t>(
               1, static_cast<int64_t>(std::llround(think_s * 1e9))));

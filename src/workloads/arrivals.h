@@ -94,7 +94,8 @@ struct ArrivalConfig {
 // deterministic for a given (config, horizon). Piecewise-constant rate modulation is
 // exact (the exponential gap is redrawn at each segment boundary, valid by
 // memorylessness), not thinned. Dies (RR_CHECK) if the stream for [0, horizon) holds
-// more than config.max_requests records.
+// more than config.max_requests records. A kPoisson stream is written into one
+// allocation of its exact size, so generating it never holds more than the result.
 std::vector<RequestRecord> GenerateRequests(const ArrivalConfig& config, Duration horizon);
 
 // The mean of the per-request service demand implied by `config` (accounting for the
@@ -121,6 +122,7 @@ class RequestSpan {
   const RequestRecord* end() const { return data_ + size_; }
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  const RequestRecord& operator[](size_t i) const { return data_[i]; }
   const RequestRecord& front() const { return data_[0]; }
   const RequestRecord& back() const { return data_[size_ - 1]; }
 

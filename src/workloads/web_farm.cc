@@ -345,8 +345,7 @@ WebFarmBuild WebFarmBuildOf(const WebFarmParams& params, RequestSpan records) {
   return build;
 }
 
-const std::vector<RequestRecord>& WebFarmStream(const WebFarmParams& params,
-                                                std::vector<RequestRecord>& storage) {
+RequestSpan WebFarmStream(const WebFarmParams& params, std::vector<RequestRecord>& storage) {
   if (!params.replay.empty()) {
     return params.replay;
   }
@@ -364,7 +363,7 @@ WebFarmResult RunWebFarmScenario(const WebFarmParams& params) {
   system.sim().trace().SetHashOnly(true);
 
   std::vector<RequestRecord> generated;
-  const std::vector<RequestRecord>& records = WebFarmStream(params, generated);
+  const RequestSpan records = WebFarmStream(params, generated);
   std::unique_ptr<WebFarmInstance> farm =
       BuildWebFarm(WebFarmBuildOf(params, records), system.sim(), system.threads(),
                    system.queues(), system.machine(), &system.controller());

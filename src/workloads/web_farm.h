@@ -201,8 +201,13 @@ struct WebFarmParams {
   int64_t worker_queue_bytes = 16 * 1024;
   // The request stream: `replay` when non-empty (trace replay), otherwise generated
   // from `arrivals` over [0, run_for). Either way the run reads it in place.
+  //
+  // `replay` is borrowed, never copied: `params.replay = stream;` binds to the
+  // caller's vector, and binding to a temporary does not compile. The replay must
+  // stay alive and in place for the call: the caller neither frees nor grows
+  // `stream` while a scenario reads it.
   ArrivalConfig arrivals;
-  std::vector<RequestRecord> replay;
+  RequestSpan replay;
   Duration run_for = Duration::Seconds(2);
   int host_threads = 1;  // 1 = the sequential reference engine (Machine default).
   RbsConfig rbs;
@@ -249,8 +254,7 @@ WebFarmBuild WebFarmBuildOf(const WebFarmParams& params, RequestSpan records);
 // The run's request stream, read in place: `params.replay` when non-empty,
 // otherwise the stream generated from `params.arrivals` over [0, run_for) into
 // `storage`, which must then outlive every reader of the result.
-const std::vector<RequestRecord>& WebFarmStream(const WebFarmParams& params,
-                                                std::vector<RequestRecord>& storage);
+RequestSpan WebFarmStream(const WebFarmParams& params, std::vector<RequestRecord>& storage);
 
 // The request rate (per second) at which the farm's CPUs are exactly saturated by
 // mean service + accept demand — the 1.0x point of an offered-load sweep.

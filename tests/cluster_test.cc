@@ -265,12 +265,14 @@ TEST(ClusterFarmTest, GoodputScalesWithMachines) {
 TEST(ClusterFarmTest, ReplayAndGeneratedStreamsAgree) {
   // A caller's replay is read in place, borrowed whole by the M = 1 node and
   // routed batch by batch for M > 1; either way it must run exactly as the same
-  // stream generated from `farm.arrivals`, and come back untouched.
+  // stream generated from `farm.arrivals`. The params borrow the caller's
+  // stream; they never hold a copy of it.
   for (int machines : {1, 4}) {
     const ClusterFarmParams generated = SmallCluster(machines);
     ClusterFarmParams replayed = generated;
-    replayed.farm.replay = GenerateRequests(generated.farm.arrivals, generated.farm.run_for);
-    const std::vector<RequestRecord> stream = replayed.farm.replay;
+    const std::vector<RequestRecord> stream =
+        GenerateRequests(generated.farm.arrivals, generated.farm.run_for);
+    replayed.farm.replay = stream;
     const ClusterFarmResult a = RunClusterFarmScenario(generated);
     const ClusterFarmResult b = RunClusterFarmScenario(replayed);
     EXPECT_EQ(a.machine_trace_hashes, b.machine_trace_hashes) << "M=" << machines;
@@ -280,7 +282,7 @@ TEST(ClusterFarmTest, ReplayAndGeneratedStreamsAgree) {
     EXPECT_EQ(a.offered, static_cast<int64_t>(stream.size())) << "M=" << machines;
     EXPECT_EQ(a.p99_ms, b.p99_ms) << "M=" << machines;
     EXPECT_EQ(a.routed_per_machine, b.routed_per_machine) << "M=" << machines;
-    EXPECT_EQ(replayed.farm.replay, stream) << "M=" << machines;
+    EXPECT_EQ(replayed.farm.replay.begin(), stream.data()) << "M=" << machines;
     EXPECT_GT(a.served, 0) << "M=" << machines;
   }
 }
@@ -381,10 +383,11 @@ TEST(ClusterFarmTest, OversizedReplayRecordsAreClampedOnEveryNode) {
   p.farm.worker_queue_bytes = 1024;
   p.farm.listen_queue_bytes = 2048;
   p.router.policy = RouterPolicy::kRoundRobin;  // Giants land on both nodes.
-  p.farm.replay = {{Duration::Millis(1), 1 << 20, 100'000},
-                   {Duration::Millis(2), 1 << 20, 100'000},
-                   {Duration::Millis(15), 256, 100'000},
-                   {Duration::Millis(25), 4096, 100'000}};
+  const std::vector<RequestRecord> log = {{Duration::Millis(1), 1 << 20, 100'000},
+                                          {Duration::Millis(2), 1 << 20, 100'000},
+                                          {Duration::Millis(15), 256, 100'000},
+                                          {Duration::Millis(25), 4096, 100'000}};
+  p.farm.replay = log;
   const ClusterFarmResult result = RunClusterFarmScenario(p);
   EXPECT_EQ(result.routed_per_machine, (std::vector<int64_t>{2, 2}));
   EXPECT_EQ(result.offered, 4);

@@ -3,6 +3,7 @@
 // farm (workloads/web_farm.h) — including the golden schedule pin and the
 // determinism contract tools/trace_replay re-checks from the CLI.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -12,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/cluster_farm.h"
 #include "exp/system.h"
+#include "util/rng.h"
 #include "workloads/arrivals.h"
 #include "workloads/request_log.h"
 #include "workloads/web_farm.h"
@@ -149,6 +152,90 @@ TEST(ArrivalsTest, StreamPastTheRequestCapDiesInsteadOfTruncating) {
   EXPECT_EQ(GenerateRequests(poisson, Duration::Seconds(1)), fits);
 }
 
+// A reference Poisson generator written the plain way, in two vectors: every
+// arrival time into a vector of its own, then each record's sizes drawn in
+// arrival order. GenerateRequests makes the same draws into one allocation, so
+// it must produce this stream record for record.
+std::vector<RequestRecord> TwoVectorPoissonStream(const ArrivalConfig& config,
+                                                  Duration horizon) {
+  const auto boundary_after = [&](Duration t) {
+    for (const LoadSegment& s : config.load_curve) {
+      if (s.start > t && s.start < horizon) {
+        return s.start;
+      }
+    }
+    return horizon;
+  };
+  const auto draw_size = [](Rng& rng, int64_t base, double alpha, int64_t cap) {
+    if (alpha <= 0.0) {
+      return std::min(base, cap);
+    }
+    const auto drawn =
+        static_cast<int64_t>(std::llround(rng.NextPareto(static_cast<double>(base), alpha)));
+    return std::clamp<int64_t>(drawn, 1, cap);
+  };
+  Rng rng(config.seed);
+  std::vector<Duration> times;
+  Duration t = Duration::Zero();
+  while (true) {
+    const double rate = config.requests_per_sec * LoadMultiplierAt(config.load_curve, t);
+    const Duration boundary = boundary_after(t);
+    if (rate > 0.0) {
+      const double gap_s = rng.NextExponential(1.0 / rate);
+      const Duration gap = Duration::Nanos(
+          std::max<int64_t>(1, static_cast<int64_t>(std::llround(gap_s * 1e9))));
+      if (t + gap < boundary) {
+        t = t + gap;
+        times.push_back(t);
+        continue;
+      }
+    }
+    if (boundary >= horizon) {
+      break;
+    }
+    t = boundary;
+  }
+  std::vector<RequestRecord> records;
+  for (const Duration at : times) {
+    RequestRecord r;
+    r.arrival = at;
+    r.bytes = draw_size(rng, config.request_bytes, config.bytes_alpha, config.max_request_bytes);
+    r.service_cycles =
+        draw_size(rng, config.service_cycles, config.service_alpha, config.max_service_cycles);
+    records.push_back(r);
+  }
+  return records;
+}
+
+TEST(ArrivalsTest, OneAllocationGeneratorMatchesTheTwoVectorOracle) {
+  ArrivalConfig flat;
+  flat.requests_per_sec = 3000.0;
+  ArrivalConfig curved = flat;
+  curved.load_curve = {{Duration::Zero(), 1.0},
+                       {Duration::Millis(200), 0.0},   // Dead zone.
+                       {Duration::Millis(450), 4.0},   // Flash crowd.
+                       {Duration::Millis(600), 0.5}};
+  ArrivalConfig pareto = curved;
+  pareto.bytes_alpha = 1.5;
+  pareto.service_alpha = 1.2;
+  const Duration horizon = Duration::Seconds(1);
+  for (const ArrivalConfig* shape : {&flat, &curved, &pareto}) {
+    for (const uint64_t seed : {1ull, 7ull, 99ull, 0x5eedull}) {
+      ArrivalConfig config = *shape;
+      config.seed = seed;
+      const std::vector<RequestRecord> oracle = TwoVectorPoissonStream(config, horizon);
+      ASSERT_GT(oracle.size(), 1000u) << "seed " << seed;
+      EXPECT_EQ(GenerateRequests(config, horizon), oracle) << "seed " << seed;
+      // The cap is exact in the new generator too: the stream's own size fits,
+      // one less dies rather than truncating.
+      config.max_requests = static_cast<int64_t>(oracle.size());
+      EXPECT_EQ(GenerateRequests(config, horizon), oracle) << "seed " << seed;
+      config.max_requests = static_cast<int64_t>(oracle.size()) - 1;
+      EXPECT_DEATH(GenerateRequests(config, horizon), "max_requests") << "seed " << seed;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // RequestInjector: one cursor over a FIFO of borrowed runs, extended by Append.
 
@@ -160,6 +247,14 @@ static_assert(std::is_assignable_v<RequestSpan&, const Records&>);
 static_assert(!std::is_constructible_v<RequestSpan, Records>);
 static_assert(!std::is_assignable_v<RequestSpan&, Records>);
 static_assert(!std::is_assignable_v<decltype((std::declval<WebFarmBuild&>().records)), Records>);
+// A scenario's replay borrows the same way: `params.replay = stream;` binds to the
+// caller's stream, and a temporary one (which used to be moved in) is rejected.
+using FarmReplay = decltype((std::declval<WebFarmParams&>().replay));
+using ClusterReplay = decltype((std::declval<ClusterFarmParams&>().farm.replay));
+static_assert(std::is_assignable_v<FarmReplay, const Records&>);
+static_assert(std::is_assignable_v<ClusterReplay, const Records&>);
+static_assert(!std::is_assignable_v<FarmReplay, Records>);
+static_assert(!std::is_assignable_v<ClusterReplay, Records>);
 static_assert(!std::is_constructible_v<RequestInjector, Simulator&, Records,
                                        RequestInjector::Sink>);
 template <class Stream>
@@ -478,7 +573,8 @@ TEST(WebFarmTest, ReplayingTheGeneratedStreamMatchesTheSeededRun) {
   const WebFarmParams seeded = PinParams();
   const WebFarmResult a = RunWebFarmScenario(seeded);
   WebFarmParams replayed = PinParams();
-  replayed.replay = GenerateRequests(seeded.arrivals, seeded.run_for);
+  const std::vector<RequestRecord> stream = GenerateRequests(seeded.arrivals, seeded.run_for);
+  replayed.replay = stream;
   replayed.arrivals.seed = 999;  // Must be ignored when replay is non-empty.
   const WebFarmResult b = RunWebFarmScenario(replayed);
   EXPECT_EQ(a.trace_hash, b.trace_hash);
@@ -545,7 +641,8 @@ TEST(WebFarmTest, LoadSweepSchedulesArePinned) {
   std::vector<WebFarmResult> results;
   for (const Row& row : kSweep) {
     arrivals.requests_per_sec = row.ratio * WebFarmCapacityRps(params);
-    params.replay = GenerateRequests(arrivals, params.run_for);
+    const std::vector<RequestRecord> stream = GenerateRequests(arrivals, params.run_for);
+    params.replay = stream;
     const WebFarmResult& r = results.emplace_back(RunWebFarmScenario(params));
     EXPECT_EQ(r.trace_hash, row.trace_hash) << row.ratio << "x";
     EXPECT_GT(r.served, 0) << row.ratio << "x";
@@ -566,9 +663,10 @@ TEST(WebFarmTest, OversizedReplayRecordsAreClampedNotFatal) {
   params.listen_queue_bytes = 2048;
   // Hand-written log with a record far larger than any queue: the injector must
   // clamp it to the smallest capacity rather than violate the TryPush contract.
-  params.replay = {{Duration::Millis(1), 1 << 20, 100'000},
-                   {Duration::Millis(2), 256, 100'000},
-                   {Duration::Millis(3), 4096, 100'000}};
+  const std::vector<RequestRecord> log = {{Duration::Millis(1), 1 << 20, 100'000},
+                                          {Duration::Millis(2), 256, 100'000},
+                                          {Duration::Millis(3), 4096, 100'000}};
+  params.replay = log;
   const WebFarmResult result = RunWebFarmScenario(params);
   EXPECT_EQ(result.offered, 3);
   EXPECT_EQ(result.injected, 3);

@@ -290,7 +290,7 @@ int Replay(const Args& args) {
     run_for = last + Duration::Millis(500);
   }
   WebFarmParams params = FarmParams(args, run_for);
-  params.replay = std::move(records);
+  params.replay = records;  // Borrowed: `records` outlives the run.
   PrintResult(RunWebFarmScenario(params));
   return 0;
 }
