@@ -183,103 +183,76 @@ bool FeedbackAllocator::PlaceAndAdmit(SimThread* thread, double request) {
 }
 
 bool FeedbackAllocator::AddRealTime(SimThread* thread, Proportion proportion, Duration period) {
-  RR_EXPECTS(thread != nullptr);
-  RR_EXPECTS(Find(thread->id()) == nullptr);
-  const double request = proportion.ToFraction();
-  if (!PlaceAndAdmit(thread, request)) {
-    machine_.sim().trace().Record(machine_.sim().Now(), TraceKind::kRejected, thread->id(),
-                                  proportion.ppt());
-    return false;
-  }
-  Controlled c;
-  c.thread = thread;
-  c.cls = ThreadClass::kRealTime;
-  c.period = period;
-  c.fixed_ppt = proportion.ppt();
-  c.desired = c.granted = request;
-  thread->set_thread_class(ThreadClass::kRealTime);
-  SchedulerFor(thread).SetReservation(thread, proportion, period, machine_.sim().Now());
-  machine_.sim().trace().Record(machine_.sim().Now(), TraceKind::kAdmitted, thread->id(),
-                                proportion.ppt());
-  RegisterControlled(std::move(c));
-  return true;
+  return AddFixed(thread, ThreadClass::kRealTime, proportion, period);
 }
 
 bool FeedbackAllocator::AddAperiodicRealTime(SimThread* thread, Proportion proportion) {
+  // "Without a progress metric with which to assess the application's needs, our
+  // prototype uses a default value of 30 milliseconds."
+  return AddFixed(thread, ThreadClass::kAperiodicRealTime, proportion, kDefaultPeriod);
+}
+
+bool FeedbackAllocator::AddFixed(SimThread* thread, ThreadClass cls, Proportion proportion,
+                                 Duration period) {
   RR_EXPECTS(thread != nullptr);
   RR_EXPECTS(Find(thread->id()) == nullptr);
   const double request = proportion.ToFraction();
+  const TimePoint now = machine_.sim().Now();
   if (!PlaceAndAdmit(thread, request)) {
-    machine_.sim().trace().Record(machine_.sim().Now(), TraceKind::kRejected, thread->id(),
-                                  proportion.ppt());
+    machine_.sim().trace().Record(now, TraceKind::kRejected, thread->id(), proportion.ppt());
     return false;
   }
   Controlled c;
   c.thread = thread;
-  c.cls = ThreadClass::kAperiodicRealTime;
-  // "Without a progress metric with which to assess the application's needs, our
-  // prototype uses a default value of 30 milliseconds."
-  c.period = kDefaultPeriod;
+  c.cls = cls;
+  c.period = period;
   c.fixed_ppt = proportion.ppt();
   c.desired = c.granted = request;
-  thread->set_thread_class(ThreadClass::kAperiodicRealTime);
-  SchedulerFor(thread).SetReservation(thread, proportion, c.period, machine_.sim().Now());
-  machine_.sim().trace().Record(machine_.sim().Now(), TraceKind::kAdmitted, thread->id(),
-                                proportion.ppt());
+  thread->set_thread_class(cls);
+  SchedulerFor(thread).SetReservation(thread, proportion, period, now);
+  machine_.sim().trace().Record(now, TraceKind::kAdmitted, thread->id(), proportion.ppt());
   RegisterControlled(std::move(c));
   return true;
 }
 
 void FeedbackAllocator::AddRealRate(SimThread* thread) {
-  RR_EXPECTS(thread != nullptr);
-  RR_EXPECTS(Find(thread->id()) == nullptr);
   // A real-rate thread without a registered progress metric is a contract violation:
   // the caller should have used AddMiscellaneous.
-  RR_EXPECTS(queues_.HasMetrics(thread->id()));
+  RR_EXPECTS(thread != nullptr && queues_.HasMetrics(thread->id()));
+  AddAdaptive(thread, ThreadClass::kRealRate, kDefaultPeriod);
+}
+
+void FeedbackAllocator::AddMiscellaneous(SimThread* thread) {
+  AddAdaptive(thread, ThreadClass::kMiscellaneous, kDefaultPeriod);
+}
+
+void FeedbackAllocator::AddInteractive(SimThread* thread) {
+  // "Interactive jobs have specific requirements (periods relative to human
+  // perception)": a small fixed period; the proportion floats with measured bursts.
+  AddAdaptive(thread, ThreadClass::kInteractive, kInteractivePeriod);
+}
+
+void FeedbackAllocator::AddAdaptive(SimThread* thread, ThreadClass cls, Duration period) {
+  RR_EXPECTS(thread != nullptr);
+  RR_EXPECTS(Find(thread->id()) == nullptr);
+  const TimePoint now = machine_.sim().Now();
   Controlled c;
   c.thread = thread;
-  c.cls = ThreadClass::kRealRate;
-  c.period = kDefaultPeriod;
-  c.estimator = std::make_unique<ProportionEstimator>(config_.estimator);
-  if (config_.enable_period_estimation) {
+  c.cls = cls;
+  c.period = period;
+  if (cls != ThreadClass::kInteractive) {
+    c.estimator = std::make_unique<ProportionEstimator>(config_.estimator);
+  }
+  if (cls == ThreadClass::kRealRate && config_.enable_period_estimation) {
     c.period_estimator = std::make_unique<PeriodEstimator>();
     const size_t window =
         std::max<size_t>(2, static_cast<size_t>(c.period / config_.interval));
     c.fill_window = std::make_unique<RingBuffer<double>>(window);
-    c.last_period_mark = machine_.sim().Now();
+    c.last_period_mark = now;
   }
   c.desired = c.granted = ProportionEstimator::kMinFraction;
-  thread->set_thread_class(ThreadClass::kRealRate);
-  Actuate(c, c.granted, machine_.sim().Now());
-  RegisterControlled(std::move(c));
-}
-
-void FeedbackAllocator::AddMiscellaneous(SimThread* thread) {
-  RR_EXPECTS(thread != nullptr);
-  RR_EXPECTS(Find(thread->id()) == nullptr);
-  Controlled c;
-  c.thread = thread;
-  c.cls = ThreadClass::kMiscellaneous;
-  c.period = kDefaultPeriod;
-  c.estimator = std::make_unique<ProportionEstimator>(config_.estimator);
-  c.desired = c.granted = ProportionEstimator::kMinFraction;
-  thread->set_thread_class(ThreadClass::kMiscellaneous);
-  Actuate(c, c.granted, machine_.sim().Now());
-  RegisterControlled(std::move(c));
-}
-
-void FeedbackAllocator::AddInteractive(SimThread* thread) {
-  RR_EXPECTS(thread != nullptr);
-  RR_EXPECTS(Find(thread->id()) == nullptr);
-  Controlled c;
-  c.thread = thread;
-  c.cls = ThreadClass::kInteractive;
-  // "Interactive jobs have specific requirements (periods relative to human
-  // perception)": a small fixed period; the proportion floats with measured bursts.
-  c.period = kInteractivePeriod;
-  c.desired = c.granted = ProportionEstimator::kMinFraction;
-  thread->set_thread_class(ThreadClass::kInteractive);
-  Actuate(c, c.granted, machine_.sim().Now());
+  thread->set_thread_class(cls);
+  Actuate(c, c.granted, now);
   RegisterControlled(std::move(c));
 }
 

@@ -239,6 +239,12 @@ class FeedbackAllocator {
   // core would reject but the least fixed-loaded core would accept (SMP only), the
   // thread migrates there first.
   bool PlaceAndAdmit(SimThread* thread, double request);
+  // The one registration path per kind of thread. Fixed (real-time / aperiodic
+  // real-time): admission, then the reservation; returns false when rejected.
+  bool AddFixed(SimThread* thread, ThreadClass cls, Proportion proportion, Duration period);
+  // Adaptive (real-rate / miscellaneous / interactive): starts at the estimator's
+  // floor and is actuated before its first sample.
+  void AddAdaptive(SimThread* thread, ThreadClass cls, Duration period);
   Controlled* Find(ThreadId id);
   const Controlled* Find(ThreadId id) const;
   // Registration/removal through the id→slot index and the budget ledger.

@@ -192,7 +192,9 @@ void FillOutcome(RunOutcome& outcome, const Simulator& sim, const Machine& machi
                  const RunOptions& options) {
   outcome.num_cpus = sim.num_cpus();
   outcome.trace_hash = sim.trace().Hash();
-  outcome.user_cycles = sim.UsedAllCpus(CpuUse::kUser);
+  for (size_t use = 0; use < outcome.cycles_by_use.size(); ++use) {
+    outcome.cycles_by_use[use] = sim.UsedAllCpus(static_cast<CpuUse>(use));
+  }
   outcome.cycles_per_tick = machine.cycles_per_tick();
   outcome.dispatches = machine.dispatches();
   outcome.parallel_rounds = machine.parallel_rounds();
@@ -545,14 +547,14 @@ SeedReport CheckSeed(uint64_t seed, const SeedCheckOptions& options) {
     }
     // Below ~1M user cycles the run is dominated by startup transients; the ratio
     // check would only measure noise.
-    if (r1.user_cycles > 1'000'000) {
+    if (r1.user_cycles() > 1'000'000) {
       const double ratio =
-          static_cast<double>(r2.user_cycles) / static_cast<double>(r1.user_cycles);
+          static_cast<double>(r2.user_cycles()) / static_cast<double>(r1.user_cycles());
       if (ratio < 1.6 || ratio > 2.4) {
         report.failures.push_back(
             "clock scaling: user cycles scaled by " + std::to_string(ratio) +
-            " (expected ~2.0; " + std::to_string(r1.user_cycles) + " -> " +
-            std::to_string(r2.user_cycles) + ")");
+            " (expected ~2.0; " + std::to_string(r1.user_cycles()) + " -> " +
+            std::to_string(r2.user_cycles()) + ")");
       }
     }
   }
@@ -598,13 +600,13 @@ SeedReport CheckSeed(uint64_t seed, const SeedCheckOptions& options) {
     const RunOutcome after = RunWorkload(saturators, more);
     note_violations(before, "invariants [saturators]");
     note_violations(after, "invariants [saturators, +1 core]");
-    if (static_cast<double>(after.user_cycles) <
-        0.98 * static_cast<double>(before.user_cycles)) {
+    if (static_cast<double>(after.user_cycles()) <
+        0.98 * static_cast<double>(before.user_cycles())) {
       report.failures.push_back(
           "core monotonicity: " + std::to_string(spec.num_cpus) + " cores delivered " +
-          std::to_string(before.user_cycles) + " user cycles but " +
+          std::to_string(before.user_cycles()) + " user cycles but " +
           std::to_string(spec.num_cpus + 1) + " cores delivered " +
-          std::to_string(after.user_cycles));
+          std::to_string(after.user_cycles()));
     }
   }
 
@@ -647,13 +649,15 @@ SeedReport CheckSeed(uint64_t seed, const SeedCheckOptions& options) {
     if (first.trace_hash != second.trace_hash ||
         first.total_progress != second.total_progress ||
         first.dispatches != second.dispatches ||
-        first.user_cycles != second.user_cycles) {
+        first.cycles_by_use != second.cycles_by_use) {
       report.failures.push_back(
           Label("fast-forward equivalence", kind) +
           ": runs with idle fast-forward on/off diverged (hash " +
           std::to_string(first.trace_hash) + " vs " + std::to_string(second.trace_hash) +
           ", dispatches " + std::to_string(first.dispatches) + " vs " +
-          std::to_string(second.dispatches) + ")");
+          std::to_string(second.dispatches) +
+          (first.cycles_by_use == second.cycles_by_use ? "" : ", per-category cycles differ") +
+          ")");
     }
   }
 

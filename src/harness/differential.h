@@ -24,6 +24,7 @@
 #ifndef REALRATE_HARNESS_DIFFERENTIAL_H_
 #define REALRATE_HARNESS_DIFFERENTIAL_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -32,6 +33,7 @@
 #include "harness/invariants.h"
 #include "harness/workload_gen.h"
 #include "sched/rbs.h"  // DispatchOrder.
+#include "sim/cpu.h"   // CpuUse.
 #include "util/time.h"
 #include "util/types.h"
 
@@ -82,7 +84,9 @@ struct RunOutcome {
   SchedulerKind kind = SchedulerKind::kFeedbackRbs;
   int num_cpus = 1;
   uint64_t trace_hash = 0;
-  Cycles user_cycles = 0;       // CpuUse::kUser summed over every core.
+  // Every CpuUse category's cycles summed over every core, indexed by category.
+  std::array<Cycles, static_cast<size_t>(CpuUse::kNumCategories)> cycles_by_use{};
+  Cycles user_cycles() const { return cycles_by_use[static_cast<size_t>(CpuUse::kUser)]; }
   Cycles cycles_per_tick = 0;   // One core's dispatch-interval capacity.
   int64_t total_progress = 0;   // Σ progress_units over every thread.
   int64_t dispatches = 0;

@@ -26,6 +26,9 @@ Machine::Machine(Simulator& sim, std::vector<Scheduler*> schedulers, ThreadRegis
   }
   cycles_per_tick_ = sim_.cpu().DurationToCycles(config.dispatch_interval);
   RR_EXPECTS(cycles_per_tick_ > 0);
+  // A tick must pay for its own timer interrupt, or core 0's backlog grows without
+  // bound and the machine never dispatches.
+  RR_EXPECTS(!config.charge_overheads || cycles_per_tick_ >= Cpu::kTimerIdleCycles);
   dispatch_cost_ = config.charge_overheads ? sim_.cpu().DispatchCostAt(dispatch_hz()) : 0;
   RR_EXPECTS(config.host_threads >= 1);
   // One host thread per simulated core at most; a 1-core machine never forks.
@@ -47,7 +50,7 @@ EventQueue::Callback Machine::TickCallback(CpuId core) {
   if (engine_ != nullptr && core == 0) {
     return [this] { RoundTick(); };
   }
-  return [this, core] { Tick(core); };
+  return [this, core] { TickBody(core, sim_.Now()); };
 }
 
 void Machine::Start() {
@@ -233,31 +236,42 @@ void Machine::Wake(ThreadId thread_id) {
   if (thread == nullptr || StateOf(thread_id, thread) != ThreadState::kBlocked) {
     return;  // Spurious or stale wake.
   }
+  MakeRunnable(thread, /*how=*/0);
+}
+
+void Machine::MakeRunnable(SimThread* thread, int64_t how) {
   RR_EXPECTS(!in_round_);  // Gated rounds run only wake-free (round-local) work.
-  InvalidateRoundGate();
+  InvalidateRoundGate();   // The runnable set grows; re-evaluate before forking.
   ResumeTicking();  // Before the transition: catch-up must see the idle-span state.
+  const TimePoint now = sim_.Now();
   thread->set_state(ThreadState::kRunnable);
-  thread->set_last_wake_time(sim_.Now());
-  thread->work().OnWake(sim_.Now());
-  CoreAt(thread->cpu()).scheduler->OnWake(thread, sim_.Now());
-  sim_.trace().Record(sim_.Now(), TraceKind::kWake, thread_id);
+  thread->set_last_wake_time(now);
+  thread->work().OnWake(now);
+  CoreAt(thread->cpu()).scheduler->OnWake(thread, now);
+  sim_.trace().Record(now, TraceKind::kWake, thread->id(), how);
 }
 
 void Machine::SleepUntil(SimThread* thread, TimePoint wake_at) {
   RR_EXPECTS(thread != nullptr);
   RR_EXPECTS(wake_at >= sim_.Now());
-  RR_EXPECTS(!in_round_);  // In-round throttle sleeps are staged (see ApplyRunResult).
-  InvalidateRoundGate();
-  // Only a running/runnable thread can be put to sleep, so the machine cannot be
-  // suspended here through the dispatch path — but a direct caller (tests) could add
-  // a sleeper mid-suspension, which must re-arm the horizon. Resuming is the simple
-  // exact answer: the next round re-suspends with the new sleeper accounted.
-  ResumeTicking();
+  const CpuId core = thread->cpu();
+  if (in_round_) {
+    // A throttle inside a parallel round: the state flip and run-queue exit below are
+    // core-local, but the filing (generation and wheel slot) is cross-core state, so
+    // it waits for the barrier, which files in core order — the order the sequential
+    // engine issues generations in.
+    lanes_[static_cast<size_t>(core)].sleeps.push_back(Lane::StagedSleep{thread, wake_at});
+  } else {
+    InvalidateRoundGate();
+    // Only a running/runnable thread can be put to sleep, so the machine cannot be
+    // suspended here through the dispatch path — but a direct caller (tests) could
+    // add a sleeper mid-suspension, which must re-arm the horizon. Resuming is the
+    // simple exact answer: the next round re-suspends with the new sleeper accounted.
+    ResumeTicking();
+    PushSleeper(thread->id(), wake_at);
+  }
   thread->set_state(ThreadState::kSleeping);
-  const uint64_t gen = next_generation_++;
-  SetSleepGen(thread->id(), gen);
-  PushSleeper(SleepEntry{wake_at, gen, thread->id()});
-  CoreAt(thread->cpu()).scheduler->OnBlock(thread, sim_.Now());
+  CoreAt(core).scheduler->OnBlock(thread, sim_.Now());
 }
 
 void Machine::CancelSleep(SimThread* thread) {
@@ -265,15 +279,8 @@ void Machine::CancelSleep(SimThread* thread) {
   if (thread->state() != ThreadState::kSleeping) {
     return;
   }
-  RR_EXPECTS(!in_round_);
-  InvalidateRoundGate();
-  ResumeTicking();
-  ClearSleepGen(thread->id());  // The heap entry becomes stale.
-  thread->set_state(ThreadState::kRunnable);
-  thread->set_last_wake_time(sim_.Now());
-  thread->work().OnWake(sim_.Now());
-  CoreAt(thread->cpu()).scheduler->OnWake(thread, sim_.Now());
-  sim_.trace().Record(sim_.Now(), TraceKind::kWake, thread->id(), /*arg0=*/-2);
+  ClearSleepGen(thread->id());  // The wheel entry becomes stale.
+  MakeRunnable(thread, /*how=*/-2);
 }
 
 void Machine::StealCycles(CpuUse category, Cycles cycles, CpuId core) {
@@ -334,9 +341,11 @@ int64_t Machine::context_switches() const {
   return total;
 }
 
-void Machine::PushSleeper(const SleepEntry& entry) {
+void Machine::PushSleeper(ThreadId thread, TimePoint wake_at) {
+  const SleepEntry entry{wake_at, next_generation_++, thread};
+  SetSleepGen(thread, entry.generation);
   const int64_t interval = config_.dispatch_interval.nanos();
-  const int64_t due_tick = entry.wake_at.nanos() / interval;
+  const int64_t due_tick = wake_at.nanos() / interval;
   if (sleep_wheel_cursor_ == kNoTick) {
     sleep_wheel_.resize(static_cast<size_t>(kSleepWheelTicks));
     sleep_wheel_cursor_ = sim_.Now().nanos() / interval;
@@ -402,51 +411,48 @@ void Machine::WakeExpiredSleepers(TimePoint now) {
     if (config_.charge_overheads) {
       StealCycles(CpuUse::kTimer, Cpu::kTimerExpiredCycles);
     }
-    thread->set_state(ThreadState::kRunnable);
-    thread->set_last_wake_time(now);
-    thread->work().OnWake(now);
-    CoreAt(thread->cpu()).scheduler->OnWake(thread, now);
-    sim_.trace().Record(now, TraceKind::kWake, entry.thread, /*arg0=*/-1);
+    MakeRunnable(thread, /*how=*/-1);
   }
   // The cached next-expiry means an interrupt that finds nothing expired does near-zero
   // work ("this routine typically runs in constant time").
   if (!any_expired && config_.charge_overheads) {
     StealCycles(CpuUse::kTimer, Cpu::kTimerIdleCycles);
   }
-  if (any_expired) {
-    InvalidateRoundGate();  // The runnable set grew; re-evaluate before forking.
-  }
 }
 
-void Machine::Tick(CpuId core_id) { TickBody(core_id, sim_.Now()); }
-
-void Machine::TickBody(CpuId core_id, TimePoint now) {
+void Machine::BeginTick(CpuId core_id, TimePoint now) {
   Core& core = CoreAt(core_id);
   ++core.ticks;
   core.round_had_pick = false;
   accounted_through_ = now;
-
   if (core_id == 0) {
     WakeExpiredSleepers(now);
   }
-  TickRest(core_id, now);
 }
 
-void Machine::TickRest(CpuId core_id, TimePoint now) {
-  Core& core = CoreAt(core_id);
-  core.scheduler->OnTick(now);
-  RoundDispatch(core_id, now);
-  if (checker_ != nullptr) {
-    checker_->OnTickComplete(*this, core_id, now);
-  }
+void Machine::EndTick(CpuId core_id) {
   // The last core of the round decides whether the machine goes idle; everyone else
   // re-arms its clock (the suspension path cancels those if the round does suspend).
   if (core_id == num_cpus() - 1 && ShouldSuspend()) {
     Suspend();
     return;
   }
-  core.next_tick_event =
+  CoreAt(core_id).next_tick_event =
       sim_.ScheduleAfter(config_.dispatch_interval, TickCallback(core_id));
+}
+
+void Machine::TickBody(CpuId core_id, TimePoint now) {
+  BeginTick(core_id, now);
+  TickRest(core_id, now);
+}
+
+void Machine::TickRest(CpuId core_id, TimePoint now) {
+  CoreAt(core_id).scheduler->OnTick(now);
+  RoundDispatch(core_id, now);
+  if (checker_ != nullptr) {
+    checker_->OnTickComplete(*this, core_id, now);
+  }
+  EndTick(core_id);
 }
 
 void Machine::RecordPlanFailure() {
@@ -617,16 +623,12 @@ void Machine::RoundTick() {
     return;
   }
 
-  // Whole round in hand. The shared prologue is bit-identical to each core running
-  // its own (nothing reads the counters or accounted_through_ mid-round), and the
-  // timer service must precede the gate: expired sleepers grow the runnable set.
+  // Whole round in hand. Every core's prologue runs first (nothing reads the counters
+  // or accounted_through_ mid-round), and core 0's timer service must precede the
+  // gate: expired sleepers grow the runnable set.
   for (CpuId c = 0; c < n; ++c) {
-    Core& core = CoreAt(c);
-    ++core.ticks;
-    core.round_had_pick = false;
+    BeginTick(c, now);
   }
-  accounted_through_ = now;
-  WakeExpiredSleepers(now);
 
   if (!RoundPlanIsFeasible(now)) {
     for (CpuId c = 0; c < n; ++c) {
@@ -682,9 +684,7 @@ void Machine::RoundTick() {
       trace.RecordEvent(event);
     }
     for (const Lane::StagedSleep& staged : lane.sleeps) {
-      const uint64_t gen = next_generation_++;
-      SetSleepGen(staged.thread->id(), gen);
-      PushSleeper(SleepEntry{staged.wake_at, gen, staged.thread->id()});
+      PushSleeper(staged.thread->id(), staged.wake_at);
     }
   }
 
@@ -701,19 +701,10 @@ void Machine::RoundTick() {
     model->FlushRoundEffects();
   }
 
-  // Re-arm / suspend in the sequential engine's event-id order: cores 0..n-2 re-arm
-  // unconditionally; the last core decides idleness (Suspend cancels the fresh
-  // re-arms and arms the horizon, exactly as it would have sequentially).
-  for (CpuId c = 0; c < n - 1; ++c) {
-    CoreAt(c).next_tick_event =
-        sim_.ScheduleAfter(config_.dispatch_interval, TickCallback(c));
+  // Re-arm / suspend in the sequential engine's event-id order.
+  for (CpuId c = 0; c < n; ++c) {
+    EndTick(c);
   }
-  if (ShouldSuspend()) {
-    Suspend();
-    return;
-  }
-  CoreAt(n - 1).next_tick_event =
-      sim_.ScheduleAfter(config_.dispatch_interval, TickCallback(n - 1));
 }
 
 void Machine::RoundDispatch(CpuId core_id, TimePoint now) {
@@ -805,30 +796,6 @@ void Machine::ArmHorizon() {
   });
 }
 
-void Machine::AccountIdleTick(CpuId core_id) {
-  // Mirrors Tick() for a tick that provably dispatches nothing: same counter bumps,
-  // same charge order (timer interrupt, backlog absorption, dispatcher cost, idle).
-  Core& core = CoreAt(core_id);
-  Cpu& cpu = sim_.cpu(core_id);
-  ++core.ticks;
-  if (core_id == 0 && config_.charge_overheads) {
-    cpu.Charge(CpuUse::kTimer, Cpu::kTimerIdleCycles);
-    core.stolen_backlog += Cpu::kTimerIdleCycles;
-  }
-  Cycles cycles_left = cycles_per_tick_;
-  const Cycles absorbed = std::min(core.stolen_backlog, cycles_left);
-  cycles_left -= absorbed;
-  core.stolen_backlog -= absorbed;
-  ++core.dispatches;
-  if (config_.charge_overheads) {
-    cpu.Charge(CpuUse::kDispatch, dispatch_cost_);
-    cycles_left -= std::min(dispatch_cost_, cycles_left);
-  }
-  if (cycles_left > 0) {
-    cpu.Charge(CpuUse::kIdle, cycles_left);
-  }
-}
-
 void Machine::AccountSkippedTicks(TimePoint upto, bool inclusive) {
   const Duration interval = config_.dispatch_interval;
   int64_t count = (upto - accounted_through_) / interval;
@@ -839,30 +806,24 @@ void Machine::AccountSkippedTicks(TimePoint upto, bool inclusive) {
     return;
   }
   const TimePoint last = accounted_through_ + interval * count;
-  // Every skipped tick is identical (the suspension invariant guarantees zero
-  // backlog, and the boot core's timer-idle charge is absorbed within its own tick
-  // whenever it fits the tick capacity), so the span settles with O(cores)
-  // multiplications. The degenerate sub-timer-cost tick capacity falls back to a
-  // literal per-tick replay, where backlog genuinely carries across ticks.
-  const bool steady = !config_.charge_overheads ||
-                      Cpu::kTimerIdleCycles <= cycles_per_tick_;
+  // Every skipped tick is identical: the machine suspended with zero backlog, and the
+  // boot core's timer-idle charge fits its own tick (the constructor requires it), so
+  // no backlog carries across ticks and the span settles with O(cores)
+  // multiplications.
+  RR_CHECK(!config_.charge_overheads || Cpu::kTimerIdleCycles <= cycles_per_tick_);
   for (CpuId c = 0; c < num_cpus(); ++c) {
-    if (!steady) {
-      for (int64_t i = 0; i < count; ++i) {
-        AccountIdleTick(c);
-      }
-    } else {
-      Core& core = CoreAt(c);
-      Cpu& cpu = sim_.cpu(c);
-      core.ticks += count;
+    Core& core = CoreAt(c);
+    Cpu& cpu = sim_.cpu(c);
+    core.ticks += count;
+    Cycles cycles_left = cycles_per_tick_;  // Per-tick remainder after overheads.
+    if (config_.charge_overheads && c == 0) {
+      cpu.Charge(CpuUse::kTimer, Cpu::kTimerIdleCycles * count);
+      cycles_left -= Cpu::kTimerIdleCycles;  // Absorbed from the same tick's capacity.
+    }
+    // As in DispatchLoop, schedule() runs only while the tick has capacity left.
+    if (cycles_left > 0) {
       core.dispatches += count;
-      Cycles cycles_left = cycles_per_tick_;  // Per-tick remainder after overheads.
       if (config_.charge_overheads) {
-        if (c == 0) {
-          const Cycles timer = Cpu::kTimerIdleCycles;
-          cpu.Charge(CpuUse::kTimer, timer * count);
-          cycles_left -= timer;  // Absorbed from the same tick's capacity.
-        }
         cpu.Charge(CpuUse::kDispatch, dispatch_cost_ * count);
         cycles_left -= std::min(dispatch_cost_, cycles_left);
       }
@@ -872,7 +833,7 @@ void Machine::AccountSkippedTicks(TimePoint upto, bool inclusive) {
     }
     // Bulk scheduler catch-up: replenishments (and any per-tick bookkeeping) the
     // skipped ticks would have applied, collapsed into one call at the final grid.
-    CoreAt(c).scheduler->OnTicksSkipped(count, last);
+    core.scheduler->OnTicksSkipped(count, last);
   }
   accounted_through_ = last;
 }
@@ -961,10 +922,21 @@ void Machine::ApplyRunResult(Core& core, CpuId core_id, SimThread* thread,
   // runnable (at most throttling afterwards) — anything else would be a cross-core
   // effect emitted from a worker thread.
   RR_CHECK(!in_round_ || result.next == RunResult::Next::kRunnable);
+  TimePoint wake_at;
   switch (result.next) {
-    case RunResult::Next::kRunnable:
+    case RunResult::Next::kRunnable: {
       thread->EndSlice();
+      // Budget enforcement: "when a thread has used its allocation for its period, it
+      // is put to sleep until its next period begins."
+      const auto throttle_until = core.scheduler->ThrottleUntil(thread, now);
+      if (!throttle_until) {
+        return;
+      }
+      Emit(core_id, now, TraceKind::kBudgetExhausted, thread->id(),
+           thread->cycles_this_period());
+      wake_at = *throttle_until;
       break;
+    }
     case RunResult::Next::kBlocked:
       InvalidateRoundGate();
       thread->set_state(ThreadState::kBlocked);
@@ -975,8 +947,8 @@ void Machine::ApplyRunResult(Core& core, CpuId core_id, SimThread* thread,
     case RunResult::Next::kSleeping:
       thread->EndSlice();  // SleepUntil flips it to kSleeping.
       thread->OnBurstEnd();
-      SleepUntil(thread, std::max(result.wake_at, now));  // Notifies OnBlock itself.
-      return;
+      wake_at = result.wake_at;
+      break;
     case RunResult::Next::kExited:
       InvalidateRoundGate();
       thread->set_state(ThreadState::kExited);
@@ -987,27 +959,7 @@ void Machine::ApplyRunResult(Core& core, CpuId core_id, SimThread* thread,
       }
       return;
   }
-
-  // Budget enforcement: "when a thread has used its allocation for its period, it is
-  // put to sleep until its next period begins."
-  if (const auto throttle_until = core.scheduler->ThrottleUntil(thread, now)) {
-    Emit(core_id, now, TraceKind::kBudgetExhausted, thread->id(),
-         thread->cycles_this_period());
-    const TimePoint wake_at = std::max(*throttle_until, now);
-    if (in_round_) {
-      // Staged sleep: the state flip and run-queue exit are core-local and happen
-      // now; the wheel insertion and generation assignment are cross-core state and
-      // happen at the barrier, in core order — the order the sequential engine
-      // issues generations in. (SleepUntil's ResumeTicking is a no-op here: the
-      // machine cannot be suspended while a round is dispatching.)
-      thread->set_state(ThreadState::kSleeping);
-      core.scheduler->OnBlock(thread, now);
-      lanes_[static_cast<size_t>(core_id)].sleeps.push_back(
-          Lane::StagedSleep{thread, wake_at});
-      return;
-    }
-    SleepUntil(thread, wake_at);  // Notifies OnBlock itself.
-  }
+  SleepUntil(thread, std::max(wake_at, now));  // Notifies OnBlock itself.
 }
 
 void Machine::Rebalance() {

@@ -15,12 +15,15 @@
 // alternative to burning one simulator event per empty tick. The next machine-visible
 // stimulus resumes them: a wake (queue/mutex/tty/timer), a new thread, a migration, or
 // an overhead charge. Sleeper expiries are covered by a single "horizon" event armed
-// at the tick that would service the earliest sleeper. On resume the skipped ticks are
-// replayed in bulk — tick/dispatch counters, timer/dispatch/idle charges, and the
-// schedulers' OnTicksSkipped catch-up — so counters, accounting, budgets, and the
-// trace are bit-identical to a machine that ticked through the idle span (the
-// differential harness cross-checks this equivalence over fuzz seeds). The only
-// observable difference is that MachineChecker::OnTickComplete is not invoked for
+// at the tick that would service the earliest sleeper. Suspension requires zero
+// backlog, and with overheads charged a tick must cover core 0's timer-idle cost (the
+// constructor enforces it), so every skipped tick is the same idle tick and no
+// backlog carries across the span. On resume the skipped ticks are settled in bulk —
+// tick/dispatch counters, timer/dispatch/idle charges, and the schedulers'
+// OnTicksSkipped catch-up — so counters, accounting, budgets, and the trace are
+// bit-identical to a machine that ticked through the idle span (the differential
+// harness cross-checks this equivalence over fuzz seeds, category by category). The
+// only observable difference is that MachineChecker::OnTickComplete is not invoked for
 // skipped ticks (there was, by construction, nothing to check). RunFor() settles the
 // catch-up at the end of a run; callers driving the Simulator directly should prefer
 // Machine::RunFor when they read tick-granularity introspection afterwards.
@@ -91,6 +94,7 @@ class MachineChecker {
 
 struct MachineConfig {
   // The dispatch interval (upper-bounded by the timer interval; 1 ms in the paper).
+  // With overheads charged it must cover Cpu::kTimerIdleCycles.
   Duration dispatch_interval = Duration::Millis(1);
   // If false, dispatch/context-switch/timer costs are not deducted from capacity
   // (useful for pure-policy unit tests that want exact cycle math).
@@ -288,13 +292,16 @@ class Machine {
     return cores_[static_cast<size_t>(core)];
   }
 
-  void Tick(CpuId core);
-  // Tick(core) minus the callback lookup: prologue (counters, core-0 timer service)
-  // plus TickRest. The sequential engine's whole tick; the parallel engine's
-  // fallback unit.
+  // The tick prologue: counters, the catch-up mark, and on core 0 the timer service.
+  void BeginTick(CpuId core, TimePoint now);
+  // The tick epilogue: the round's last core suspends an idle machine; every other
+  // core (and the last one, when it does not suspend) re-arms its clock.
+  void EndTick(CpuId core);
+  // BeginTick plus TickRest: the sequential engine's whole tick; the parallel
+  // engine's fallback unit.
   void TickBody(CpuId core, TimePoint now);
   // Everything in a tick after the prologue: scheduler OnTick, RoundDispatch,
-  // checker hook, and the re-arm / suspend decision.
+  // checker hook, and EndTick.
   void TickRest(CpuId core, TimePoint now);
   // host_threads > 1: core 0's dispatch-clock callback. Pops the sibling cores'
   // same-timestamp tick events off the queue head and runs the whole round — in
@@ -333,8 +340,13 @@ class Machine {
   void Emit(CpuId core, TimePoint t, TraceKind kind, ThreadId thread, int64_t arg0 = 0,
             int64_t arg1 = 0);
   void WakeExpiredSleepers(TimePoint now);
-  // Files a sleeper into the timing wheel bucket of its wake tick.
-  void PushSleeper(const SleepEntry& entry);
+  // The one wake transition (Wake, CancelSleep and the timer service): runnable
+  // again, with a kWake record whose arg0 is `how` (0 wake, -2 cancelled sleep, -1
+  // timer expiry).
+  void MakeRunnable(SimThread* thread, int64_t how);
+  // Files a sleeper under a fresh generation into the timing wheel bucket of its
+  // wake tick.
+  void PushSleeper(ThreadId thread, TimePoint wake_at);
   // Runs work for up to `cycles_left` on `core`; one iteration of the intra-tick
   // dispatch loop.
   void DispatchLoop(Core& core, CpuId core_id, TimePoint now, Cycles cycles_left);
@@ -353,11 +365,8 @@ class Machine {
   // Arms (or re-arms) the horizon event at the tick that will service the earliest
   // live sleeper; no event if the sleep list is empty.
   void ArmHorizon();
-  // Replays the accounting of one elided idle tick on `core_id`, exactly as the
-  // skipped Tick would have charged it.
-  void AccountIdleTick(CpuId core_id);
-  // Replays all elided ticks at grid points in (accounted_through_, upto) — or
-  // (..., upto] with `inclusive` — updating counters, charges, and scheduler state.
+  // Settles all elided ticks at grid points in (accounted_through_, upto) — or
+  // (..., upto] with `inclusive` — in bulk: counters, charges, and scheduler state.
   void AccountSkippedTicks(TimePoint upto, bool inclusive);
   // Settles catch-up strictly before `now` and restarts the per-core tick clocks at
   // the next grid point. No-op unless suspended.

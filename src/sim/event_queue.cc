@@ -98,25 +98,6 @@ void EventQueue::PopHeapTop() {
   heap_[i] = last;
 }
 
-TimePoint EventQueue::PeekTime() {
-  RR_EXPECTS(!Empty());
-  SkimDead();
-  return TimePoint::FromNanos(heap_.front().when_ns);
-}
-
-EventId EventQueue::PeekId() {
-  RR_EXPECTS(!Empty());
-  SkimDead();
-  return IdOf(heap_.front());
-}
-
-EventQueue::Popped EventQueue::Pop() {
-  RR_EXPECTS(!Empty());
-  Popped out;
-  PopBefore({TimePoint::Max(), kLastSeq}, &out);
-  return out;
-}
-
 bool EventQueue::PopBefore(Position bound, Popped* out) {
   if (!SkimDead()) {
     return false;

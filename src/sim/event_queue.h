@@ -14,7 +14,7 @@
 // grow to the peak number of keys and pending events.
 //
 // Ids: an EventId is an opaque handle `gen << 32 | (slot + 1)`, where `gen` is the
-// low 32 bits of the event's seq. Cancel and PeekId are array reads with no hashing,
+// low 32 bits of the event's seq. Cancel and DropHeadIf are array reads with no hashing,
 // and a stale id (the event fired or was cancelled, and the slot may since hold a
 // newer event) no longer matches and is rejected. Ids are only ever compared for
 // equality; 0 is never issued and stays kInvalidEventId. A stale id could alias only
@@ -70,20 +70,11 @@ class EventQueue {
   // The one-call resched path for periodic clocks: no decrease-key, no heap rebuild.
   EventId Resched(EventId id, TimePoint when, Callback fn);
 
-  bool Empty() const { return pending_ == 0; }
-  // Timestamp of the earliest pending event. Requires !Empty().
-  TimePoint PeekTime();
-  // Id of the earliest pending event. Requires !Empty(). With PeekTime this lets a
-  // caller test "is the head exactly the event I scheduled?" without popping.
-  EventId PeekId();
-
   struct Popped {
     EventId id = kInvalidEventId;
     TimePoint when;
     Callback fn;
   };
-  // Removes and returns the earliest pending event. Requires !Empty().
-  Popped Pop();
   // Pops the earliest pending event into `*out` if it comes before `bound`;
   // otherwise leaves the queue untouched and returns false. One skim per call: the
   // run loop's "is there an event due, and if so take it" in a single pass. A bound

@@ -1,6 +1,7 @@
 // Machine: dispatch loop, blocking/waking through queues, sleep timers, overhead
 // charging, context-switch accounting.
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -258,32 +259,58 @@ TEST(MachineTest, ExitedThreadLeavesScheduler) {
 TEST(MachineIdleFastForwardTest, SuspendsWhenNothingRunnableAndCatchUpIsExact) {
   // An empty machine suspends its dispatch clocks after the first idle round; the
   // end-of-run catch-up must reproduce every counter and charge a continuously
-  // ticking machine would show.
-  MachineRig eager;
-  eager.machine = std::make_unique<Machine>(
-      eager.sim, eager.rbs, eager.threads,
-      MachineConfig{.dispatch_interval = Duration::Millis(1),
-                    .charge_overheads = true,
-                    .idle_fast_forward = false});
-  MachineRig fast(/*charge_overheads=*/true);
+  // ticking machine would show. That holds down to a tick of exactly
+  // Cpu::kTimerIdleCycles (150 ns at 400 MHz), where the timer interrupt uses the
+  // whole tick, so schedule() never runs and nothing is charged to kDispatch or kIdle.
+  ASSERT_EQ(Simulator().cpu().DurationToCycles(Duration::Nanos(150)), Cpu::kTimerIdleCycles);
+  for (const Duration interval :
+       {Duration::Nanos(150), Duration::Nanos(155), Duration::Millis(1)}) {
+    SCOPED_TRACE(std::to_string(interval.nanos()) + " ns ticks");
+    auto run = [interval](bool ff) {
+      auto rig = std::make_unique<MachineRig>();
+      rig->machine = std::make_unique<Machine>(
+          rig->sim, rig->rbs, rig->threads,
+          MachineConfig{.dispatch_interval = interval,
+                        .charge_overheads = true,
+                        .idle_fast_forward = ff});
+      rig->machine->Start();
+      rig->machine->RunFor(interval * 500);
+      return rig;
+    };
+    const auto eager_rig = run(false);
+    const auto fast_rig = run(true);
+    const MachineRig& eager = *eager_rig;
+    const MachineRig& fast = *fast_rig;
+    EXPECT_EQ(fast.machine->idle_suspended(), true);
+    EXPECT_GT(fast.machine->idle_suspensions(), 0);
+    EXPECT_EQ(eager.machine->idle_suspensions(), 0);
+    // Identical introspection...
+    EXPECT_EQ(fast.machine->ticks(), eager.machine->ticks());
+    EXPECT_EQ(fast.machine->dispatches(), eager.machine->dispatches());
+    // ...and identical accounting, category by category.
+    for (const CpuUse use :
+         {CpuUse::kIdle, CpuUse::kDispatch, CpuUse::kTimer, CpuUse::kUser}) {
+      EXPECT_EQ(fast.sim.cpu().Used(use), eager.sim.cpu().Used(use))
+          << "category " << static_cast<int>(use);
+    }
+    // But the suspended machine did it with a fraction of the simulator events.
+    EXPECT_LT(fast.sim.events_processed(), eager.sim.events_processed() / 10);
+  }
+}
 
-  for (MachineRig* rig : {&eager, &fast}) {
-    rig->machine->Start();
-    rig->machine->RunFor(Duration::Millis(500));
-  }
-  EXPECT_EQ(fast.machine->idle_suspended(), true);
-  EXPECT_GT(fast.machine->idle_suspensions(), 0);
-  EXPECT_EQ(eager.machine->idle_suspensions(), 0);
-  // Identical introspection...
-  EXPECT_EQ(fast.machine->ticks(), eager.machine->ticks());
-  EXPECT_EQ(fast.machine->dispatches(), eager.machine->dispatches());
-  // ...and identical accounting, category by category.
-  for (const CpuUse use : {CpuUse::kIdle, CpuUse::kDispatch, CpuUse::kTimer, CpuUse::kUser}) {
-    EXPECT_EQ(fast.sim.cpu().Used(use), eager.sim.cpu().Used(use))
-        << "category " << static_cast<int>(use);
-  }
-  // But the suspended machine did it with a fraction of the simulator events.
-  EXPECT_LT(fast.sim.events_processed(), eager.sim.events_processed() / 10);
+TEST(MachineDeathTest, TickShorterThanTheTimerCostIsRejected) {
+  // 100 ns is 40 cycles at 400 MHz, less than the 60-cycle timer interrupt: with
+  // overheads charged, core 0's backlog would grow every tick and nothing would ever
+  // be dispatched. Without overhead charging the same tick is fine.
+  Simulator sim;
+  ThreadRegistry threads;
+  RbsScheduler rbs{sim.cpu()};
+  const Duration interval = Duration::Nanos(100);
+  EXPECT_DEATH(Machine(sim, rbs, threads, MachineConfig{.dispatch_interval = interval}),
+               "Precondition");
+  const Machine free_overheads(
+      sim, rbs, threads, MachineConfig{.dispatch_interval = interval, .charge_overheads = false});
+  EXPECT_EQ(free_overheads.cycles_per_tick(), 40);
 }
 
 TEST(MachineIdleFastForwardTest, SleeperHorizonWakesOnTimeAcrossSuspension) {

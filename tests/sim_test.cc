@@ -17,15 +17,31 @@ namespace {
 
 TimePoint At(int64_t ms) { return TimePoint::Origin() + Duration::Millis(ms); }
 
+// A bound that admits every pending event.
+constexpr EventQueue::Position kNoBound{TimePoint::Max(), EventQueue::kLastSeq};
+
+// Pops the earliest pending event; the queue must not be empty.
+EventQueue::Popped PopHead(EventQueue& q) {
+  EventQueue::Popped event;
+  EXPECT_TRUE(q.PopBefore(kNoBound, &event));
+  return event;
+}
+
+// Pops and runs every pending event, in order.
+void Drain(EventQueue& q) {
+  EventQueue::Popped event;
+  while (q.PopBefore(kNoBound, &event)) {
+    event.fn();
+  }
+}
+
 TEST(EventQueueTest, PopsInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
   q.Push(At(30), [&] { order.push_back(3); });
   q.Push(At(10), [&] { order.push_back(1); });
   q.Push(At(20), [&] { order.push_back(2); });
-  while (!q.Empty()) {
-    q.Pop().fn();
-  }
+  Drain(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -35,9 +51,7 @@ TEST(EventQueueTest, EqualTimesAreFifo) {
   for (int i = 0; i < 5; ++i) {
     q.Push(At(10), [&order, i] { order.push_back(i); });
   }
-  while (!q.Empty()) {
-    q.Pop().fn();
-  }
+  Drain(q);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -46,7 +60,7 @@ TEST(EventQueueTest, CancelPreventsExecution) {
   bool ran = false;
   const EventId id = q.Push(At(10), [&] { ran = true; });
   EXPECT_TRUE(q.Cancel(id));
-  EXPECT_TRUE(q.Empty());
+  EXPECT_EQ(q.PendingCount(), 0u);
   EXPECT_FALSE(ran);
 }
 
@@ -56,13 +70,20 @@ TEST(EventQueueTest, CancelUnknownIdIsFalse) {
   EXPECT_FALSE(q.Cancel(999));
 }
 
-TEST(EventQueueTest, PeekTimeSkipsCancelled) {
+TEST(EventQueueTest, PopBeforeSkipsCancelledHead) {
   EventQueue q;
   const EventId early = q.Push(At(5), [] {});
   q.Push(At(10), [] {});
   q.Cancel(early);
-  EXPECT_EQ(q.PeekTime(), At(10));
   EXPECT_EQ(q.PendingCount(), 1u);
+  // The bound excludes the live event at 10 (seq 1), so nothing is taken...
+  EventQueue::Popped event;
+  EXPECT_FALSE(q.PopBefore({At(10), 1}, &event));
+  EXPECT_EQ(q.PendingCount(), 1u);
+  // ...and a bound past it takes the live event, never the cancelled head.
+  EXPECT_TRUE(q.PopBefore({At(10), 2}, &event));
+  EXPECT_EQ(event.when, At(10));
+  EXPECT_EQ(q.PendingCount(), 0u);
 }
 
 TEST(EventQueueTest, CancelOfFiredIdIsRejected) {
@@ -71,13 +92,13 @@ TEST(EventQueueTest, CancelOfFiredIdIsRejected) {
   // such a cancel is a no-op returning false — repeatedly, not just the first time.
   EventQueue q;
   const EventId id = q.Push(At(1), [] {});
-  q.Pop().fn();
+  PopHead(q).fn();
   for (int i = 0; i < 3; ++i) {
     EXPECT_FALSE(q.Cancel(id));
   }
   // The queue is structurally empty again: a fresh push/pop cycle works and nothing
   // lingers.
-  EXPECT_TRUE(q.Empty());
+  EXPECT_EQ(q.PendingCount(), 0u);
   q.Push(At(2), [] {});
   EXPECT_EQ(q.PendingCount(), 1u);
 }
@@ -87,7 +108,7 @@ TEST(EventQueueTest, DoubleCancelReturnsFalseSecondTime) {
   const EventId id = q.Push(At(1), [] {});
   EXPECT_TRUE(q.Cancel(id));
   EXPECT_FALSE(q.Cancel(id));
-  EXPECT_TRUE(q.Empty());
+  EXPECT_EQ(q.PendingCount(), 0u);
 }
 
 TEST(EventQueueTest, PendingCountExcludesCancelledBelowHeapTop) {
@@ -101,7 +122,7 @@ TEST(EventQueueTest, PendingCountExcludesCancelledBelowHeapTop) {
   EXPECT_EQ(q.PendingCount(), 2u);
   q.Cancel(deeper);
   EXPECT_EQ(q.PendingCount(), 1u);
-  EXPECT_EQ(q.PeekTime(), At(10));
+  EXPECT_EQ(PopHead(q).when, At(10));
 }
 
 TEST(EventQueueTest, ReschedMovesAnEventInOneCall) {
@@ -114,9 +135,7 @@ TEST(EventQueueTest, ReschedMovesAnEventInOneCall) {
   EventId clock = q.Resched(kInvalidEventId, At(20), [&] { order.push_back(20); });
   clock = q.Resched(clock, At(5), [&] { order.push_back(5); });
   EXPECT_EQ(q.PendingCount(), 3u);
-  while (!q.Empty()) {
-    q.Pop().fn();
-  }
+  Drain(q);
   EXPECT_EQ(order, (std::vector<int>{5, 10, 15}));
 }
 
@@ -126,10 +145,10 @@ TEST(EventQueueTest, ReschedOfFiredIdStillSchedules) {
   bool first = false;
   bool second = false;
   const EventId id = q.Push(At(1), [&] { first = true; });
-  q.Pop().fn();
+  PopHead(q).fn();
   q.Resched(id, At(2), [&] { second = true; });
   EXPECT_EQ(q.PendingCount(), 1u);
-  q.Pop().fn();
+  PopHead(q).fn();
   EXPECT_TRUE(first);
   EXPECT_TRUE(second);
 }
@@ -140,7 +159,7 @@ TEST(EventQueueTest, StaleIdIsRejectedAfterItsSlotIsReused) {
   EventQueue q;
   std::vector<int> order;
   const EventId fired = q.Push(At(1), [&] { order.push_back(1); });
-  q.Pop().fn();
+  PopHead(q).fn();
   const EventId cancelled = q.Push(At(2), [&] { order.push_back(2); });
   EXPECT_EQ(q.SlotCapacity(), 1u);  // Reused the fired event's slot.
   EXPECT_TRUE(q.Cancel(cancelled));
@@ -151,10 +170,11 @@ TEST(EventQueueTest, StaleIdIsRejectedAfterItsSlotIsReused) {
   EXPECT_FALSE(q.Cancel(fired));
   EXPECT_FALSE(q.Cancel(cancelled));
   EXPECT_EQ(q.PendingCount(), 1u);
-  EXPECT_EQ(q.PeekId(), live);
-  q.Pop().fn();
+  const EventQueue::Popped head = PopHead(q);
+  EXPECT_EQ(head.id, live);
+  head.fn();
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
-  EXPECT_TRUE(q.Empty());
+  EXPECT_EQ(q.PendingCount(), 0u);
 }
 
 TEST(EventQueueTest, EqualTimesStayFifoAcrossSlotReuse) {
@@ -173,9 +193,7 @@ TEST(EventQueueTest, EqualTimesStayFifoAcrossSlotReuse) {
     q.Push(At(10), [&order, i] { order.push_back(i); });
   }
   EXPECT_EQ(q.SlotCapacity(), 8u);
-  while (!q.Empty()) {
-    q.Pop().fn();
-  }
+  Drain(q);
   EXPECT_EQ(order, (std::vector<int>{0, 2, 3, 5, 7, 8, 9, 10}));
 }
 
@@ -218,7 +236,7 @@ TEST(EventQueueTest, MillionOpChurnMatchesReferenceAndBoundsSlotPool) {
       forget(index);
     } else {
       const auto head = *reference.begin();
-      auto popped = q.Pop();
+      auto popped = PopHead(q);
       ASSERT_EQ(popped.when.nanos(), head.first);
       ASSERT_EQ(popped.id, id_of[head.second]);
       popped.fn();
