@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "util/assert.h"
 
@@ -152,12 +153,9 @@ ClusterFarmResult RunClusterFarmScenario(const ClusterFarmParams& params) {
   result.offered = offered;
   result.rebalanced = rebalanced;
 
+  // Each node's samples move into the cluster-wide set block by block, so the
+  // run never holds a second copy of them.
   SampleSet all_latencies;
-  size_t latency_count = 0;
-  for (const auto& farm : farms) {
-    latency_count += farm->latencies.size();
-  }
-  all_latencies.Reserve(latency_count);
   int64_t max_served = 0;
   for (int m = 0; m < machines; ++m) {
     WebFarmInstance& farm = *farms[static_cast<size_t>(m)];
@@ -169,7 +167,7 @@ ClusterFarmResult RunClusterFarmScenario(const ClusterFarmParams& params) {
     result.served += served;
     result.served_per_machine.push_back(served);
     max_served = std::max(max_served, served);
-    all_latencies.Merge(farm.latencies);
+    all_latencies.Merge(std::move(farm.latencies));
     System& node = cluster.node(m);
     result.epoch_fences += node.machine().epoch_fences();
     result.machine_trace_hashes.push_back(node.sim().trace().Hash());

@@ -1,9 +1,12 @@
 #include "harness/differential.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <deque>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -330,6 +333,33 @@ ClusterFarmParams ClusterParamsFromSpec(const WorkloadSpec& spec) {
   return params;
 }
 
+// The first latency column on which two farm or cluster runs differ, bit for
+// bit, as ", name a vs b" to append to a failure message; empty when they agree. `with_mean` is false across
+// host-thread counts: a staked round's flush may reorder the summation behind
+// Mean (see WebWorkerWork), never the samples the percentiles select from.
+template <class A, class B>
+std::string LatencyMismatch(const A& a, const B& b, bool with_mean) {
+  struct Column {
+    const char* name;
+    double a;
+    double b;
+  };
+  const Column columns[] = {{"p50_ms", a.p50_ms, b.p50_ms},
+                            {"p99_ms", a.p99_ms, b.p99_ms},
+                            {"p999_ms", a.p999_ms, b.p999_ms},
+                            {"max_ms", a.max_ms, b.max_ms},
+                            {"mean_ms", a.mean_ms, b.mean_ms}};
+  for (size_t i = 0; i < (with_mean ? 5u : 4u); ++i) {
+    const Column& c = columns[i];
+    if (std::bit_cast<uint64_t>(c.a) != std::bit_cast<uint64_t>(c.b)) {
+      char text[96];
+      std::snprintf(text, sizeof(text), ", %s %.17g vs %.17g", c.name, c.a, c.b);
+      return text;
+    }
+  }
+  return "";
+}
+
 // The differential battery for cluster-bucket specs. The scheduler battery does
 // not apply (a cluster is M independent machines behind a router, not one
 // machine under interchangeable schedulers); what must hold instead is the
@@ -338,54 +368,61 @@ void CheckClusterSeed(const WorkloadSpec& spec, SeedReport& report) {
   const ClusterFarmParams params = ClusterParamsFromSpec(spec);
 
   // (a) Degenerate-cluster equivalence: M = 1 must be bit-identical to a bare
-  // machine running the identical farm — the cluster layer may add nothing but
-  // epoch fences (which settle without trace effects) around a single node.
+  // machine running the identical farm, latency columns and their mean included
+  // — the cluster layer may add nothing but epoch fences (which settle without
+  // trace effects) around a single node.
   {
     ClusterFarmParams one = params;
     one.num_machines = 1;
     const ClusterFarmResult c = RunClusterFarmScenario(one);
     const WebFarmResult bare = RunWebFarmScenario(one.farm);
+    const std::string latency = LatencyMismatch(c, bare, /*with_mean=*/true);
     if (c.machine_trace_hashes.size() != 1 ||
         c.machine_trace_hashes[0] != bare.trace_hash || c.served != bare.served ||
-        c.accepted != bare.accepted || c.injected != bare.injected) {
+        c.accepted != bare.accepted || c.injected != bare.injected || !latency.empty()) {
       report.failures.push_back(
           "cluster M=1 equivalence: degenerate cluster diverged from the bare machine "
           "(hash " +
           std::to_string(c.machine_trace_hashes.empty() ? 0 : c.machine_trace_hashes[0]) +
           " vs " + std::to_string(bare.trace_hash) + ", served " +
-          std::to_string(c.served) + " vs " + std::to_string(bare.served) + ")");
+          std::to_string(c.served) + " vs " + std::to_string(bare.served) +
+          latency + ")");
     }
   }
 
   // (b) Host-thread invariance at the drawn width: fanning each node's dispatch
-  // rounds over 4 OS threads must leave every per-machine trace hash (and the
-  // routed/served outcome) bit-identical.
+  // rounds over 4 OS threads must leave every per-machine trace hash, the
+  // routed/served outcome and every latency column but the mean bit-identical.
   const ClusterFarmResult base = RunClusterFarmScenario(params);
   report.reference_hash = base.cluster_hash;
   {
     ClusterFarmParams fanned = params;
     fanned.farm.host_threads = 4;
     const ClusterFarmResult wide = RunClusterFarmScenario(fanned);
+    const std::string latency = LatencyMismatch(base, wide, /*with_mean=*/false);
     if (wide.machine_trace_hashes != base.machine_trace_hashes ||
-        wide.served != base.served || wide.rebalanced != base.rebalanced) {
+        wide.served != base.served || wide.rebalanced != base.rebalanced ||
+        !latency.empty()) {
       report.failures.push_back(
           "cluster host-thread equivalence: host_threads 1 and 4 diverged (cluster hash " +
           std::to_string(base.cluster_hash) + " vs " + std::to_string(wide.cluster_hash) +
           ", served " + std::to_string(base.served) + " vs " +
-          std::to_string(wide.served) + ")");
+          std::to_string(wide.served) + latency + ")");
     }
   }
 
-  // (c) Rerun stability: the scenario is a pure function of its parameters.
+  // (c) Rerun stability: the scenario is a pure function of its parameters, its
+  // latency columns included.
   {
     const ClusterFarmResult again = RunClusterFarmScenario(params);
+    const std::string latency = LatencyMismatch(base, again, /*with_mean=*/true);
     if (again.cluster_hash != base.cluster_hash || again.served != base.served ||
-        again.rebalanced != base.rebalanced) {
+        again.rebalanced != base.rebalanced || !latency.empty()) {
       report.failures.push_back(
           "cluster rerun stability: identical parameters produced different runs "
           "(cluster hash " +
           std::to_string(base.cluster_hash) + " vs " + std::to_string(again.cluster_hash) +
-          ")");
+          latency + ")");
     }
   }
 }

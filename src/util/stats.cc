@@ -59,6 +59,16 @@ double RunningStats::sample_variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
+void SampleSet::Merge(SampleSet&& other) {
+  // Front to back, so each of other's blocks is freed as soon as its last
+  // sample is copied: the two sets never hold more than the samples plus a
+  // block each.
+  while (!other.samples_.empty()) {
+    samples_.push_back(other.samples_.front());
+    other.samples_.pop_front();
+  }
+}
+
 double SampleSet::Percentile(double p) const { return Percentiles({p}).front(); }
 
 std::vector<double> SampleSet::Percentiles(const std::vector<double>& ps) const {

@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 namespace realrate {
@@ -35,19 +36,21 @@ class RunningStats {
   double sum_ = 0.0;
 };
 
-// Batch percentile computation. Keeps all samples; fine at simulation scale.
-// Each Percentile is a selection over the samples (O(n)), not a sort, and
-// Percentiles shares one pass among a batch; the samples' order is unspecified
-// and both may permute it.
+// Batch percentile computation. Keeps every sample, 8 bytes each, in fixed-size
+// blocks: Add never reallocates or copies what is already stored, so a set's
+// footprint is its samples plus a small block map, with no growth slack and no
+// transient second buffer. Each Percentile is a selection over the samples
+// (O(n)), not a sort, and Percentiles shares one pass among a batch; the
+// selection permutes the samples in place, so their order is unspecified after
+// one. Mean sums in insertion order until then.
 class SampleSet {
  public:
   void Add(double x) { samples_.push_back(x); }
-  // Appends every sample of `other` (the cluster farm merges per-machine latency
-  // sets before computing cluster-wide percentiles).
-  void Merge(const SampleSet& other) {
-    samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
-  }
-  void Reserve(size_t n) { samples_.reserve(n); }
+  // Appends every sample of `other` in its order and leaves `other` empty,
+  // freeing its blocks as they are copied: the combined samples are never held
+  // twice (the cluster farm merges per-machine latency sets this way before
+  // computing cluster-wide percentiles).
+  void Merge(SampleSet&& other);
   size_t size() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }
 
@@ -63,7 +66,7 @@ class SampleSet {
   double Mean() const;
 
  private:
-  mutable std::vector<double> samples_;  // Percentile's selection reorders them.
+  mutable std::deque<double> samples_;  // Percentile's selection reorders them.
 };
 
 // Ordinary least squares over (x, y) pairs. Reproduces the paper's Figure 5 fit

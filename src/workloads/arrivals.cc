@@ -74,6 +74,41 @@ int64_t DrawSize(Rng& rng, int64_t base, double alpha, int64_t cap) {
   return std::clamp<int64_t>(drawn, 1, cap);
 }
 
+// Draws a record's sizes: its bytes, then its service demand.
+void DrawSizes(Rng& rng, const ArrivalConfig& config, RequestRecord& r) {
+  r.bytes = DrawSize(rng, config.request_bytes, config.bytes_alpha, config.max_request_bytes);
+  r.service_cycles =
+      DrawSize(rng, config.service_cycles, config.service_alpha, config.max_service_cycles);
+}
+
+// Visits, session by session, every request of the sessions opening at `starts`:
+// each session draws its request count, then per request its sizes and the
+// think time to the next, until the count or the horizon ends it. More than
+// max_requests records fails the stream's cap.
+template <class Visit>
+void ForEachSessionRecord(Rng& rng, const ArrivalConfig& config,
+                          const std::vector<Duration>& starts, Duration horizon,
+                          Visit visit) {
+  int64_t total = 0;
+  for (const Duration start : starts) {
+    const double drawn = rng.NextPareto(config.session_min_requests, config.session_alpha);
+    const auto count =
+        static_cast<int64_t>(std::floor(std::min(drawn, config.session_max_requests)));
+    Duration at = start;
+    for (int64_t i = 0; i < count && at < horizon; ++i) {
+      RR_CHECK(total < config.max_requests &&
+               "stream exceeds ArrivalConfig::max_requests before the horizon");
+      ++total;
+      RequestRecord r{at, 0, 0};
+      DrawSizes(rng, config, r);
+      visit(r);
+      const double think_s = rng.NextExponential(config.mean_think.ToSeconds());
+      at += Duration::Nanos(
+          std::max<int64_t>(1, static_cast<int64_t>(std::llround(think_s * 1e9))));
+    }
+  }
+}
+
 // Fails a precondition unless [begin, end) is non-decreasing by arrival.
 void CheckOrder(const RequestRecord* begin, const RequestRecord* end) {
   for (const RequestRecord* r = begin; r != end && r + 1 != end; ++r) {
@@ -103,17 +138,12 @@ std::vector<RequestRecord> GenerateRequests(const ArrivalConfig& config, Duratio
   Rng rng(config.seed);
   std::vector<RequestRecord> records;
 
-  auto draw_sizes = [&](RequestRecord& r) {
-    r.bytes = DrawSize(rng, config.request_bytes, config.bytes_alpha, config.max_request_bytes);
-    r.service_cycles =
-        DrawSize(rng, config.service_cycles, config.service_alpha, config.max_service_cycles);
-  };
-
+  // Each list below is written once, into one allocation of its exact size: a
+  // copy of the generator first walks ahead and counts, then the real one draws
+  // the same sequence as ever.
   switch (config.kind) {
     case ArrivalConfig::Kind::kPoisson: {
-      // The stream is written once, into one allocation of its exact size: a
-      // copy of the generator first counts the arrivals, then the real one
-      // draws the same sequence as ever — every gap, then each record's sizes.
+      // Every gap, then each record's sizes.
       Rng counter = rng;
       size_t count = 0;
       ForEachPoissonTime(counter, config.requests_per_sec, config.load_curve, horizon,
@@ -123,7 +153,7 @@ std::vector<RequestRecord> GenerateRequests(const ArrivalConfig& config, Duratio
                          config.max_requests,
                          [&records](Duration t) { records.push_back({t, 0, 0}); });
       for (RequestRecord& r : records) {
-        draw_sizes(r);
+        DrawSizes(rng, config, r);
       }
       break;
     }
@@ -132,26 +162,23 @@ std::vector<RequestRecord> GenerateRequests(const ArrivalConfig& config, Duratio
       RR_EXPECTS(config.session_min_requests >= 1.0);
       RR_EXPECTS(config.session_max_requests >= config.session_min_requests);
       RR_EXPECTS(config.mean_think.IsPositive());
+      // Every session start, then each session's requests.
+      Rng counter = rng;
+      size_t session_count = 0;
+      ForEachPoissonTime(counter, config.sessions_per_sec, config.load_curve, horizon,
+                         config.max_requests, [&session_count](Duration) { ++session_count; });
       std::vector<Duration> starts;
+      starts.reserve(session_count);
       ForEachPoissonTime(rng, config.sessions_per_sec, config.load_curve, horizon,
                          config.max_requests,
                          [&starts](Duration t) { starts.push_back(t); });
-      for (const Duration start : starts) {
-        const double drawn =
-            rng.NextPareto(config.session_min_requests, config.session_alpha);
-        const auto count = static_cast<int64_t>(
-            std::floor(std::min(drawn, config.session_max_requests)));
-        Duration at = start;
-        for (int64_t i = 0; i < count && at < horizon; ++i) {
-          RR_CHECK(static_cast<int64_t>(records.size()) < config.max_requests &&
-                   "stream exceeds ArrivalConfig::max_requests before the horizon");
-          records.push_back({at, 0, 0});
-          draw_sizes(records.back());
-          const double think_s = rng.NextExponential(config.mean_think.ToSeconds());
-          at += Duration::Nanos(std::max<int64_t>(
-              1, static_cast<int64_t>(std::llround(think_s * 1e9))));
-        }
-      }
+      counter = rng;
+      size_t count = 0;
+      ForEachSessionRecord(counter, config, starts, horizon,
+                           [&count](const RequestRecord&) { ++count; });
+      records.reserve(count);
+      ForEachSessionRecord(rng, config, starts, horizon,
+                           [&records](const RequestRecord& r) { records.push_back(r); });
       // Sessions interleave; restore global arrival order. stable_sort keeps the
       // (deterministic) generation order among simultaneous arrivals.
       std::stable_sort(records.begin(), records.end(),

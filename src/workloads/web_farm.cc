@@ -23,10 +23,10 @@ void AcceptorWork::Dispatch() {
   // worker queue is full, the request is dropped (admission control — the farm's
   // observable response to sustained over-subscription).
   const size_t n = workers_.size();
-  const size_t start = rr_;
-  rr_ = (rr_ + 1) % n;
-  for (size_t i = 0; i < n; ++i) {
-    RequestStream* w = workers_[(start + i) % n];
+  size_t target = rr_;
+  rr_ = rr_ + 1 == n ? 0 : rr_ + 1;
+  for (size_t tried = 0; tried < n; ++tried) {
+    RequestStream* w = workers_[target];
     if (w->buffer->TryPush(current_.bytes)) {
       if (staging_) {
         // Staked round: the worker owning w may be running on another core right
@@ -39,6 +39,7 @@ void AcceptorWork::Dispatch() {
       self()->AddProgress(1);
       return;
     }
+    target = target + 1 == n ? 0 : target + 1;
   }
   ++dropped_;
 }
@@ -201,12 +202,9 @@ void WebWorkerWork::FlushRoundEffects() {
 }
 
 void WebFarmInstance::Admit(const RequestRecord& rec) {
-  // Every worker queue has the same capacity, so the front one stands for all.
-  const int64_t clamp_bytes =
-      std::min(listen.buffer->capacity(), worker_streams.front()->buffer->capacity());
   PendingRequest p;
   p.arrival = rec.arrival;
-  p.bytes = std::clamp<int64_t>(rec.bytes, 1, clamp_bytes);
+  p.bytes = std::clamp<int64_t>(rec.bytes, 1, max_request_bytes);
   p.service_cycles = rec.service_cycles;
   if (listen.buffer->TryPush(p.bytes)) {
     listen.meta.push_back(p);
@@ -251,6 +249,9 @@ std::unique_ptr<WebFarmInstance> BuildWebFarm(WebFarmBuild build, Simulator& sim
   RR_EXPECTS(build.clock_hz > 0);
 
   auto farm = std::make_unique<WebFarmInstance>();
+  // Every worker queue has the same capacity, so a request that fits it and the
+  // listen queue fits every queue it passes through.
+  farm->max_request_bytes = std::min(build.listen_queue_bytes, build.worker_queue_bytes);
   farm->listen.buffer = queues.CreateQueue(build.tag + ".listen", build.listen_queue_bytes);
   machine.Attach(farm->listen.buffer);
 

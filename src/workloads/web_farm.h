@@ -163,6 +163,7 @@ class WebFarmInstance {
   void Admit(const RequestRecord& rec);
 
   int64_t listen_drops = 0;  // Arrivals that found the listen queue full.
+  int64_t max_request_bytes = 0;  // Admit's clamp: the smallest queue capacity.
 
   RequestStream listen;
   std::vector<std::unique_ptr<RequestStream>> worker_streams;

@@ -1,7 +1,9 @@
-// The request stream's memory footprint: one resident copy, from generation
-// through delivery. GenerateRequests writes a Poisson stream into one allocation
-// of its exact size, and a scenario's `replay` borrows the caller's stream, so
-// neither a standalone farm nor a cluster run copies it.
+// A farm run's memory footprint: one resident copy of the request stream, from
+// generation through delivery, plus 8 bytes per served request. GenerateRequests
+// writes a stream into one allocation of its exact size, a scenario's `replay`
+// borrows the caller's stream, so neither a standalone farm nor a cluster run
+// copies it, and the latency samples are stored in blocks that never move, so
+// neither grows by reallocation nor assembles a second copy of them.
 //
 // This suite replaces the global operator new and delete with a counter of live
 // and peak bytes, which is why it is an executable of its own: the counter sees
@@ -148,6 +150,32 @@ TEST(MemoryFootprintTest, GeneratingAPoissonStreamHoldsOnlyTheResult) {
   }
 }
 
+TEST(MemoryFootprintTest, GeneratingParetoSessionsHoldsTheResultAndItsSortBuffer) {
+  // 30 s at 1000 sessions/s: ~158k records from ~30k sessions.
+  ArrivalConfig sessions;
+  sessions.kind = ArrivalConfig::Kind::kParetoSessions;
+  sessions.seed = 99;
+  sessions.sessions_per_sec = 1000.0;
+  const Duration horizon = Duration::Seconds(30);
+  // The session starts are the first walk over the generator, a Poisson process
+  // at the session rate: a Poisson stream at that rate has one record per start.
+  ArrivalConfig starts_only = sessions;
+  starts_only.kind = ArrivalConfig::Kind::kPoisson;
+  starts_only.requests_per_sec = sessions.sessions_per_sec;
+  const auto starts =
+      static_cast<int64_t>(GenerateRequests(starts_only, horizon).size());
+  constexpr int64_t kSlack = 4096;
+  PeakWindow window;
+  const std::vector<RequestRecord> stream = GenerateRequests(sessions, horizon);
+  ASSERT_GT(stream.size(), 100'000u);
+  EXPECT_EQ(stream.capacity(), stream.size());
+  // The result, stable_sort's half-size buffer, and the starts (8 bytes each),
+  // which are still live during the sort.
+  EXPECT_LE(window.Extra(),
+            BytesOf(stream.size()) + BytesOf(stream.size()) / 2 + 8 * starts + kSlack)
+      << stream.size() << " records, " << starts << " sessions";
+}
+
 // An overloaded farm (2x its capacity): most of the stream drops at admission,
 // so what the run itself allocates (latency samples for the served half,
 // queues, threads, the trace) stays well below one copy of the stream.
@@ -172,6 +200,56 @@ TEST(MemoryFootprintTest, AFarmReplayIsBorrowedNotCopied) {
   EXPECT_LT(window.Extra(), BytesOf(stream.size()));
   EXPECT_EQ(result.offered, static_cast<int64_t>(stream.size()));
   EXPECT_GT(result.served, 0);
+}
+
+// The latency samples' share of a run: 8 bytes per served request, plus the
+// block store's map of block pointers (a pointer per 64 samples, with room to
+// grow and the old map live while it does) at half a byte per sample.
+int64_t SampleBytes(int64_t served) { return 8 * served + served / 2; }
+
+TEST(MemoryFootprintTest, AFarmRunHoldsEightBytesPerServedRequest) {
+  // farm_steady's shape (4 cores, 8 workers, 0.75x) for 20 s: ~112k served. A
+  // growing vector of samples would hold its old and new buffers at once, at
+  // least 4 bytes per sample more than this bound allows.
+  WebFarmParams params;
+  params.run_for = Duration::Seconds(20);
+  params.arrivals.seed = 99;
+  params.arrivals.requests_per_sec = 0.75 * WebFarmCapacityRps(params);
+  const std::vector<RequestRecord> stream =
+      GenerateRequests(params.arrivals, params.run_for);
+  // The run's own state: queues, threads, the simulator and the controller.
+  constexpr int64_t kFarmState = 256 * 1024;
+  PeakWindow window;
+  params.replay = stream;
+  const WebFarmResult result = RunWebFarmScenario(params);
+  ASSERT_GT(result.served, 100'000);
+  EXPECT_LE(window.Extra(), SampleBytes(result.served) + kFarmState)
+      << result.served << " served";
+}
+
+TEST(MemoryFootprintTest, AClusterAssemblesItsLatenciesWithoutASecondCopy) {
+  // Four 2-core nodes at 0.9x for 10 s: ~107k served. The nodes' samples move
+  // into the cluster-wide set block by block. The bound leaves room for one
+  // node's share (1/M of the samples) over them; a second copy of them all
+  // needs M times that.
+  constexpr int kMachines = 4;
+  ClusterFarmParams params;
+  params.num_machines = kMachines;
+  params.farm.num_cpus = 2;
+  params.farm.num_workers = 4;
+  params.farm.run_for = Duration::Seconds(10);
+  params.farm.arrivals.seed = 99;
+  params.farm.arrivals.requests_per_sec = 0.9 * ClusterFarmCapacityRps(params);
+  const std::vector<RequestRecord> stream =
+      GenerateRequests(params.farm.arrivals, params.farm.run_for);
+  // Four nodes' state, and the router's per-node batch buffers.
+  constexpr int64_t kClusterState = 512 * 1024;
+  PeakWindow window;
+  params.farm.replay = stream;
+  const ClusterFarmResult result = RunClusterFarmScenario(params);
+  ASSERT_GT(result.served, 100'000);
+  EXPECT_LE(window.Extra(), 8 * result.served * (kMachines + 1) / kMachines + kClusterState)
+      << result.served << " served";
 }
 
 TEST(MemoryFootprintTest, AClusterReplayIsBorrowedNotCopied) {

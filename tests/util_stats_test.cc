@@ -1,5 +1,8 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -204,14 +207,85 @@ TEST(SampleSetTest, MergeAppendsEverySample) {
     b.Add(x);
   }
   SampleSet merged;
-  merged.Reserve(a.size() + b.size());
-  merged.Merge(a);
-  merged.Merge(b);
+  merged.Merge(std::move(a));
+  merged.Merge(std::move(b));
   EXPECT_EQ(merged.size(), 5u);
   EXPECT_DOUBLE_EQ(merged.Percentile(0), 1.0);
   EXPECT_DOUBLE_EQ(merged.Median(), 3.0);
   EXPECT_DOUBLE_EQ(merged.Percentile(100), 9.0);
   EXPECT_DOUBLE_EQ(merged.Mean(), 19.0 / 5.0);
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// Seeded values with ties: half from a small grid, half from a continuous tail.
+std::vector<double> DrawWithTies(Rng& rng, size_t n) {
+  std::vector<double> values;
+  for (size_t i = 0; i < n; ++i) {
+    values.push_back(rng.NextBool(0.5) ? static_cast<double>(rng.NextBounded(16))
+                                       : rng.NextExponential(5.0));
+  }
+  return values;
+}
+
+// The plain definition Mean must reproduce bit for bit: a sum in insertion order.
+double InsertionOrderMean(const std::vector<double>& values) {
+  double sum = 0.0;
+  for (double x : values) {
+    sum += x;
+  }
+  return sum / static_cast<double>(values.size());
+}
+
+TEST(SampleSetTest, BlockStorageMatchesASortedVector) {
+  // Sizes around the 64-sample block boundary and well past it: the samples
+  // span blocks, and the selection permutes them across block edges.
+  const std::vector<double> ps = {0.0, 50.0, 99.0, 99.9, 100.0};
+  Rng rng(30);
+  for (const size_t n : {size_t{1}, size_t{63}, size_t{64}, size_t{65}, size_t{64 * 7 + 17},
+                         size_t{64 * 1563 + 17}}) {
+    const std::vector<double> values = DrawWithTies(rng, n);
+    SampleSet set;
+    for (double x : values) {
+      set.Add(x);
+    }
+    ASSERT_EQ(set.size(), n);
+    EXPECT_EQ(Bits(set.Mean()), Bits(InsertionOrderMean(values))) << "n=" << n;
+    const std::vector<double> got = set.Percentiles(ps);
+    for (size_t i = 0; i < ps.size(); ++i) {
+      EXPECT_EQ(Bits(got[i]), Bits(SortedPercentile(values, ps[i])))
+          << "n=" << n << " p=" << ps[i];
+    }
+  }
+}
+
+TEST(SampleSetTest, MergeConsumesItsSourceInOrder) {
+  // Into an empty set and into a filled one, across several blocks each: the
+  // source is left empty, and the merged set holds the concatenation in order,
+  // so its Mean is the copy-order Mean bit for bit.
+  Rng rng(31);
+  for (const size_t into : {size_t{0}, size_t{1000}}) {
+    const std::vector<double> first = DrawWithTies(rng, into);
+    const std::vector<double> second = DrawWithTies(rng, 777);
+    SampleSet merged;
+    SampleSet source;
+    for (double x : first) {
+      merged.Add(x);
+    }
+    for (double x : second) {
+      source.Add(x);
+    }
+    merged.Merge(std::move(source));
+    EXPECT_TRUE(source.empty()) << "into=" << into;
+    std::vector<double> concatenated = first;
+    concatenated.insert(concatenated.end(), second.begin(), second.end());
+    ASSERT_EQ(merged.size(), concatenated.size());
+    EXPECT_EQ(Bits(merged.Mean()), Bits(InsertionOrderMean(concatenated))) << "into=" << into;
+    EXPECT_EQ(Bits(merged.Percentile(99.0)), Bits(SortedPercentile(concatenated, 99.0)));
+    // The emptied source is a usable set again.
+    source.Add(2.5);
+    EXPECT_EQ(source.Median(), 2.5);
+  }
 }
 
 TEST(FitLineTest, ExactLine) {

@@ -152,12 +152,10 @@ TEST(ArrivalsTest, StreamPastTheRequestCapDiesInsteadOfTruncating) {
   EXPECT_EQ(GenerateRequests(poisson, Duration::Seconds(1)), fits);
 }
 
-// A reference Poisson generator written the plain way, in two vectors: every
-// arrival time into a vector of its own, then each record's sizes drawn in
-// arrival order. GenerateRequests makes the same draws into one allocation, so
-// it must produce this stream record for record.
-std::vector<RequestRecord> TwoVectorPoissonStream(const ArrivalConfig& config,
-                                                  Duration horizon) {
+// The gap walk of a Poisson process at `per_sec` under the config's load curve,
+// written the plain way: every arrival time into a vector of its own.
+std::vector<Duration> OraclePoissonTimes(Rng& rng, double per_sec, const ArrivalConfig& config,
+                                         Duration horizon) {
   const auto boundary_after = [&](Duration t) {
     for (const LoadSegment& s : config.load_curve) {
       if (s.start > t && s.start < horizon) {
@@ -166,19 +164,10 @@ std::vector<RequestRecord> TwoVectorPoissonStream(const ArrivalConfig& config,
     }
     return horizon;
   };
-  const auto draw_size = [](Rng& rng, int64_t base, double alpha, int64_t cap) {
-    if (alpha <= 0.0) {
-      return std::min(base, cap);
-    }
-    const auto drawn =
-        static_cast<int64_t>(std::llround(rng.NextPareto(static_cast<double>(base), alpha)));
-    return std::clamp<int64_t>(drawn, 1, cap);
-  };
-  Rng rng(config.seed);
   std::vector<Duration> times;
   Duration t = Duration::Zero();
   while (true) {
-    const double rate = config.requests_per_sec * LoadMultiplierAt(config.load_curve, t);
+    const double rate = per_sec * LoadMultiplierAt(config.load_curve, t);
     const Duration boundary = boundary_after(t);
     if (rate > 0.0) {
       const double gap_s = rng.NextExponential(1.0 / rate);
@@ -195,13 +184,38 @@ std::vector<RequestRecord> TwoVectorPoissonStream(const ArrivalConfig& config,
     }
     t = boundary;
   }
+  return times;
+}
+
+// A record's sizes, drawn the plain way: its bytes, then its service demand.
+void OracleSizes(Rng& rng, const ArrivalConfig& config, RequestRecord& r) {
+  const auto draw_size = [&rng](int64_t base, double alpha, int64_t cap) {
+    if (alpha <= 0.0) {
+      return std::min(base, cap);
+    }
+    const auto drawn =
+        static_cast<int64_t>(std::llround(rng.NextPareto(static_cast<double>(base), alpha)));
+    return std::clamp<int64_t>(drawn, 1, cap);
+  };
+  r.bytes = draw_size(config.request_bytes, config.bytes_alpha, config.max_request_bytes);
+  r.service_cycles =
+      draw_size(config.service_cycles, config.service_alpha, config.max_service_cycles);
+}
+
+// A reference Poisson generator written the plain way, in two vectors: every
+// arrival time into a vector of its own, then each record's sizes drawn in
+// arrival order. GenerateRequests makes the same draws into one allocation, so
+// it must produce this stream record for record.
+std::vector<RequestRecord> TwoVectorPoissonStream(const ArrivalConfig& config,
+                                                  Duration horizon) {
+  Rng rng(config.seed);
+  const std::vector<Duration> times =
+      OraclePoissonTimes(rng, config.requests_per_sec, config, horizon);
   std::vector<RequestRecord> records;
   for (const Duration at : times) {
     RequestRecord r;
     r.arrival = at;
-    r.bytes = draw_size(rng, config.request_bytes, config.bytes_alpha, config.max_request_bytes);
-    r.service_cycles =
-        draw_size(rng, config.service_cycles, config.service_alpha, config.max_service_cycles);
+    OracleSizes(rng, config, r);
     records.push_back(r);
   }
   return records;
@@ -228,6 +242,69 @@ TEST(ArrivalsTest, OneAllocationGeneratorMatchesTheTwoVectorOracle) {
       EXPECT_EQ(GenerateRequests(config, horizon), oracle) << "seed " << seed;
       // The cap is exact in the new generator too: the stream's own size fits,
       // one less dies rather than truncating.
+      config.max_requests = static_cast<int64_t>(oracle.size());
+      EXPECT_EQ(GenerateRequests(config, horizon), oracle) << "seed " << seed;
+      config.max_requests = static_cast<int64_t>(oracle.size()) - 1;
+      EXPECT_DEATH(GenerateRequests(config, horizon), "max_requests") << "seed " << seed;
+    }
+  }
+}
+
+// The pre-sizing session generator: session starts into a vector of their
+// own, then each session's requests pushed into a growing vector, sorted by
+// arrival. GenerateRequests sizes both vectors exactly first, so it must
+// produce this stream record for record.
+std::vector<RequestRecord> GrowingSessionStream(const ArrivalConfig& config,
+                                                Duration horizon) {
+  Rng rng(config.seed);
+  const std::vector<Duration> starts =
+      OraclePoissonTimes(rng, config.sessions_per_sec, config, horizon);
+  std::vector<RequestRecord> records;
+  for (const Duration start : starts) {
+    const double drawn = rng.NextPareto(config.session_min_requests, config.session_alpha);
+    const auto count = static_cast<int64_t>(
+        std::floor(std::min(drawn, config.session_max_requests)));
+    Duration at = start;
+    for (int64_t i = 0; i < count && at < horizon; ++i) {
+      RequestRecord r;
+      r.arrival = at;
+      OracleSizes(rng, config, r);
+      records.push_back(r);
+      const double think_s = rng.NextExponential(config.mean_think.ToSeconds());
+      at += Duration::Nanos(
+          std::max<int64_t>(1, static_cast<int64_t>(std::llround(think_s * 1e9))));
+    }
+  }
+  std::stable_sort(records.begin(), records.end(),
+                   [](const RequestRecord& a, const RequestRecord& b) {
+                     return a.arrival < b.arrival;
+                   });
+  return records;
+}
+
+TEST(ArrivalsTest, ExactSizeSessionGeneratorMatchesTheGrowingOracle) {
+  ArrivalConfig flat;
+  flat.kind = ArrivalConfig::Kind::kParetoSessions;
+  flat.sessions_per_sec = 400.0;
+  ArrivalConfig curved = flat;
+  curved.load_curve = {{Duration::Zero(), 1.0},
+                       {Duration::Millis(200), 0.0},   // Dead zone.
+                       {Duration::Millis(450), 4.0},   // Flash crowd.
+                       {Duration::Millis(600), 0.5}};
+  curved.bytes_alpha = 1.5;
+  curved.service_alpha = 1.2;
+  const Duration horizon = Duration::Seconds(1);
+  for (const ArrivalConfig* shape : {&flat, &curved}) {
+    for (const uint64_t seed : {1ull, 7ull, 99ull, 0x5eedull}) {
+      ArrivalConfig config = *shape;
+      config.seed = seed;
+      const std::vector<RequestRecord> oracle = GrowingSessionStream(config, horizon);
+      ASSERT_GT(oracle.size(), 500u) << "seed " << seed;
+      const std::vector<RequestRecord> stream = GenerateRequests(config, horizon);
+      EXPECT_EQ(stream, oracle) << "seed " << seed;
+      EXPECT_EQ(stream.capacity(), stream.size()) << "seed " << seed;
+      // The cap is exact: the stream's own size fits, one less dies rather
+      // than truncating.
       config.max_requests = static_cast<int64_t>(oracle.size());
       EXPECT_EQ(GenerateRequests(config, horizon), oracle) << "seed " << seed;
       config.max_requests = static_cast<int64_t>(oracle.size()) - 1;
